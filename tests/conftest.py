@@ -27,6 +27,14 @@ _OPT_IN_MARKERS = (
 )
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record", action="store_true", default=False,
+        help="rewrite golden files (tests/web/test_api_transcript.py) "
+             "instead of comparing against them",
+    )
+
+
 def pytest_collection_modifyitems(config, items):
     """Each opt-in marker is skipped unless its env flag is ``1``
     (``scripts/ci.sh`` flips them per stage)."""
