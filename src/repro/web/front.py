@@ -9,7 +9,7 @@ ApiServer` adapter as a single node.  It routes by method:
   keep serving from the replicas.
 * **Reads** fan out round-robin across healthy replicas.  A replica that
   fails at the transport level is **evicted** from the rotation and
-  probed via its ``/api/v1/replication`` status after a cooldown;
+  probed via its ``/api/v2/replication`` status after a cooldown;
   it is re-admitted once it reports connected with bounded lag.
 
 **Session guarantees.**  Clients that send an ``x-carcs-session``
@@ -52,6 +52,7 @@ from repro.obs import trace as _trace
 
 from repro.obs import MetricsRegistry, Tracer
 
+from .api import ADMISSION_EXEMPT_PATHS
 from .http import Request, Response, error_response, json_response
 from .middleware import DEADLINE_HEADER, AdmissionMiddleware, backpressure_response
 
@@ -199,7 +200,7 @@ class FrontTier:
             rate_limit=rate_limit,
             rate_burst=rate_burst,
             max_inflight=max_inflight,
-            exempt=AdmissionMiddleware.DEFAULT_EXEMPT + ("/api/v1/fleet",),
+            exempt=ADMISSION_EXEMPT_PATHS + ("/api/v1/fleet",),
         )
         #: The router's own process label in stitched traces and its
         #: ``x-carcs-served-by`` stamp on self-served answers.
@@ -472,7 +473,7 @@ class FrontTier:
         for slot in due:
             try:
                 probe = slot.backend.request(
-                    Request(method="GET", path="/api/v1/replication")
+                    Request(method="GET", path="/api/v2/replication")
                 )
             except BackendError:
                 continue

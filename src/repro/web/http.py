@@ -80,6 +80,13 @@ class Request:
         except ValueError:
             raise HttpError(400, f"query parameter {name!r} must be an integer")
 
+    def query_size(self, name: str, default: int | None = None) -> int | None:
+        """:meth:`query_int` for counts and limits: 400 when negative."""
+        value = self.query_int(name, default)
+        if value is not None:
+            non_negative(value, f"query parameter {name!r}")
+        return value
+
     def json(self) -> dict[str, Any]:
         """The request body as a JSON object; 400 on malformed input."""
         body = self.body
@@ -158,6 +165,13 @@ def error_response(status: int, message: str, request_id: str = "") -> Response:
     )
 
 
+def non_negative(value: int, what: str) -> int:
+    """``value``, or a 400 when a size would slice from the end."""
+    if value < 0:
+        raise HttpError(400, f"{what} must be >= 0")
+    return value
+
+
 def paginated(items: list, request: Request, *,
               default_limit: int) -> dict[str, Any]:
     """Slice ``items`` by ``limit``/``offset`` query params into the
@@ -216,10 +230,8 @@ def cursor_page(items: list, request: Request, *,
     Clients pass the previous response's ``next_cursor`` back as the
     ``cursor`` query parameter; ``next_cursor`` is ``None`` on the last
     page.  ``total`` still counts the full result set."""
-    limit = request.query_int("limit", default_limit)
+    limit = request.query_size("limit", default_limit)
     assert limit is not None
-    if limit < 0:
-        raise HttpError(400, "query parameter 'limit' must be >= 0")
     token = request.query_one("cursor")
     offset = decode_cursor(token) if token else 0
     window = list(items[offset:offset + limit])

@@ -211,18 +211,16 @@ class AdmissionMiddleware:
     Every refusal goes through :func:`backpressure_response` — one
     envelope, one ``Retry-After`` header, one ``carcs_shed_total``
     counter, exactly like the front tier's primary-outage 503s and the
-    job queue's saturation 429s.
+    job queue's saturation 429s.  Requests for an ``exempt`` path skip
+    all three checks (the API exempts its health and metrics endpoints,
+    :data:`repro.web.api.ADMISSION_EXEMPT_PATHS`).
     """
-
-    #: Paths that must answer even under overload (operators debugging
-    #: the overload need them).
-    DEFAULT_EXEMPT = ("/api/v1/healthz", "/api/v1/metrics")
 
     def __init__(self, metrics: MetricsRegistry | None = None, *,
                  rate_limit: float | None = None,
                  rate_burst: float | None = None,
                  max_inflight: int | None = None,
-                 exempt: Iterable[str] | None = None) -> None:
+                 exempt: Iterable[str] = ()) -> None:
         self.metrics = metrics
         self.rate_limit = (
             rate_limit if rate_limit else _env_float(ENV_RATE_LIMIT)
@@ -234,9 +232,7 @@ class AdmissionMiddleware:
         self.max_inflight = (
             max_inflight if max_inflight else _env_int(ENV_MAX_INFLIGHT)
         )
-        self.exempt = frozenset(
-            exempt if exempt is not None else self.DEFAULT_EXEMPT
-        )
+        self.exempt = frozenset(exempt)
         self._lock = threading.Lock()
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
         self._inflight = 0

@@ -10,6 +10,10 @@ REST clients depend on.
 A route may be registered as ``deprecated`` (the unprefixed aliases of
 the ``/api/v1`` surface): it still dispatches, but every response gains
 a ``Deprecation: true`` header so clients can spot their stale paths.
+A ``sunset`` date adds an RFC 8594 ``Sunset`` header (every v1 route and
+alias).  Several routes may share one handler: the v1 table binds its
+patterns straight to the v2 handlers, so each request's
+``route_pattern`` is still the pattern it matched.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 """The ``/api/v2`` surface: resources, cursors, and async jobs.
 
+These are the API's only resource handlers; the ``/api/v1`` shim
+reuses them (see ``V1_ROUTES`` in :mod:`repro.web.api`).
+
 v1 grew handler-by-handler around the paper's Heroku prototype and
 shows it: materials live under ``/assignments``, classification edits
 are verbs on that path, recommendation is ``POST /recommend``, and
@@ -21,8 +24,10 @@ resource-oriented redesign:
   classification tables.
 * **Creation answers ``Location``.**  ``POST /materials`` (201) points
   at the new resource, as does the 202 above.
+* **One validation.**  Malformed body fields and negative sizes
+  answer 400 here, so both surfaces share the same checks.
 
-v1 keeps serving as a byte-identical compatibility shim carrying an
+v1 keeps serving its old shapes as a compatibility shim carrying an
 RFC 8594 ``Sunset`` header; see ``docs/api.md`` for the migration
 table.
 """
@@ -31,12 +36,22 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.core.classification import ClassificationSet
 from repro.core.material import CourseLevel, Material, MaterialKind
+from repro.core.ontology import BloomLevel
+from repro.core.repository import Repository
 from repro.db.errors import RowNotFound
 from repro.jobs import QueueFull, unclassified_material_ids
 from repro.obs import trace as _trace
 
-from .http import HttpError, Request, Response, cursor_page, json_response
+from .http import (
+    HttpError,
+    Request,
+    Response,
+    cursor_page,
+    json_response,
+    non_negative,
+)
 from .middleware import backpressure_response
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
@@ -62,6 +77,124 @@ def _job_payload(job: dict[str, Any], prefix: str) -> dict[str, Any]:
     return out
 
 
+def _material_payload(repo: Repository, material: Material) -> dict[str, Any]:
+    assert material.id is not None
+    cs = repo.classification_of(material.id)
+    return {
+        "id": material.id,
+        "title": material.title,
+        "description": material.description,
+        "kind": material.kind.value,
+        "authors": list(material.authors),
+        "url": material.url,
+        "course_level": material.course_level.value if material.course_level else None,
+        "languages": list(material.languages),
+        "datasets": list(material.datasets),
+        "tags": list(material.tags),
+        "collection": material.collection,
+        "year": material.year,
+        "classifications": [
+            {"ontology": item.ontology, "key": item.key,
+             "bloom": item.bloom.value if item.bloom else None}
+            for item in cs.items()
+        ],
+    }
+
+
+def _material_or_404(repo: Repository, request: Request) -> Material:
+    mid = request.params["id"]
+    try:
+        return repo.get_material(mid)
+    except Exception:
+        raise HttpError(404, f"no material with id {mid}")
+
+
+def _parse_classification(raw: list[dict]) -> ClassificationSet:
+    cs = ClassificationSet()
+    for entry in raw:
+        try:
+            ontology = entry["ontology"]
+            key = entry["key"]
+        except (TypeError, KeyError):
+            raise HttpError(400, "classification entries need 'ontology' and 'key'")
+        bloom = None
+        if entry.get("bloom"):
+            try:
+                bloom = BloomLevel(entry["bloom"])
+            except ValueError:
+                raise HttpError(400, f"unknown bloom level {entry['bloom']!r}")
+        cs.add(ontology, key, bloom)
+    return cs
+
+
+def _collection_ids(repo: Repository, collection: str) -> list[int]:
+    rows = repo.db.table("materials").find(collection=collection)
+    if not rows:
+        raise HttpError(404, f"no materials in collection {collection!r}")
+    return sorted(r["id"] for r in rows)
+
+
+def _parse_search_request(request: Request):
+    """Shared by ``/search`` and ``/materials``: the ``q`` facet
+    query language plus the ``collection``/``under`` shorthand
+    parameters, folded into one (text, filters) pair."""
+    from dataclasses import replace
+
+    from ..core.query_language import QuerySyntaxError, parse_query
+
+    try:
+        parsed = parse_query(request.query_one("q", "") or "")
+    except QuerySyntaxError as exc:
+        raise HttpError(400, str(exc))
+    filters = parsed.filters
+    collection = request.query_one("collection")
+    if collection:
+        filters = replace(
+            filters, collections=filters.collections + (collection,)
+        )
+    under = request.query_one("under")
+    if under:
+        filters = replace(filters, under=filters.under + (under,))
+    return parsed.text, filters
+
+
+#: What each declared body field type accepts, and how a 400 names it.
+_FIELD_TYPES = {
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "integer": (
+        lambda v: isinstance(v, int) and not isinstance(v, bool),
+        "an integer",
+    ),
+    "strings": (
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        "a list of strings",
+    ),
+    "list": (lambda v: isinstance(v, list), "a list"),
+}
+
+#: Body fields the material handlers read, by declared type.
+_MATERIAL_FIELDS = {
+    "title": "string", "description": "string", "url": "string",
+    "collection": "string", "year": "integer?", "authors": "strings",
+    "languages": "strings", "datasets": "strings", "tags": "strings",
+    "classifications": "list",
+}
+
+
+def _check_fields(body: dict[str, Any], fields: dict[str, str]) -> None:
+    """400 unless each field present in ``body`` has its declared type
+    (a key of ``_FIELD_TYPES``; a trailing ``?`` also admits null)."""
+    for name, declared in fields.items():
+        if name not in body:
+            continue
+        nullable = declared.endswith("?")
+        accepts, described = _FIELD_TYPES[declared.rstrip("?")]
+        value = body[name]
+        if not (accepts(value) or nullable and value is None):
+            raise HttpError(400, f"'{name}' must be {described}"
+                                 + (" or null" if nullable else ""))
+
+
 def _suggestion_payload(row: dict[str, Any]) -> dict[str, Any]:
     return {
         "id": row["id"],
@@ -78,13 +211,14 @@ def _suggestion_payload(row: dict[str, Any]) -> dict[str, Any]:
 def register_v2(api: "CarCsApi") -> None:
     """Mount the v2 resource routes on ``api.router``.
 
-    Reuses the api object's helpers (``_material_or_404`` etc.) so v1
-    and v2 share one behaviour for parsing and lookups while the
-    *shapes* diverge.  The ops endpoints (healthz/metrics/traces/
-    replication) are mounted by ``CarCsApi._register`` since their
-    closures live there.
+    These are the only resource handlers: ``CarCsApi._register`` binds
+    the v1 paths to them too.  The list handlers take their envelope as
+    ``page`` (:func:`~repro.web.http.cursor_page` here), which is how
+    v1 swaps in offset pages without a second handler.  The ops
+    endpoints (healthz/metrics/traces/replication/slo) are mounted by
+    ``CarCsApi._register`` since their closures live there.
     """
-    from .api import API_V2_PREFIX, _material_payload
+    from .api import API_V2_PREFIX
 
     router = api.router
     repo = api.repo
@@ -110,12 +244,12 @@ def register_v2(api: "CarCsApi") -> None:
     # -------------------------------------------------------- materials
 
     @route("GET", "/materials")
-    def list_materials(request: Request) -> Response:
-        text, filters = api._parse_search_request(request)
+    def list_materials(request: Request, page=cursor_page) -> Response:
+        text, filters = _parse_search_request(request)
         hits = api._search.search(
             text, filters, limit=max(repo.material_count(), 1),
         )
-        payload = cursor_page([
+        payload = page([
             {"id": h.material.id, "title": h.material.title,
              "kind": h.material.kind.value,
              "collection": h.material.collection, "score": h.score}
@@ -128,6 +262,7 @@ def register_v2(api: "CarCsApi") -> None:
         body = request.json()
         if "title" not in body:
             raise HttpError(400, "'title' is required")
+        _check_fields(body, _MATERIAL_FIELDS)
         try:
             material = Material(
                 title=body["title"],
@@ -147,7 +282,7 @@ def register_v2(api: "CarCsApi") -> None:
             )
         except ValueError as exc:
             raise HttpError(400, str(exc))
-        cs = api._parse_classification(body.get("classifications", []))
+        cs = _parse_classification(body.get("classifications", []))
         try:
             stored = repo.add_material(material, cs)
         except (ValueError, KeyError) as exc:
@@ -160,12 +295,12 @@ def register_v2(api: "CarCsApi") -> None:
 
     @route("GET", "/materials/<int:id>")
     def get_material(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         return json_response(_material_payload(repo, material))
 
     @route("PATCH", "/materials/<int:id>")
     def update_material(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         body = request.json()
         allowed = {"title", "description", "url", "collection", "year"}
         changes = {k: v for k, v in body.items() if k in allowed}
@@ -173,13 +308,14 @@ def register_v2(api: "CarCsApi") -> None:
             raise HttpError(
                 400, f"nothing to update; allowed: {sorted(allowed)}"
             )
+        _check_fields(changes, _MATERIAL_FIELDS)
         assert material.id is not None
         updated = repo.update_material(material.id, **changes)
         return json_response(_material_payload(repo, updated))
 
     @route("DELETE", "/materials/<int:id>")
     def delete_material(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         assert material.id is not None
         repo.delete_material(material.id)
         return json_response({"deleted": material.id})
@@ -188,7 +324,7 @@ def register_v2(api: "CarCsApi") -> None:
 
     @route("GET", "/materials/<int:id>/classifications")
     def list_classifications(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         assert material.id is not None
         cs = repo.classification_of(material.id)
         return json_response(cursor_page([
@@ -199,9 +335,9 @@ def register_v2(api: "CarCsApi") -> None:
 
     @route("POST", "/materials/<int:id>/classifications")
     def add_classification(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         body = request.json()
-        cs = api._parse_classification([body])
+        cs = _parse_classification([body])
         assert material.id is not None
         for item in cs.items():
             try:
@@ -217,7 +353,7 @@ def register_v2(api: "CarCsApi") -> None:
 
     @route("DELETE", "/materials/<int:id>/classifications")
     def remove_classification(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         key = request.query_one("key")
         if not key:
             raise HttpError(400, "query parameter 'key' is required")
@@ -231,11 +367,11 @@ def register_v2(api: "CarCsApi") -> None:
 
     @route("GET", "/materials/<int:id>/similar")
     def similar_materials(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         assert material.id is not None
         try:
             hits = api._search.similar_to(
-                material.id, limit=request.query_int("limit", 10) or 10,
+                material.id, limit=request.query_size("limit", 10) or 10,
             )
         except KeyError as exc:
             raise HttpError(404, str(exc))
@@ -252,12 +388,12 @@ def register_v2(api: "CarCsApi") -> None:
     def material_variants(request: Request) -> Response:
         from repro.analysis.variants import find_variants
 
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         assert material.id is not None
         hits = find_variants(
             repo, material.id,
-            min_overlap=request.query_int("min_overlap", 2) or 2,
-            limit=request.query_int("limit", 10) or 10,
+            min_overlap=request.query_size("min_overlap", 2) or 2,
+            limit=request.query_size("limit", 10) or 10,
         )
         return json_response({
             "material": material.title,
@@ -277,7 +413,7 @@ def register_v2(api: "CarCsApi") -> None:
     def material_lint(request: Request) -> Response:
         from repro.analysis.consistency import lint_material
 
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         assert material.id is not None
         findings = lint_material(repo, material.id)
         return json_response({
@@ -290,15 +426,15 @@ def register_v2(api: "CarCsApi") -> None:
     # -------------------------------------------------------- ontologies
 
     @route("GET", "/ontologies")
-    def list_ontologies(request: Request) -> Response:
-        return json_response(cursor_page([
+    def list_ontologies(request: Request, page=cursor_page) -> Response:
+        return json_response(page([
             {"name": name, "entries": len(onto),
              "areas": [a.label for a in onto.areas()]}
             for name, onto in sorted(repo.ontologies.items())
         ], request, default_limit=50))
 
     @route("GET", "/ontologies/<name>/entries")
-    def ontology_entries(request: Request) -> Response:
+    def ontology_entries(request: Request, page=cursor_page) -> Response:
         name = request.params["name"]
         try:
             onto = repo.ontology(name)
@@ -309,7 +445,7 @@ def register_v2(api: "CarCsApi") -> None:
             nodes = onto.search(phrase, limit=len(onto))
         else:
             nodes = onto.nodes()
-        return json_response(cursor_page([
+        return json_response(page([
             {"key": n.key, "label": n.label, "kind": n.kind.value,
              "path": onto.path_string(n.key)}
             for n in nodes
@@ -318,12 +454,12 @@ def register_v2(api: "CarCsApi") -> None:
     # --------------------------------------------------------- analytics
 
     @route("GET", "/search")
-    def search(request: Request) -> Response:
-        text, filters = api._parse_search_request(request)
+    def search(request: Request, page=cursor_page) -> Response:
+        text, filters = _parse_search_request(request)
         hits = api._search.search(
             text, filters, limit=max(repo.material_count(), 1),
         )
-        payload = cursor_page([
+        payload = page([
             {"id": h.material.id, "title": h.material.title,
              "kind": h.material.kind.value,
              "collection": h.material.collection, "score": h.score}
@@ -342,7 +478,7 @@ def register_v2(api: "CarCsApi") -> None:
             onto = repo.ontology(ontology)
         except KeyError as exc:
             raise HttpError(404, str(exc))
-        api._collection_ids(collection)  # 404 on unknown collection
+        _collection_ids(repo, collection)  # 404 on unknown collection
         report = repo.coverage(ontology, collection=collection)
         return json_response({
             "collection": collection,
@@ -363,10 +499,10 @@ def register_v2(api: "CarCsApi") -> None:
             raise HttpError(
                 400, "'left' and 'right' collections are required"
             )
-        threshold = request.query_int("threshold", 2) or 2
+        threshold = request.query_size("threshold", 2) or 2
         graph = repo.similarity(
-            api._collection_ids(left),
-            api._collection_ids(right),
+            _collection_ids(repo, left),
+            _collection_ids(repo, right),
             threshold=threshold,
             left_group=left,
             right_group=right,
@@ -398,8 +534,8 @@ def register_v2(api: "CarCsApi") -> None:
             onto = repo.ontology(ontology)
         except KeyError as exc:
             raise HttpError(404, str(exc))
-        api._collection_ids(reference)
-        api._collection_ids(candidate)
+        _collection_ids(repo, reference)
+        _collection_ids(repo, candidate)
         ref = repo.coverage(ontology, collection=reference)
         cand = repo.coverage(ontology, collection=candidate)
         report = find_gaps(
@@ -432,7 +568,7 @@ def register_v2(api: "CarCsApi") -> None:
         except KeyError as exc:
             raise HttpError(404, str(exc))
         tiers = (Tier.CORE, Tier.CORE1)
-        max_materials = request.query_int("max_materials")
+        max_materials = request.query_size("max_materials")
         course = plan_course(
             repo, ontology, core_targets(onto, tiers),
             max_materials=max_materials,
@@ -455,11 +591,15 @@ def register_v2(api: "CarCsApi") -> None:
     @route("POST", "/recommendations")
     def recommendations(request: Request) -> Response:
         body = request.json()
+        _check_fields(body, {
+            "text": "string", "selected": "strings", "top": "integer",
+        })
         text = body.get("text", "")
         selected = body.get("selected", [])
         if not text and not selected:
             raise HttpError(400, "'text' or 'selected' is required")
-        recs = repo.recommend(text, selected, top=body.get("top", 10))
+        top = non_negative(body.get("top", 10), "'top'")
+        recs = repo.recommend(text, selected, top=top)
         return json_response({
             "suggestions": [
                 {"key": r.key, "score": r.score, "source": r.source}
@@ -472,6 +612,7 @@ def register_v2(api: "CarCsApi") -> None:
     @route("POST", "/jobs/classify")
     def enqueue_classify(request: Request) -> Response:
         body = request.json() if request.body is not None else {}
+        _check_fields(body, {"ontologies": "list?", "top": "integer?"})
         payload: dict[str, Any] = {}
         if body.get("material_ids") is not None:
             ids = body["material_ids"]
@@ -484,7 +625,7 @@ def register_v2(api: "CarCsApi") -> None:
         if body.get("ontologies") is not None:
             payload["ontologies"] = [str(o) for o in body["ontologies"]]
         if body.get("top") is not None:
-            payload["top"] = int(body["top"])
+            payload["top"] = non_negative(body["top"], "'top'")
         try:
             job = api.queue.enqueue(
                 "classify", payload,

@@ -26,6 +26,7 @@ from repro.web import (
     Request,
     TokenBucket,
 )
+from repro.web.api import API_PREFIX, API_V2_PREFIX
 from repro.web.http import json_response
 from repro.web.middleware import CLIENT_HEADER, DEADLINE_HEADER
 
@@ -142,6 +143,16 @@ class TestRateLimit:
         for _ in range(5):
             assert client.get("/healthz").ok
             assert client.get("/metrics").ok
+
+
+@pytest.mark.parametrize("prefix", [API_PREFIX, API_V2_PREFIX])
+def test_health_and_metrics_are_never_shed_on_either_prefix(prefix):
+    client = Client(_api(rate_limit=0.001, rate_burst=1.0), root=prefix)
+    assert client.get("/stats").ok
+    assert client.get("/stats").status == 429
+    for _ in range(3):
+        assert client.get("/healthz").ok
+        assert client.get("/metrics").ok
 
 
 class TestInflightCap:

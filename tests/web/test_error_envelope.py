@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.material import Material
 from repro.core.repository import Repository
 from repro.corpus.seed import seed_ontologies
 from repro.web import CarCsApi, Client, FrontTier, LocalBackend, Request
-from repro.web.api import API_V2_PREFIX
+from repro.web.api import API_PREFIX, API_V2_PREFIX
 
 
 def _api(**kwargs) -> CarCsApi:
@@ -99,3 +100,68 @@ def test_request_id_is_filled_through_the_pipeline(case):
 def test_shed_responses_carry_retry_after(case):
     response = CASES[case]()
     assert int(response.headers["retry-after"]) >= 1
+
+
+#: Malformed input that once escaped as a 500 (or was silently
+#: misread) and must answer a 400 envelope on v2 and on the v1 shim:
+#: (method, v2 path, body, expected message).  Negative sizes share the
+#: cursor pages' ">= 0" message.
+MALFORMED = {
+    "authors-not-a-list": ("POST", "/materials",
+                           {"title": "t", "authors": 5},
+                           "'authors' must be a list of strings"),
+    "authors-a-string": ("POST", "/materials",
+                         {"title": "t", "authors": "Ann"},
+                         "'authors' must be a list of strings"),
+    "classifications-not-a-list": ("POST", "/materials",
+                                   {"title": "t", "classifications": 5},
+                                   "'classifications' must be a list"),
+    "year-not-an-int": ("POST", "/materials", {"title": "t", "year": "abc"},
+                        "'year' must be an integer or null"),
+    "patch-title-not-a-string": ("PATCH", "/materials/1", {"title": 5},
+                                 "'title' must be a string"),
+    "recommend-top-not-an-int": ("POST", "/recommendations",
+                                 {"text": "parallel", "top": "x"},
+                                 "'top' must be an integer"),
+    "recommend-selected-not-a-list": ("POST", "/recommendations",
+                                      {"selected": 5},
+                                      "'selected' must be a list of strings"),
+    "recommend-top-negative": ("POST", "/recommendations",
+                               {"text": "parallel", "top": -3},
+                               "'top' must be >= 0"),
+    "similar-limit-negative": ("GET", "/materials/1/similar?limit=-1", None,
+                               "query parameter 'limit' must be >= 0"),
+    "jobs-top-not-an-int": ("POST", "/jobs/classify", {"top": "many"},
+                            "'top' must be an integer or null"),
+}
+
+
+def _v1_path(path: str) -> str:
+    return (path.replace("/materials", "/assignments")
+                .replace("/recommendations", "/recommend"))
+
+
+@pytest.fixture(scope="module")
+def one_material_api() -> CarCsApi:
+    api = _api()
+    api.repo.add_material(Material(
+        title="Hurricane Tracker", description="Track storms with arrays.",
+    ))
+    return api
+
+
+@pytest.mark.parametrize("case,surface", [
+    (case, surface)
+    for case in sorted(MALFORMED)
+    for surface in ("v2", "v1")
+    if not (surface == "v1" and MALFORMED[case][1].startswith("/jobs"))
+])
+def test_malformed_input_is_a_400_on_both_surfaces(
+    one_material_api, case, surface,
+):
+    method, path, body, message = MALFORMED[case]
+    url = (API_V2_PREFIX + path if surface == "v2"
+           else API_PREFIX + _v1_path(path))
+    response = Client(one_material_api).request(method, url, body=body)
+    assert response.status == 400, response.payload
+    assert response.error["message"] == message

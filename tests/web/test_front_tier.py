@@ -245,7 +245,7 @@ class _StubReplicaApp:
 
     def __call__(self, request):
         self.requests += 1
-        if request.path == "/api/v1/replication":
+        if request.path == "/api/v2/replication":
             return json_response(dict(self.replication))
         return json_response({"ok": True})
 
