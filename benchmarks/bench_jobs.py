@@ -30,7 +30,7 @@ from repro.jobs import DONE, JobQueue, default_handlers, run_pending
 N_TRAIN = 400              # classified materials the model learns from
 N_BACKLOG = 1_000          # unclassified materials to drain
 CHUNK = 100                # material_ids per classify job
-THROUGHPUT_FLOOR = 25.0    # materials/s, conservative CI floor
+THROUGHPUT_FLOOR = 250.0   # materials/s, conservative CI floor
 
 
 @pytest.fixture(scope="module")

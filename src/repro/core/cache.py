@@ -18,6 +18,10 @@ Correctness rules:
   under a re-used version number.  Concurrent *readers* are unaffected
   by other threads' transactions: they read committed pinned snapshots
   (:meth:`repro.db.Database.pinned`), whose versions are durable.
+  Hence **write paths that run inside a transaction use point lookups,
+  never memoized whole-corpus analytics**: there each memoized call is
+  a bypass that recomputes the full pass (counted in
+  ``CacheStats.bypasses``).
 * Cached values are **shared**: callers must treat them as read-only.
   Call sites whose callers historically mutated results pass ``copy=`` so
   every lookup returns a private copy.

@@ -200,6 +200,8 @@ class Repository:
                 ForeignKey("suggested_by", "users"),
             ),
         ))
+        # material_id, a foreign key, is hash-indexed by create_table:
+        # machine_suggest's duplicate check probes it.
         db.table("suggestions").create_index("status")
 
     def _bind_link_tables(self, db: Database) -> None:
@@ -669,11 +671,16 @@ class Repository:
         was already machine-filed.  This per-``(material, key)``
         idempotency is what makes classification jobs safe to re-run
         after a worker crash or lease re-issue.
+
+        Every check is a point lookup on live state: the link table's
+        ``(material, entry)`` pair and the suggestions' ``material_id``
+        index.  A memoized whole-corpus map would bypass the analytics
+        cache inside this transaction and be rebuilt on every call.
         """
-        self.entry_id(key)  # must exist
+        entry_id = self.entry_id(key)  # must exist
         self.db.table("materials").get(material_id)
         with self.db.transaction():
-            if key in self.classification_keys().get(material_id, frozenset()):
+            if self.material_classifications.has(material_id, entry_id):
                 return None
             for row in self.db.table("suggestions").find(
                 material_id=material_id, ontology_key=key,

@@ -34,7 +34,7 @@ from repro.core.repository import Repository
 from repro.obs import trace as _trace
 from repro.text.knn import KnnClassifier
 from repro.text.naive_bayes import NaiveBayesClassifier
-from repro.text.vectorize import TfidfVectorizer, count_matrix
+from repro.text.vectorize import TfidfVectorizer
 
 from .worker import JobContext
 
@@ -113,9 +113,10 @@ class _Model:
         if not self.train_ids:
             return
         self.vectorizer = TfidfVectorizer(min_df=1)
-        X = self.vectorizer.fit_transform(texts)
+        # One tokenization feeds both learners: NB fits the raw counts,
+        # kNN their TF-IDF weighing.
+        counts = self.vectorizer.fit_counts(texts)
         try:
-            counts = self._counts(texts)
             self.nb = NaiveBayesClassifier(
                 alpha=nb_alpha, min_label_count=min_label_count,
             ).fit(counts, labels)
@@ -123,14 +124,8 @@ class _Model:
             # Too little evidence for any label — kNN alone still works.
             self.nb = None
         self.knn = KnnClassifier(k=knn_k, threshold=knn_threshold).fit(
-            X, labels
+            self.vectorizer.weigh(counts), labels
         )
-
-    def _counts(self, texts: Sequence[str]):
-        assert self.vectorizer is not None
-        assert self.vectorizer.vocabulary is not None
-        docs = self.vectorizer._tokenize_all(texts)
-        return count_matrix(docs, self.vectorizer.vocabulary)
 
     def suggest(
         self, texts: Sequence[str], *, ontologies: Iterable[str], top: int
@@ -140,8 +135,8 @@ class _Model:
             return [[] for _ in texts]
         wanted = set(ontologies)
         merged: list[dict[str, Suggestion]] = [dict() for _ in texts]
+        counts = self.vectorizer.counts(texts)
         if self.nb is not None:
-            counts = self._counts(texts)
             for i, row in enumerate(self.nb.suggest(counts, top=top * 3)):
                 for s in row:
                     merged[i][s.label] = Suggestion(
@@ -151,7 +146,7 @@ class _Model:
                         source="nb",
                     )
         if self.knn is not None:
-            X = self.vectorizer.transform(texts)
+            X = self.vectorizer.weigh(counts)
             for i, row in enumerate(self.knn.suggest(X)):
                 for s in row:
                     prior = merged[i].get(s.label)

@@ -6,6 +6,12 @@ classifications to save time for the user" (Conclusion).  Labels here are
 ontology entry keys; a material can carry many, so prediction is
 multi-label: each neighbour votes, with votes weighted by cosine
 similarity, and labels above a score threshold are suggested.
+
+:meth:`KnnClassifier.fit` stores the training rows already
+L2-normalized, so a query batch costs one normalization of the queries
+and one matrix multiply — the same operations, and so the same bits, as
+:func:`repro.text.similarity.cosine_matrix`, without re-normalizing the
+whole training matrix on every call.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .similarity import cosine_matrix, top_k_neighbors
+from .similarity import top_k_neighbors
+from .vectorize import l2_normalize
 
 
 @dataclass
@@ -45,7 +52,7 @@ class KnnClassifier:
             raise ValueError("threshold must be in [0, 1]")
         self.k = k
         self.threshold = threshold
-        self._X: np.ndarray | None = None
+        self._X: np.ndarray | None = None  # L2-normalized training rows
         self._labels: list[frozenset[str]] = []
 
     def fit(
@@ -56,7 +63,7 @@ class KnnClassifier:
             raise ValueError("X rows and labels length differ")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty training set")
-        self._X = X
+        self._X = l2_normalize(X)
         self._labels = [frozenset(ls) for ls in labels]
         return self
 
@@ -65,7 +72,8 @@ class KnnClassifier:
         if self._X is None:
             raise RuntimeError("classifier is not fitted")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        sims = cosine_matrix(queries, self._X)
+        sims = l2_normalize(queries) @ self._X.T
+        np.clip(sims, -1.0, 1.0, out=sims)
         neighbor_lists = top_k_neighbors(sims, self.k)
         out: list[list[KnnSuggestion]] = []
         for neighbors in neighbor_lists:

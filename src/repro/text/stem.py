@@ -5,9 +5,20 @@ Used to conflate morphological variants ("schedulers" / "scheduling" /
 CAR-CS indexes.  This is the classic five-step algorithm; the reference
 behaviour is the original paper's, including its well-known quirks
 (e.g. ``agreed -> agre``).
+
+:func:`stem` is a pure function of its word, so it is memoized in a
+bounded LRU (:data:`STEM_CACHE_SIZE` distinct words): a corpus repeats
+its vocabulary across every document and every refit, and each word is
+stemmed once per process instead of once per occurrence.  The uncached
+algorithm stays reachable as ``stem.__wrapped__``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+
+#: Bound of the :func:`stem` memo (distinct words kept).
+STEM_CACHE_SIZE = 1 << 16
 
 _VOWELS = set("aeiou")
 
@@ -76,6 +87,7 @@ def _replace(word: str, suffix: str, replacement: str, m_min: int) -> str | None
     return word  # suffix matched but condition failed: stop this step
 
 
+@lru_cache(maxsize=STEM_CACHE_SIZE)
 def stem(word: str) -> str:
     """Return the Porter stem of ``word`` (expected lowercase)."""
     if len(word) <= 2:

@@ -115,6 +115,12 @@ def l2_normalize(matrix: np.ndarray) -> np.ndarray:
 class TfidfVectorizer:
     """Fit/transform TF-IDF pipeline over raw strings.
 
+    Every method tokenizes each text exactly once (tokenizing — stemming
+    above all — is the dominant cost).  Callers that need both the raw
+    counts and the TF-IDF rows of the same texts (the classify job's
+    naive Bayes and kNN) take :meth:`fit_counts` / :meth:`counts` once
+    and :meth:`weigh` the result, instead of tokenizing twice.
+
     >>> v = TfidfVectorizer()
     >>> X = v.fit_transform(["parallel loops with OpenMP",
     ...                      "message passing with MPI"])
@@ -140,24 +146,40 @@ class TfidfVectorizer:
     def _tokenize_all(self, texts: Sequence[str]) -> list[list[str]]:
         return [preprocess(t, stemming=self.stemming) for t in texts]
 
-    def fit(self, texts: Sequence[str]) -> "TfidfVectorizer":
+    def fit_counts(self, texts: Sequence[str]) -> np.ndarray:
+        """Fit the vocabulary and IDF on ``texts``; return their raw
+        (n_texts, n_terms) count matrix."""
         docs = self._tokenize_all(texts)
         self.vocabulary = Vocabulary.build(
             docs, min_df=self.min_df, max_df_ratio=self.max_df_ratio
         )
         counts = count_matrix(docs, self.vocabulary)
         self.idf = tfidf_weights(counts)
-        return self
+        return counts
 
-    def transform(self, texts: Sequence[str]) -> np.ndarray:
-        if self.vocabulary is None or self.idf is None:
+    def counts(self, texts: Sequence[str]) -> np.ndarray:
+        """Raw count matrix of ``texts`` over the fitted vocabulary."""
+        if self.vocabulary is None:
             raise RuntimeError("vectorizer is not fitted")
-        docs = self._tokenize_all(texts)
-        counts = count_matrix(docs, self.vocabulary)
+        return count_matrix(self._tokenize_all(texts), self.vocabulary)
+
+    def weigh(self, counts: np.ndarray) -> np.ndarray:
+        """L2-normalized TF-IDF rows of a raw count matrix (``counts``
+        itself is left untouched)."""
+        if self.idf is None:
+            raise RuntimeError("vectorizer is not fitted")
         if self.sublinear_tf:
+            counts = counts.copy()
             nz = counts > 0
             counts[nz] = 1.0 + np.log(counts[nz])
         return l2_normalize(counts * self.idf)
 
+    def fit(self, texts: Sequence[str]) -> "TfidfVectorizer":
+        self.fit_counts(texts)
+        return self
+
+    def transform(self, texts: Sequence[str]) -> np.ndarray:
+        return self.weigh(self.counts(texts))
+
     def fit_transform(self, texts: Sequence[str]) -> np.ndarray:
-        return self.fit(texts).transform(texts)
+        return self.weigh(self.fit_counts(texts))

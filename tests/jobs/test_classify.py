@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.classification import ClassificationSet
 from repro.core.material import Material, MaterialKind
-from repro.corpus.seed import seed_all
+from repro.core.repository import Repository
+from repro.corpus.seed import seed_all, seed_ontologies
+from repro.db import Database
+from repro.text import vectorize
 from repro.jobs import (
     ClassificationService,
     default_handlers,
@@ -173,3 +178,131 @@ def test_material_text_folds_facets(corpus):
     stored = corpus.get_material(_classified_id(corpus))
     text = material_text(stored)
     assert stored.title in text
+
+
+# --------------------------------------------- cost scales with the batch
+
+
+def test_classify_job_makes_no_whole_corpus_pass(corpus, service,
+                                                 monkeypatch):
+    """With the model fitted, a job reads only its batch: no analytics
+    cache bypass (whole-corpus recompute inside a transaction) and no
+    ``classification_keys`` map built by ``machine_suggest``."""
+    stored = _add_unclassified(corpus, _classified_id(corpus))
+    service.model()
+    calls = []
+    original = Repository.classification_keys
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(Repository, "classification_keys", counting)
+    bypasses = corpus.cache.stats.bypasses
+    report = service.classify_materials([stored.id])
+    assert report["suggested"] > 0
+    assert corpus.cache.stats.bypasses == bypasses
+    assert calls == []
+
+
+def test_preprocess_runs_once_per_text_per_fit_and_suggest(corpus,
+                                                           monkeypatch):
+    stored = [
+        _add_unclassified(corpus, _classified_id(corpus)) for _ in range(2)
+    ]
+    seen: list[str] = []
+    original = vectorize.preprocess
+
+    def counting(text, **kwargs):
+        seen.append(text)
+        return original(text, **kwargs)
+
+    monkeypatch.setattr(vectorize, "preprocess", counting)
+    # Parameters no other test uses: a cold cache key, so a fresh fit.
+    svc = ClassificationService(corpus, knn_k=4)
+    model = svc.model()
+    assert Counter(seen) == Counter(
+        material_text(corpus.get_material(mid)) for mid in model.train_ids
+    )
+    seen.clear()
+    svc.suggest_for([m.id for m in stored])
+    assert Counter(seen) == Counter(material_text(m) for m in stored)
+
+
+# ------------------------------------------- machine_suggest idempotency
+
+KEY = "PDC12/ALGO/algorithmic-paradigms/prefix-sums-and-scan"
+
+
+@pytest.fixture()
+def target(fresh_repo):
+    stored = fresh_repo.add_material(
+        Material(title="Scan it", description="Prefix sums in parallel.")
+    )
+    return fresh_repo, stored.id
+
+
+def test_machine_suggest_skips_classified_key(target):
+    repo, mid = target
+    repo.classify(mid, "PDC12", KEY)
+    assert repo.machine_suggest(mid, KEY, confidence=0.9) is None
+    assert repo.suggestions(material_id=mid) == []
+
+
+def test_machine_suggest_skips_pending_duplicate(target):
+    repo, mid = target
+    first = repo.machine_suggest(mid, KEY, confidence=0.9)
+    assert first is not None
+    assert repo.machine_suggest(mid, KEY, confidence=0.5) is None
+    assert [r["id"] for r in repo.suggestions(material_id=mid)] == [first]
+
+
+def test_machine_suggest_does_not_refile_rejected_key(target):
+    repo, mid = target
+    repo.reject_suggestion(repo.machine_suggest(mid, KEY, confidence=0.9))
+    assert repo.machine_suggest(mid, KEY, confidence=0.9) is None
+
+
+def test_machine_suggest_sees_link_added_in_open_transaction(target):
+    repo, mid = target
+    with repo.db.transaction():
+        repo.classify(mid, "PDC12", KEY)
+        assert repo.machine_suggest(mid, KEY, confidence=0.9) is None
+    assert repo.suggestions(material_id=mid) == []
+
+
+def test_machine_suggest_files_after_rolled_back_link(target):
+    repo, mid = target
+    with pytest.raises(RuntimeError):
+        with repo.db.transaction():
+            repo.classify(mid, "PDC12", KEY)
+            raise RuntimeError("abort")
+    sid = repo.machine_suggest(mid, KEY, confidence=0.9)
+    assert sid is not None
+    assert [r["id"] for r in repo.suggestions(material_id=mid)] == [sid]
+
+
+# ------------------------------------------- the suggestions index
+
+
+def test_suggestions_material_id_is_indexed(fresh_repo):
+    """The foreign key is hash-indexed, so the duplicate check in
+    ``machine_suggest`` probes one material's rows, not every row."""
+    assert fresh_repo.db.table("suggestions").has_index("material_id")
+
+
+def test_reopened_database_still_dedupes(tmp_path):
+    db = Database.open(tmp_path)
+    repo = Repository(db)
+    seed_ontologies(repo)
+    mid = repo.add_material(
+        Material(title="Scan it", description="Prefix sums in parallel.")
+    ).id
+    first = repo.machine_suggest(mid, KEY, confidence=0.9)
+    db.close()
+
+    repo = Repository(Database.open(tmp_path))
+    assert repo.db.table("suggestions").has_index("material_id")
+    assert repo.machine_suggest(mid, KEY, confidence=0.5) is None
+    assert [r["id"] for r in repo.suggestions(material_id=mid)] == [first]
+    repo.db.close()

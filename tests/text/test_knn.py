@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.text import KnnClassifier
+from repro.text import KnnClassifier, cosine_matrix
+from repro.text import knn
 
 
 @pytest.fixture()
@@ -73,3 +74,28 @@ class TestSuggest:
         out = fitted.suggest(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert out[0][0].label == "a"
         assert out[1][0].label == "b"
+
+
+class TestPreNormalizedRows:
+    """fit normalizes the training rows once; suggest sees exactly the
+    similarities ``cosine_matrix`` computes from the raw rows."""
+
+    def test_similarities_match_cosine_matrix_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        X = rng.random((40, 12)) * (rng.random((40, 12)) < 0.4)
+        X[3] = 0.0  # a zero row stays zero
+        queries = rng.random((5, 12)) * 3.0
+        labels = [[f"l{i % 6}"] for i in range(len(X))]
+        raw = X.copy()
+        clf = KnnClassifier(k=4, threshold=0.0).fit(X, labels)
+        assert np.array_equal(X, raw)  # the caller's matrix is untouched
+        seen = []
+        original = knn.top_k_neighbors
+
+        def capture(sims, k, **kwargs):
+            seen.append(sims.copy())
+            return original(sims, k, **kwargs)
+
+        monkeypatch.setattr(knn, "top_k_neighbors", capture)
+        clf.suggest(queries)
+        assert np.array_equal(seen[0], cosine_matrix(queries, raw))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.text import stem, stem_tokens
+from repro.text.stem import STEM_CACHE_SIZE
 
 # (input, expected) pairs from the original Porter paper and common
 # reference implementations.
@@ -90,17 +91,20 @@ def test_reference_pairs(word, expected):
     assert stem(word) == expected
 
 
+VARIANTS = [
+    ("scheduling", "scheduled", "schedules"),
+    ("parallelize", "parallelized", "parallelizing"),
+    ("synchronization", "synchronizing", "synchronized"),
+    ("iteration", "iterating", "iterated"),
+    ("classification", "classifications"),
+]
+
+
 class TestDomainConflation:
     """The property the pipeline actually needs: morphological variants of
     curriculum vocabulary map to one stem."""
 
-    @pytest.mark.parametrize("variants", [
-        ("scheduling", "scheduled", "schedules"),
-        ("parallelize", "parallelized", "parallelizing"),
-        ("synchronization", "synchronizing", "synchronized"),
-        ("iteration", "iterating", "iterated"),
-        ("classification", "classifications"),
-    ])
+    @pytest.mark.parametrize("variants", VARIANTS)
     def test_variants_conflate(self, variants):
         stems = {stem(v) for v in variants}
         assert len(stems) == 1, stems
@@ -124,3 +128,28 @@ class TestStemTokens:
 
     def test_hyphenated_compounds_stemmed_per_part(self):
         assert stem_tokens(["divide-and-conquer"]) == ["divid-and-conquer"]
+
+
+class TestMemo:
+    """``stem`` is memoized; the memo is bounded and changes no output."""
+
+    VOCABULARY = (
+        [word for word, _ in REFERENCE]
+        + [word for group in VARIANTS for word in group]
+        + ["as", "be", "a", "running", "flies", "parallel",
+           "divide-and-conquer"]
+    )
+
+    def test_memo_is_bounded(self):
+        assert stem.cache_info().maxsize == STEM_CACHE_SIZE
+        assert 0 < STEM_CACHE_SIZE < float("inf")
+
+    def test_memoized_output_equals_uncached(self):
+        uncached = [
+            "-".join(stem.__wrapped__(part) for part in word.split("-"))
+            for word in self.VOCABULARY
+        ]
+        stem.cache_clear()
+        assert stem_tokens(self.VOCABULARY) == uncached  # cold
+        assert stem_tokens(self.VOCABULARY) == uncached  # warm
+        assert stem.cache_info().hits > 0

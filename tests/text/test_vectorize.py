@@ -1,8 +1,11 @@
 """Vocabulary and TF-IDF pipeline."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.text import vectorize
 from repro.text import (
     TfidfVectorizer,
     Vocabulary,
@@ -134,3 +137,56 @@ class TestTfidfVectorizer:
             x_sub[0, vocab[next(t for t in vocab if t.startswith("loop"))]]
             < x_lin[0, vocab[next(t for t in vocab if t.startswith("loop"))]]
         )
+
+
+class TestOneTokenization:
+    """Each text is preprocessed once per fit and once per transform, and
+    the counts/weigh split reproduces fit_transform/transform bit for
+    bit."""
+
+    CORPUS = TestTfidfVectorizer.CORPUS + [
+        "loop loop loop unrolling of parallel loops",
+    ]
+
+    @pytest.fixture()
+    def preprocessed(self, monkeypatch):
+        seen: list[str] = []
+        original = vectorize.preprocess
+
+        def counting(text, **kwargs):
+            seen.append(text)
+            return original(text, **kwargs)
+
+        monkeypatch.setattr(vectorize, "preprocess", counting)
+        return seen
+
+    def test_fit_transform_preprocesses_each_text_once(self, preprocessed):
+        TfidfVectorizer().fit_transform(self.CORPUS)
+        assert Counter(preprocessed) == Counter(self.CORPUS)
+
+    def test_transform_preprocesses_each_text_once(self, preprocessed):
+        v = TfidfVectorizer().fit(self.CORPUS)
+        preprocessed.clear()
+        v.transform(self.CORPUS[:2])
+        assert Counter(preprocessed) == Counter(self.CORPUS[:2])
+
+    @pytest.mark.parametrize("sublinear", [False, True])
+    def test_weigh_of_counts_matches_transform(self, sublinear):
+        v = TfidfVectorizer(sublinear_tf=sublinear)
+        counts = v.fit_counts(self.CORPUS)
+        before = counts.copy()
+        X = v.weigh(counts)
+        assert np.array_equal(counts, before)  # counts left untouched
+        ref = TfidfVectorizer(sublinear_tf=sublinear)
+        assert np.array_equal(X, ref.fit_transform(self.CORPUS))
+        assert np.array_equal(counts, count_matrix(
+            [preprocess(t) for t in self.CORPUS], v.vocabulary))
+        queries = ["OpenMP loop loop", "zebra"]
+        assert np.array_equal(v.weigh(v.counts(queries)),
+                              ref.transform(queries))
+
+    def test_counts_and_weigh_unfitted_raise(self):
+        with pytest.raises(RuntimeError):
+            TfidfVectorizer().counts(["x"])
+        with pytest.raises(RuntimeError):
+            TfidfVectorizer().weigh(np.ones((1, 1)))
