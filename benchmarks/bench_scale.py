@@ -39,6 +39,13 @@ PLANNER_SCALE_N = 100_000
 #: behaviour still trips them).
 COVERAGE_BUDGET_S = 2.5
 GAP_BUDGET_S = 1.5
+#: Scoped-coverage gate: a fixed 25-material collection inside corpora
+#: of 10³ and 10⁴ materials.  Its uncached coverage may cost at most
+#: ``SCOPED_GROWTH_LIMIT``× more in the bigger corpus; a read that walks
+#: the whole link table grows ~10×.
+SCOPED_COLLECTION_SIZE = 25
+SCOPED_CORPUS_SIZES = (1_000, 10_000)
+SCOPED_GROWTH_LIMIT = 2.0
 HTTP_CLIENTS = 8
 HTTP_REQUESTS_PER_CLIENT = 40
 
@@ -300,6 +307,67 @@ def test_gap_latency_at_1e5(mega_repo):
     assert elapsed < GAP_BUDGET_S, (
         f"gap analysis took {elapsed:.2f}s at n={PLANNER_SCALE_N} "
         f"(budget {GAP_BUDGET_S}s)"
+    )
+
+
+def _corpus_with_term(n_materials: int) -> Repository:
+    """``n_materials`` materials with 4 CS13 links each; every
+    ``n / 25``-th one belongs to collection ``term``, so the term's
+    materials and links are spread across the whole link table."""
+    repo = Repository()
+    seed_ontologies(repo)
+    onto = repo.ontology("CS13")
+    eids = [repo.entry_id(n.key) for n in onto.nodes()
+            if n.kind in (NodeKind.TOPIC, NodeKind.LEARNING_OUTCOME)]
+    stride = n_materials // SCOPED_COLLECTION_SIZE
+    db = repo.db
+    with db.transaction():
+        for i in range(n_materials):
+            mid = db.insert(
+                "materials",
+                title=f"material {i:05d}",
+                collection="term" if i % stride == 0 else f"c{i % 40:02d}",
+            )["id"]
+            for j in range(4):
+                db.insert(
+                    "material_classifications",
+                    materials_id=mid,
+                    ontology_entries_id=eids[(i + j * 7) % len(eids)],
+                )
+    return repo
+
+
+def test_scoped_coverage_is_independent_of_corpus_size():
+    """GATE — uncached coverage of a 25-material collection costs at
+    most 2× more at 10⁴ corpus materials than at 10³: the read touches
+    the collection's rows, not the corpus (cache cleared every round;
+    the two sizes alternate so host drift hits both alike)."""
+    repos = [_corpus_with_term(size) for size in SCOPED_CORPUS_SIZES]
+
+    def cold_coverage(repo):
+        repo.cache.clear()
+        return compute_coverage(repo, "CS13", collection="term")
+
+    for repo in repos:
+        report = cold_coverage(repo)
+        assert report.n_materials == SCOPED_COLLECTION_SIZE
+        assert len(report.covered_material_ids) == SCOPED_COLLECTION_SIZE
+    costs = [float("inf")] * len(repos)
+    for _ in range(30):
+        for slot, repo in enumerate(repos):
+            costs[slot] = min(costs[slot],
+                              _best_of(lambda: cold_coverage(repo), rounds=1))
+    small, big = costs
+    growth = big / small
+    print(f"\nSCALE scoped coverage ({SCOPED_COLLECTION_SIZE} materials): "
+          f"{small * 1e3:.2f} ms at n={SCOPED_CORPUS_SIZES[0]}, "
+          f"{big * 1e3:.2f} ms at n={SCOPED_CORPUS_SIZES[1]} "
+          f"({growth:.2f}x, limit {SCOPED_GROWTH_LIMIT:.0f}x)")
+    record("scale.scoped_coverage_growth_1e4", growth, SCOPED_GROWTH_LIMIT,
+           comparator="<=", unit="x")
+    assert growth <= SCOPED_GROWTH_LIMIT, (
+        f"scoped coverage grew {growth:.1f}x from n={SCOPED_CORPUS_SIZES[0]}"
+        f" to n={SCOPED_CORPUS_SIZES[1]} (limit {SCOPED_GROWTH_LIMIT}x)"
     )
 
 

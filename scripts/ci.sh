@@ -49,6 +49,12 @@ PYTHONPATH=src python -m pytest -q benchmarks/bench_jobs.py
 # budgets (docs/architecture.md, "Query planning").
 PYTHONPATH=src python -m pytest -q benchmarks/bench_scale.py -k "at_1e5"
 
+# Scoped-read gate: uncached coverage of a 25-material collection must
+# cost at most 2x more in a 10^4-material corpus than in a 10^3 one
+# (docs/architecture.md, "Cache & version invalidation").
+PYTHONPATH=src python -m pytest -q benchmarks/bench_scale.py \
+    -k "scoped_coverage_is_independent_of_corpus_size"
+
 # Replication gate: read fan-out across replicas must scale >= 3x with
 # 4 replicas on >= 4 usable CPUs (no-collapse floor on smaller hosts),
 # and replica staleness must stay bounded under sustained writes

@@ -1,9 +1,9 @@
 """Mutation-versioned memoization for repository analytics.
 
-Coverage, similarity, search and recommendation all run full passes over
-the classification pairs; on a read-heavy deployment (the paper's hosted
-prototype, the ROADMAP's production target) the repository mutates rarely
-between those reads, so the passes are almost always recomputing an
+Coverage, similarity and recommendation read the classification pairs of
+a material set (whole-corpus only when unscoped); on a read-heavy
+deployment (the paper's hosted prototype) the repository mutates rarely
+between those reads, so they are almost always recomputing an
 identical answer.  :class:`AnalyticsCache` memoizes such results keyed on
 ``(function, arguments, versions of the tables the function reads)``.
 The version counters live in :mod:`repro.db` and are bumped on every
@@ -33,8 +33,9 @@ The global kill switch honours the ``CARCS_CACHE`` environment variable
 can measure cold behaviour without code changes.
 
 Scope note: this cache invalidates **whole entries** on any dependency
-version drift, which is the right contract for results that genuinely
-depend on the full corpus (coverage, similarity, the recommender fit).
+version drift.  Scoped reads keep the recompute small: a collection's
+coverage reads only that collection's rows, so the miss after a
+curator's write costs O(collection), not O(corpus).
 State that can be repaired per document — the search engine's inverted
 index — deliberately lives *outside* this cache: it subscribes to the
 database change journal (:meth:`repro.db.Database.changes_since`) and

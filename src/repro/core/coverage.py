@@ -7,10 +7,11 @@ entry absent from the materials are transparent and their children are
 not included."  The same counts drive the Section IV-B/IV-C narratives
 (area rankings, untouched areas).
 
-Counts are computed in one pass over the repository's classification
+Counts are computed in one pass over the material set's classification
 pairs; a node's count includes materials classified at the node itself
 *or anywhere in its subtree* (classifying a topic means the knowledge
-unit and area are touched).
+unit and area are touched), so each classified key adds its materials
+to every entry on its root path and nothing else is visited.
 """
 
 from __future__ import annotations
@@ -175,28 +176,27 @@ def _compute_coverage(
 ) -> CoverageReport:
     onto = repo.ontology(ontology_name)
     wanted = set(material_ids) if material_ids is not None else None
+    if wanted is None:
+        pairs = repo.classification_pairs(collection)
+    else:
+        pairs = repo.classification_pairs_of(
+            wanted if collection is None
+            else wanted.intersection(repo.material_ids(collection))
+        )
 
     # key -> set of material ids classified exactly there
     direct_sets: dict[str, set[int]] = {}
-    for mid, key in repo.classification_pairs(collection):
-        if wanted is not None and mid not in wanted:
-            continue
+    for mid, key in pairs:
         if key in onto:
             direct_sets.setdefault(key, set()).add(mid)
 
-    # Roll material sets up the tree; sets (not counts) are propagated so a
-    # material classified under two topics of the same unit counts once.
+    # Sets (not counts) go up each root path, so a material classified
+    # under two topics of the same unit counts once.
     rollup_sets: dict[str, set[int]] = {}
-
-    def roll(key: str) -> set[int]:
-        acc = set(direct_sets.get(key, ()))
-        for child in onto.node(key).children:
-            acc |= roll(child)
-        if acc:
-            rollup_sets[key] = acc
-        return acc
-
-    all_covered = roll(onto.root.key)
+    for key, mids in direct_sets.items():
+        for node in onto.path(key):
+            rollup_sets.setdefault(node.key, set()).update(mids)
+    all_covered = rollup_sets.pop(onto.root.key, set())
 
     n_materials = (
         len(wanted) if wanted is not None
@@ -206,9 +206,7 @@ def _compute_coverage(
         ontology=ontology_name,
         n_materials=n_materials,
         direct_counts={k: len(s) for k, s in direct_sets.items()},
-        rollup_counts={
-            k: len(s) for k, s in rollup_sets.items() if k != onto.root.key
-        },
+        rollup_counts={k: len(s) for k, s in rollup_sets.items()},
         covered_material_ids=all_covered,
     )
 

@@ -415,6 +415,13 @@ class Repository:
                 self._row_to_material(r) for r in q.order_by("id").all()
             ]
 
+    def material_ids(self, collection: str) -> list[int]:
+        """Ids of a collection's materials in id order, found through the
+        ``collection`` index."""
+        return sorted(db_query(self.db, "materials").filter(
+            collection=collection
+        ).values("id"))
+
     def material_count(self, collection: str | None = None) -> int:
         if collection is None:
             return len(self.db.table("materials"))
@@ -504,40 +511,43 @@ class Repository:
         with _trace.span(
             "repo.classification_pairs", collection=collection or "*"
         ) as span_:
-            entries = self.db.table("ontology_entries")
-            wanted: set[int] | None = None
-            if collection is not None:
-                wanted = set(
-                    db_query(self.db, "materials").filter(
-                        collection=collection
-                    ).values("id")
-                )
-            out = []
-            for mid, eid in self.material_classifications.pairs():
-                if wanted is not None and mid not in wanted:
-                    continue
-                out.append((mid, entries.get(eid)["key"]))
+            out = self.classification_pairs_of(
+                None if collection is None else self.material_ids(collection)
+            )
             span_.set(pairs=len(out))
             return out
+
+    def classification_pairs_of(
+        self, material_ids: Iterable[int] | None
+    ) -> list[tuple[int, str]]:
+        """(material_id, ontology key) pairs of ``material_ids`` (``None``:
+        every material).  A scoped call reads each material's links
+        through the link table's index, in link-id order; only ``None``
+        walks the whole table."""
+        links = self.material_classifications
+        pairs = links.pairs() if material_ids is None else [
+            (row["materials_id"], row["ontology_entries_id"])
+            for row in sorted(
+                (row for mid in set(material_ids)
+                 for row in links.links_of(mid)),
+                key=lambda row: row["id"],
+            )
+        ]
+        entries = self.db.table("ontology_entries")
+        return [(mid, entries.get(eid)["key"]) for mid, eid in pairs]
 
     @Memo(*_CLASSIFICATION_TABLES)
     def classification_keys(self) -> dict[int, frozenset[str]]:
         """Material id → frozenset of classified ontology keys, for every
-        material, loaded in one pass over the link table.
-
-        This is the batch form of :meth:`classification_of` that the
-        search paths use: one call per query/rebuild instead of one
-        link-table query per material.  The result is memoized on the
-        classification tables' versions and **shared** — treat it as
-        read-only (keys are frozensets, so accidental mutation is hard).
-        """
+        material, in one pass over the link table: the batch form of
+        :meth:`classification_of` for full index rebuilds and model fits.
+        Memoized and **shared** — treat it as read-only."""
         with _trace.span("repo.classification_keys") as span_:
-            entries = self.db.table("ontology_entries")
             keys: dict[int, set[str]] = {
                 r["id"]: set() for r in self.db.table("materials")
             }
-            for mid, eid in self.material_classifications.pairs():
-                keys.setdefault(mid, set()).add(str(entries.get(eid)["key"]))
+            for mid, key in self.classification_pairs_of(None):
+                keys.setdefault(mid, set()).add(str(key))
             span_.set(materials=len(keys))
             return {mid: frozenset(ks) for mid, ks in keys.items()}
 

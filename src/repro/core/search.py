@@ -297,23 +297,14 @@ class SearchEngine:
                 continue  # inert until something links to the new row
             else:
                 return False
-        keys_of = None
-        if len(affected) > 1:
-            # One batched pass beats per-material link-table queries as
-            # soon as several documents changed together (bulk imports).
-            keys_of = self.repo.classification_keys()
         for mid in affected:
             try:
                 material = self.repo.get_material(mid)
             except RowNotFound:
                 self._index.remove(mid)
             else:
-                keys = (
-                    keys_of.get(mid, frozenset()) if keys_of is not None
-                    else frozenset(
-                        str(item.key)
-                        for item in self.repo.classification_of(mid).items()
-                    )
+                keys = frozenset(
+                    key for _, key in self.repo.classification_pairs_of([mid])
                 )
                 self._index.reindex(material, keys)
             self.docs_reindexed += 1

@@ -34,5 +34,4 @@ def seed_all(repo: Repository | None = None) -> Repository:
 
 def collection_ids(repo: Repository, collection: str) -> list[int]:
     """Material ids of one collection, in insertion order."""
-    rows = repo.db.table("materials").find(collection=collection)
-    return sorted(r["id"] for r in rows)
+    return repo.material_ids(collection)

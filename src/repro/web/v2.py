@@ -128,10 +128,10 @@ def _parse_classification(raw: list[dict]) -> ClassificationSet:
 
 
 def _collection_ids(repo: Repository, collection: str) -> list[int]:
-    rows = repo.db.table("materials").find(collection=collection)
-    if not rows:
+    ids = repo.material_ids(collection)
+    if not ids:
         raise HttpError(404, f"no materials in collection {collection!r}")
-    return sorted(r["id"] for r in rows)
+    return ids
 
 
 def _parse_search_request(request: Request):

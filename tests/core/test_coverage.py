@@ -1,11 +1,21 @@
 """Coverage computation (Figure 2 machinery)."""
 
+import itertools
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.classification import ClassificationSet
-from repro.core.coverage import compare_coverage, compute_coverage
+from repro.core.coverage import (
+    CoverageReport,
+    compare_coverage,
+    compute_coverage,
+)
 from repro.core.material import Material
+from repro.core.repository import Repository
 from repro.corpus import keys as K
+from repro.corpus.seed import seed_ontologies
 
 
 def add(repo, title, keys, collection="c"):
@@ -165,3 +175,146 @@ class TestCompare:
         assert [name for name, _ in rows] == ["x", "y"]
         x_top = rows[0][1][0]
         assert x_top == ("Software Development Fundamentals", 1)
+
+
+# ------------------------------------------------ scoped reads vs oracle
+#
+# The oracle is the whole-corpus computation coverage used to run: filter
+# every link row down to the material set, then roll material sets up
+# the full ontology tree from the root.  The scoped reads (collection or
+# id lookups through indexes, root-path rollup) must agree with it.
+
+
+def _oracle_pairs(repo, collection=None, material_ids=None):
+    in_collection = (
+        None if collection is None
+        else {r["id"] for r in repo.db.table("materials")
+              if r["collection"] == collection}
+    )
+    entries = repo.db.table("ontology_entries")
+    return [
+        (mid, entries.get(eid)["key"])
+        for mid, eid in repo.material_classifications.pairs()
+        if (in_collection is None or mid in in_collection)
+        and (material_ids is None or mid in material_ids)
+    ]
+
+
+def _oracle_coverage(repo, ontology_name, collection=None,
+                     material_ids=None):
+    onto = repo.ontology(ontology_name)
+    wanted = set(material_ids) if material_ids is not None else None
+    direct_sets = {}
+    for mid, key in _oracle_pairs(repo, collection, wanted):
+        if key in onto:
+            direct_sets.setdefault(key, set()).add(mid)
+    rollup_sets = {}
+
+    def roll(key):
+        acc = set(direct_sets.get(key, ()))
+        for child in onto.node(key).children:
+            acc |= roll(child)
+        if acc:
+            rollup_sets[key] = acc
+        return acc
+
+    covered = roll(onto.root.key)
+    return CoverageReport(
+        ontology=ontology_name,
+        n_materials=(len(wanted) if wanted is not None
+                     else repo.material_count(collection)),
+        direct_counts={k: len(s) for k, s in direct_sets.items()},
+        rollup_counts={k: len(s) for k, s in rollup_sets.items()
+                       if k != onto.root.key},
+        covered_material_ids=covered,
+    )
+
+
+def _assert_same_report(got, want):
+    # direct_counts follows pair order, so its key order is checked too;
+    # rollup_counts is only read by key and len.
+    assert list(got.direct_counts.items()) == list(want.direct_counts.items())
+    assert got.rollup_counts == want.rollup_counts
+    assert got.covered_material_ids == want.covered_material_ids
+    assert got.n_materials == want.n_materials
+
+
+@pytest.fixture(scope="module")
+def oracle_repo():
+    """One repository shared by every generated example; each example
+    writes into collections of its own, so earlier examples only add
+    unrelated rows to the unscoped reads."""
+    repo = Repository()
+    seed_ontologies(repo)
+    repo.cache.enabled = False  # every read below is a fresh compute
+    keys = [
+        node.key
+        for name in ("PDC12", "CS13")
+        for node in repo.ontology(name).nodes()
+    ]
+    interior = [k for k in keys if not repo.ontology(
+        k.split("/", 1)[0]).node(k).is_leaf()]
+    return repo, keys, interior
+
+
+_EXAMPLE = itertools.count()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_scoped_coverage_matches_whole_corpus_oracle(oracle_repo, data):
+    repo, keys, interior = oracle_repo
+    key = st.one_of(st.sampled_from(interior), st.sampled_from(keys))
+    materials = data.draw(st.lists(
+        st.tuples(st.integers(0, 2), st.lists(key, max_size=4)),
+        max_size=8,
+    ))
+    # (material, key) links to drop, and whether to re-add each one: a
+    # re-added link takes a fresh id at the end of the link table.
+    drops = data.draw(st.lists(
+        st.tuples(st.integers(0, 63), st.integers(0, 63), st.booleans()),
+        max_size=4,
+    ))
+    example = next(_EXAMPLE)
+    collections = [f"x{example}-{c}" for c in "abc"]
+    empty = f"x{example}-empty"
+    added = []
+    for coll, mat_keys in materials:
+        mid = repo.db.insert(
+            "materials", title=f"m{example}", collection=collections[coll],
+        )["id"]
+        for k in mat_keys:
+            repo.classify(mid, k.split("/", 1)[0], k)
+        added.append((mid, mat_keys))
+    for i, j, readd in drops:
+        if not added or not added[i % len(added)][1]:
+            continue
+        mid, mat_keys = added[i % len(added)]
+        k = mat_keys[j % len(mat_keys)]
+        repo.declassify(mid, k)
+        if readd:
+            repo.classify(mid, k.split("/", 1)[0], k)
+    ids = [mid for mid, _ in added]
+    subset = data.draw(st.sets(st.sampled_from(ids), max_size=6)) if ids \
+        else set()
+    subset.add(10**9)  # an id no material has
+
+    for scope in (None, *collections, empty):
+        assert repo.classification_pairs(scope) == _oracle_pairs(repo, scope)
+    for name in ("PDC12", "CS13"):
+        for scope in (None, *collections, empty):
+            _assert_same_report(
+                compute_coverage(repo, name, collection=scope),
+                _oracle_coverage(repo, name, collection=scope),
+            )
+        _assert_same_report(
+            compute_coverage(repo, name, material_ids=subset),
+            _oracle_coverage(repo, name, material_ids=subset),
+        )
+        _assert_same_report(
+            compute_coverage(repo, name, collection=collections[0],
+                             material_ids=subset),
+            _oracle_coverage(repo, name, collection=collections[0],
+                             material_ids=subset),
+        )
