@@ -18,8 +18,9 @@ import time
 
 import pytest
 
+from _results import record
 from repro.core.repository import Repository
-from repro.core.search import MODE_BM25, MODE_DENSE, SearchEngine, SearchFilters
+from repro.core.search import SearchEngine, SearchFilters
 from repro.corpus.generator import GeneratorConfig, seed_synthetic
 from repro.corpus.seed import seed_ontologies
 
@@ -47,7 +48,7 @@ def search_repo():
 def test_cold_build_time(search_repo):
     """Document the cost of a from-scratch index build at n=10⁴."""
     repo, _ = search_repo
-    engine = SearchEngine(repo, mode=MODE_BM25)
+    engine = SearchEngine(repo)
     t0 = time.perf_counter()
     engine.refresh()
     build_s = time.perf_counter() - t0
@@ -61,7 +62,7 @@ def test_single_doc_update_beats_full_rebuild(search_repo):
     """The acceptance gate: absorbing one PATCH through the change
     journal must be ≥10× cheaper than refitting the whole index."""
     repo, ids = search_repo
-    engine = SearchEngine(repo, mode=MODE_BM25)
+    engine = SearchEngine(repo)
     engine.refresh()
 
     # Full rebuild cost (best-of-3 to be scheduler-proof).
@@ -87,6 +88,7 @@ def test_single_doc_update_beats_full_rebuild(search_repo):
     print(f"\nSEARCH single-doc update n={SEARCH_SCALE_N}: "
           f"rebuild {rebuild_s * 1e3:.1f} ms, delta {update_s * 1e6:.1f} µs, "
           f"{speedup:,.0f}x")
+    record("search.delta_update_speedup_1e4", speedup, 10.0, unit="x")
     assert update_s * 10 <= rebuild_s, (
         f"delta update only {speedup:.1f}x cheaper than rebuild "
         f"(rebuild {rebuild_s:.4f}s, update {update_s:.4f}s)"
@@ -97,7 +99,7 @@ def test_query_throughput(search_repo):
     """Queries/second over the warm BM25 index at n=10⁴, text-only and
     facet-narrowed (facet intersection shrinks the scoring set)."""
     repo, _ = search_repo
-    engine = SearchEngine(repo, mode=MODE_BM25)
+    engine = SearchEngine(repo)
     engine.refresh()
 
     rounds = 20
@@ -119,26 +121,3 @@ def test_query_throughput(search_repo):
           f"faceted {1 / facet_s:,.0f} q/s ({facet_s * 1e3:.2f} ms)")
     assert engine.search(QUERIES[0], limit=10)
 
-
-def test_bm25_vs_dense_query_latency(search_repo):
-    """Escape-hatch comparison: the dense TF-IDF path scores the whole
-    corpus per query; BM25 touches only the query terms' postings."""
-    repo, _ = search_repo
-    bm25 = SearchEngine(repo, mode=MODE_BM25)
-    dense = SearchEngine(repo, mode=MODE_DENSE)
-    bm25.refresh()
-    dense.refresh()
-
-    def best_of(engine, rounds=5):
-        best = float("inf")
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            for q in QUERIES:
-                engine.search(q, limit=10)
-            best = min(best, (time.perf_counter() - t0) / len(QUERIES))
-        return best
-
-    bm25_s, dense_s = best_of(bm25), best_of(dense)
-    print(f"\nSEARCH bm25 vs dense n={SEARCH_SCALE_N}: "
-          f"bm25 {bm25_s * 1e3:.2f} ms/q, dense {dense_s * 1e3:.2f} ms/q, "
-          f"{dense_s / bm25_s:.1f}x")

@@ -55,6 +55,12 @@ PYTHONPATH=src python -m pytest -q benchmarks/bench_scale.py -k "at_1e5"
 PYTHONPATH=src python -m pytest -q benchmarks/bench_scale.py \
     -k "scoped_coverage_is_independent_of_corpus_size"
 
+# Search gate: at 10^4 materials, absorbing one PATCH through the
+# change journal must cost at most 1/10 of a full BM25 index rebuild
+# (docs/architecture.md, "Search index lifecycle").
+PYTHONPATH=src python -m pytest -q benchmarks/bench_search.py \
+    -k "single_doc_update_beats_full_rebuild"
+
 # Replication gate: read fan-out across replicas must scale >= 3x with
 # 4 replicas on >= 4 usable CPUs (no-collapse floor on smaller hosts),
 # and replica staleness must stay bounded under sustained writes

@@ -1,17 +1,14 @@
 """Incremental inverted index over materials: BM25 text + facet postings.
 
-The dense TF-IDF path in :mod:`repro.core.search` refits a vectorizer
-over the whole corpus on *any* repository mutation and scans every
-material per query — O(corpus) work on both the write and the read side.
-This module is the scalable replacement behind the paper's use case A
-("explicitly filter against a group of features ... traditional search
-tools", Section III-A):
+This is the index behind :mod:`repro.core.search` and the paper's use
+case A ("explicitly filter against a group of features ... traditional
+search tools", Section III-A):
 
 * a **token → postings** inverted index (``{token: {doc_id: tf}}``) with
   cached per-document lengths, scored with BM25 at query time;
 * **per-facet posting sets** (kind, course level, language, collection,
   tag, dataset presence, classification key) intersected *before*
-  scoring, replacing the linear ``SearchFilters.matches`` scan;
+  scoring, so a query never scans the whole corpus;
 * O(changed document) **delta maintenance**: :meth:`MaterialIndex.add`,
   :meth:`~MaterialIndex.remove` and :meth:`~MaterialIndex.reindex`
   touch only one document's postings, never the rest of the corpus.
@@ -42,12 +39,9 @@ BM25_B = 0.75
 
 
 def text_tokens(text: str) -> list[str]:
-    """The index's tokenization: tokenize → stopwords → stemming.
-
-    Shared with the dense TF-IDF path (both call
-    :func:`repro.text.preprocess`), so switching ``CARCS_SEARCH`` modes
-    never changes which terms a document is findable under.
-    """
+    """The index's tokenization: tokenize → stopwords → stemming
+    (:func:`repro.text.preprocess`), applied alike to documents and
+    queries."""
     return preprocess(text)
 
 

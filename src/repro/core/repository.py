@@ -812,8 +812,7 @@ class Repository:
     def search(self, text: str = "", filters=None, *, limit: int = 20):
         """Facet + full-text search.  The BM25 inverted index catches up
         incrementally from the db change journal when the repository
-        version has moved; ``CARCS_SEARCH=dense`` selects the legacy
-        TF-IDF path, which refits on version drift instead."""
+        version has moved."""
         return self.search_engine().search(text, filters, limit=limit)
 
     def recommender(self):

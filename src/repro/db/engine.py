@@ -38,8 +38,8 @@ exactly the committed history.  Incremental consumers — the search index
 in :mod:`repro.core.search` — call :meth:`Database.changes_since` to
 catch up in O(changed rows); when the bounded journal no longer reaches
 back far enough it returns ``None`` and the consumer falls back to a
-full rebuild.  The bound is configurable (``changelog_size=`` or the
-``CARCS_CHANGELOG_SIZE`` environment variable).
+full rebuild.  The bound is :data:`CHANGELOG_SIZE` records
+(``changelog_size=`` overrides it per database).
 """
 
 from __future__ import annotations
@@ -89,10 +89,8 @@ from .wal import WalReader, WalWriter, truncate_wal
 #: Default bound of the change journal.  Large enough that a read-heavy
 #: deployment's occasional writes always catch up incrementally; small
 #: enough that bulk seeding cannot hold the whole history in memory.
-#: Override per-database (``changelog_size=``) or process-wide via
-#: ``CARCS_CHANGELOG_SIZE``.
+#: Override per-database with ``changelog_size=``.
 CHANGELOG_SIZE = 1024
-ENV_CHANGELOG_SIZE = "CARCS_CHANGELOG_SIZE"
 
 #: Slow-operation threshold (milliseconds) — operations at or above it
 #: land in the bounded slow-op log, with the active trace id when one
@@ -118,14 +116,6 @@ def env_slow_op_ms() -> float:
         return float(os.environ.get(ENV_DB_SLOW_MS, DEFAULT_SLOW_OP_MS))
     except ValueError:
         return DEFAULT_SLOW_OP_MS
-
-
-def env_changelog_size() -> int:
-    try:
-        size = int(os.environ.get(ENV_CHANGELOG_SIZE, CHANGELOG_SIZE))
-    except ValueError:
-        return CHANGELOG_SIZE
-    return size if size > 0 else CHANGELOG_SIZE
 
 
 def env_compact_bytes() -> int:
@@ -196,7 +186,7 @@ class Database:
         # must never iterate the deque while a writer appends.
         self._changes: deque[Change] = deque(
             maxlen=changelog_size if changelog_size is not None
-            else env_changelog_size()
+            else CHANGELOG_SIZE
         )
         self._changes_lock = Lock()
         self._changes_truncated = 0
@@ -660,7 +650,7 @@ class Database:
             # Validate FKs against a completed candidate row before committing.
             candidate = table._complete_row(values)
             self._check_fks_outbound(table, candidate)
-            return table.insert(**candidate)
+            return table._insert_row(candidate)
 
     def update(self, table_name: str, pk: Any, **changes: Any) -> dict[str, Any]:
         with self._traced_op("update", table_name), self._write_frame():

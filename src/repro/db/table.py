@@ -412,7 +412,11 @@ class Table:
 
     def insert(self, **values: Any) -> dict[str, Any]:
         """Insert a row; returns the stored row dict (with assigned pk)."""
-        row = self._complete_row(values)
+        return self._insert_row(self._complete_row(values))
+
+    def _insert_row(self, row: dict[str, Any]) -> dict[str, Any]:
+        """Store a row already built by :meth:`_complete_row` (uniqueness
+        checks, put, undo record) without validating it again."""
         self._ensure_unique()
         pk = row[self.schema.primary_key]
         if pk in self._rows:

@@ -1,10 +1,5 @@
-"""Faceted + full-text search.
-
-Every test here runs against both backends — the incremental BM25
-inverted index (default) and the dense TF-IDF escape hatch
-(``CARCS_SEARCH=dense``) — since the two must agree on facet semantics
-and edge behaviour even where ranking formulas differ.
-"""
+"""Faceted + full-text search: facet semantics, ranking and the edge
+cases of the BM25 inverted index."""
 
 import threading
 
@@ -16,8 +11,8 @@ from repro.core.search import SearchEngine, SearchFilters
 from repro.corpus import keys as K
 
 
-@pytest.fixture(params=["bm25", "dense"])
-def engine(fresh_repo, request):
+@pytest.fixture()
+def engine(fresh_repo):
     def add(title, desc, *, keys=(), **mat):
         cs = ClassificationSet()
         for key in keys:
@@ -37,7 +32,7 @@ def engine(fresh_repo, request):
         keys=[K.AL_BST], languages=("Java",),
         course_level=CourseLevel.CS2, collection="intro", year=2012,
         kind=MaterialKind.LECTURE_SLIDES, tags=("trees",))
-    return SearchEngine(fresh_repo, mode=request.param)
+    return SearchEngine(fresh_repo)
 
 
 class TestFullText:
@@ -134,9 +129,9 @@ class TestSimilarTo:
 class TestEdgeCases:
     """The corners the original suite missed (ISSUE 3 satellite)."""
 
-    @pytest.fixture(params=["bm25", "dense"])
-    def empty_engine(self, fresh_repo, request):
-        return SearchEngine(fresh_repo, mode=request.param)
+    @pytest.fixture()
+    def empty_engine(self, fresh_repo):
+        return SearchEngine(fresh_repo)
 
     def test_empty_corpus_text_search(self, empty_engine):
         assert empty_engine.search("anything at all") == []
@@ -152,8 +147,8 @@ class TestEdgeCases:
 
     def test_stopword_only_query_matches_nothing(self, engine):
         # Every token is removed by the stopword list, so the query
-        # carries no signal; both backends must return nothing rather
-        # than everything.
+        # carries no signal; search must return nothing rather than
+        # everything.
         assert engine.search("the and of is was") == []
 
     def test_facet_filter_with_zero_candidates(self, engine):
@@ -177,10 +172,11 @@ class TestEdgeCases:
         fresh_repo.delete_material(victim.id)
         assert engine.search("openmp") == []
 
-    def test_mutation_during_search_under_rwlock(self, engine, fresh_repo):
-        """Concurrent searches and writes serialize on the repository
-        RWLock: no crash, no half-built index, and the final state
-        matches a from-scratch engine."""
+    def test_concurrent_searches_and_writes(self, engine, fresh_repo):
+        """Searches pin a committed snapshot and reconcile the shared
+        index under the engine lock while writers commit concurrently:
+        no crash, no half-built index, and the final state matches a
+        from-scratch engine."""
         errors: list[BaseException] = []
         stop = threading.Event()
 
@@ -208,7 +204,7 @@ class TestEdgeCases:
             for t in threads:
                 t.join()
         assert errors == []
-        reference = SearchEngine(fresh_repo, mode=engine.mode)
+        reference = SearchEngine(fresh_repo)
         reference.refresh()
         got = [(h.material.id, h.score) for h in engine.search("sort")]
         want = [(h.material.id, h.score) for h in reference.search("sort")]

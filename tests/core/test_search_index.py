@@ -1,28 +1,33 @@
-"""The incremental inverted index: unit behaviour + rebuild parity.
+"""The incremental inverted index: unit behaviour, rebuild parity and
+a linear-scan oracle for hit sets.
 
-The load-bearing property: after *any* sequence of repository mutations,
-the incrementally maintained BM25 index answers every query identically
-— same hits, bit-identical scores — to an index rebuilt from scratch.
-Randomized mutation sequences drive that invariant below.
+The load-bearing properties:
+
+* after *any* sequence of repository mutations, the incrementally
+  maintained BM25 index answers every query identically — same hits,
+  bit-identical scores — to an index rebuilt from scratch;
+* the hit set of a query is exactly what a scan of every material
+  finds: the materials that pass each facet constraint and, for a
+  non-empty query, share at least one token with it.  BM25's idf is
+  always positive, so every shared token scores above zero.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro.core.classification import ClassificationSet
-from repro.core.index import MaterialIndex
+from repro.core.index import MaterialIndex, text_tokens
 from repro.core.material import CourseLevel, Material, MaterialKind
-from repro.core.search import (
-    MODE_BM25,
-    MODE_DENSE,
-    SearchEngine,
-    SearchFilters,
-    env_mode,
-)
+from repro.core.repository import Repository
+from repro.core.search import SearchEngine, SearchFilters
 from repro.corpus import keys as K
+from repro.corpus.seed import seed_ontologies
 
 WORDS = (
     "parallel", "distributed", "graph", "matrix", "sort", "thread",
@@ -55,8 +60,15 @@ def _mk_material(rng: random.Random, i: int) -> Material:
     )
 
 
+def _classification(keys) -> ClassificationSet:
+    cs = ClassificationSet()
+    for key in keys:
+        cs.add(key.split("/", 1)[0], key)
+    return cs
+
+
 def _assert_parity(incremental: SearchEngine, repo) -> None:
-    rebuilt = SearchEngine(repo, mode=MODE_BM25)
+    rebuilt = SearchEngine(repo)
     rebuilt.refresh()
     for text, filters in PROBES:
         got = incremental.search(text, filters, limit=50)
@@ -74,21 +86,17 @@ def _assert_parity(incremental: SearchEngine, repo) -> None:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_mutation_sequences_match_full_rebuild(fresh_repo, seed):
     rng = random.Random(seed)
-    engine = SearchEngine(fresh_repo, mode=MODE_BM25)
+    engine = SearchEngine(fresh_repo)
     ids: list[int] = []
     for i in range(8):  # starting corpus
-        cs = ClassificationSet()
-        for key in rng.sample(KEYS, rng.randint(0, 3)):
-            cs.add(key.split("/", 1)[0], key)
+        cs = _classification(rng.sample(KEYS, rng.randint(0, 3)))
         ids.append(fresh_repo.add_material(_mk_material(rng, i), cs).id)
     engine.search("parallel")  # build once; everything after is delta
 
     for step in range(40):
         op = rng.random()
         if op < 0.3 or not ids:
-            cs = ClassificationSet()
-            for key in rng.sample(KEYS, rng.randint(0, 3)):
-                cs.add(key.split("/", 1)[0], key)
+            cs = _classification(rng.sample(KEYS, rng.randint(0, 3)))
             ids.append(
                 fresh_repo.add_material(_mk_material(rng, 100 + step), cs).id
             )
@@ -123,7 +131,7 @@ class TestDeltaMaintenance:
             fresh_repo.add_material(
                 Material(title=f"material {i}", description="graph sort")
             )
-        engine = SearchEngine(fresh_repo, mode=MODE_BM25)
+        engine = SearchEngine(fresh_repo)
         engine.search("graph")
         assert engine.full_rebuilds == 1
         mid = fresh_repo.materials()[0].id
@@ -138,7 +146,7 @@ class TestDeltaMaintenance:
         from repro.core.repository import Role
 
         fresh_repo.add_material(Material(title="alpha", description="beta"))
-        engine = SearchEngine(fresh_repo, mode=MODE_BM25)
+        engine = SearchEngine(fresh_repo)
         engine.search("alpha")
         fresh_repo.add_user("reader", Role.USER)
         engine.search("alpha")
@@ -146,12 +154,9 @@ class TestDeltaMaintenance:
         assert engine.docs_reindexed == 0  # user writes are filtered out
 
     def test_outrun_journal_falls_back_to_full_rebuild(self):
-        from repro.core.repository import Repository
-        from repro.corpus.seed import seed_ontologies
-
         repo = Repository()
         seed_ontologies(repo)
-        engine = SearchEngine(repo, mode=MODE_BM25)
+        engine = SearchEngine(repo)
         engine.search("x")
         builds = engine.full_rebuilds
         # Far more mutations than the journal retains (each add_material
@@ -167,7 +172,7 @@ class TestDeltaMaintenance:
 
     def test_index_built_in_transaction_is_not_kept(self, fresh_repo):
         fresh_repo.add_material(Material(title="committed", description="x"))
-        engine = SearchEngine(fresh_repo, mode=MODE_BM25)
+        engine = SearchEngine(fresh_repo)
         with pytest.raises(RuntimeError):
             with fresh_repo.db.transaction():
                 fresh_repo.add_material(
@@ -224,33 +229,143 @@ class TestMaterialIndex:
         assert MaterialIndex().score(["anything"], set()) == {}
 
 
-class TestModeSelection:
-    def test_default_is_bm25(self, monkeypatch):
-        monkeypatch.delenv("CARCS_SEARCH", raising=False)
-        assert env_mode() == MODE_BM25
+def _facet_match(filters: SearchFilters, material: Material,
+                 classified_keys: frozenset[str],
+                 subtree_sets: Sequence[frozenset[str]]) -> bool:
+    """The facet predicate, one material at a time."""
+    if filters.kinds and material.kind not in filters.kinds:
+        return False
+    if (filters.course_levels
+            and material.course_level not in filters.course_levels):
+        return False
+    if filters.languages and not (
+        set(l.lower() for l in filters.languages)
+        & set(l.lower() for l in material.languages)
+    ):
+        return False
+    if filters.datasets_required is True and not material.datasets:
+        return False
+    if filters.datasets_required is False and material.datasets:
+        return False
+    if filters.collections and material.collection not in filters.collections:
+        return False
+    if filters.years is not None:
+        lo, hi = filters.years
+        if material.year is None or not (lo <= material.year <= hi):
+            return False
+    if filters.tags and not (set(filters.tags) & set(material.tags)):
+        return False
+    # Every requested subtree must be touched by the classification.
+    for subtree in subtree_sets:
+        if not (classified_keys & subtree):
+            return False
+    return True
 
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("CARCS_SEARCH", "dense")
-        assert env_mode() == MODE_DENSE
-        monkeypatch.setenv("CARCS_SEARCH", "anything-else")
-        assert env_mode() == MODE_BM25
 
-    def test_engine_honours_env(self, fresh_repo, monkeypatch):
-        monkeypatch.setenv("CARCS_SEARCH", "dense")
-        assert SearchEngine(fresh_repo).mode == MODE_DENSE
+def _scan_hits(repo, text: str, filters: SearchFilters | None) -> set[int]:
+    """Linear-scan oracle: the ids a search for ``text`` must return."""
+    filters = filters or SearchFilters()
+    subtree_sets = [
+        frozenset(repo.ontology(key.split("/", 1)[0]).subtree_keys(key))
+        for key in filters.under
+    ]
+    keys_by_id = repo.classification_keys()
+    query = set(text_tokens(text))
+    return {
+        m.id for m in repo.materials()
+        if _facet_match(filters, m, keys_by_id.get(m.id, frozenset()),
+                        subtree_sets)
+        and (not text.strip() or query & set(text_tokens(m.text())))
+    }
 
-    def test_modes_agree_on_hit_sets(self, fresh_repo):
-        """Ranking differs (BM25 vs cosine) but the *hit set* for a
-        query and the facet matches must coincide."""
-        rng = random.Random(42)
-        for i in range(10):
-            cs = ClassificationSet()
-            for key in rng.sample(KEYS, 2):
-                cs.add(key.split("/", 1)[0], key)
-            fresh_repo.add_material(_mk_material(rng, i), cs)
-        bm25 = SearchEngine(fresh_repo, mode=MODE_BM25)
-        dense = SearchEngine(fresh_repo, mode=MODE_DENSE)
-        for text, filters in PROBES:
-            got = {h.material.id for h in bm25.search(text, filters, limit=100)}
-            want = {h.material.id for h in dense.search(text, filters, limit=100)}
-            assert got == want
+
+def test_hit_sets_equal_linear_scan(fresh_repo):
+    rng = random.Random(42)
+    for i in range(10):
+        fresh_repo.add_material(
+            _mk_material(rng, i), _classification(rng.sample(KEYS, 2))
+        )
+    engine = SearchEngine(fresh_repo)
+    for text, filters in PROBES:
+        got = {h.material.id for h in engine.search(text, filters, limit=100)}
+        assert got == _scan_hits(fresh_repo, text, filters)
+
+
+@pytest.fixture(scope="module")
+def ontology_repo():
+    repo = Repository()
+    seed_ontologies(repo)
+    return repo
+
+
+def _subset(values, min_size=0):
+    return st.lists(
+        st.sampled_from(values), unique=True, min_size=min_size, max_size=2
+    ).map(tuple)
+
+
+_words = st.lists(
+    st.sampled_from(WORDS + ("the", "of", "quantum")), min_size=1, max_size=6
+).map(" ".join)
+_materials = st.builds(
+    Material,
+    title=_words,
+    description=_words,
+    kind=st.sampled_from(list(MaterialKind)),
+    course_level=st.sampled_from(list(CourseLevel) + [None]),
+    languages=_subset(("Python", "C", "Java")),
+    datasets=st.sampled_from(((), ("numbers",))),
+    tags=_subset(("intro", "hpc", "viz")),
+    collection=st.sampled_from(("alpha", "beta", "")),
+    year=st.sampled_from((None, 2010, 2015, 2018)),
+)
+#: One constraint per facet, never 'any'.
+_FACETS = {
+    "kinds": _subset(list(MaterialKind), 1),
+    "course_levels": _subset(list(CourseLevel), 1),
+    "languages": _subset(("python", "C", "java", "Rust"), 1),
+    "datasets_required": st.booleans(),
+    "collections": _subset(("alpha", "beta", "gamma"), 1),
+    "years": st.sampled_from(((2010, 2015), (2016, 2020))),
+    "under": _subset(("CS13/AL", "CS13/SDF", "PDC12/PROG"), 1),
+    "tags": _subset(("intro", "hpc", "nowhere"), 1),
+}
+
+
+class _Rollback(Exception):
+    pass
+
+
+# The explain phase re-runs a failing example hundreds of times for
+# minutes; shrinking alone already reports a minimal corpus.
+@settings(max_examples=50, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(
+    corpus=st.lists(
+        st.tuples(_materials, _subset(KEYS)), min_size=3, max_size=10
+    ),
+    text=_words,
+    facets=st.fixed_dictionaries(_FACETS),
+)
+def test_drawn_hit_sets_equal_linear_scan(ontology_repo, corpus, text, facets):
+    """Every facet is probed alone, and all of them together, with and
+    without query text.  Each drawn corpus lives in a transaction that
+    is rolled back, so the shared ontology repository stays empty of
+    materials."""
+    probes = [SearchFilters(), SearchFilters(**facets)] + [
+        SearchFilters(**{name: value}) for name, value in facets.items()
+    ]
+    repo = ontology_repo
+    engine = SearchEngine(repo)
+    with pytest.raises(_Rollback):
+        with repo.db.transaction():
+            for material, keys in corpus:
+                repo.add_material(material, _classification(keys))
+            for filters in probes:
+                for query in ("", text):
+                    got = {
+                        h.material.id
+                        for h in engine.search(query, filters, limit=100)
+                    }
+                    assert got == _scan_hits(repo, query, filters)
+            raise _Rollback

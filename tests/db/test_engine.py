@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import Column, Database, ForeignKey, TableSchema
+from repro.db.table import Table
 from repro.db.errors import (
     ForeignKeyError,
     SchemaError,
@@ -192,6 +193,26 @@ class TestTransactions:
                 db.create_table(TableSchema("temp", columns=(Column("id", int),)))
                 raise RuntimeError
         assert "temp" not in db
+
+
+class TestInsert:
+    def test_each_insert_completes_its_row_once(self, monkeypatch):
+        """The engine builds and validates the row for its FK check; the
+        table then stores that row without completing it again."""
+        completed: list[str] = []
+        complete_row = Table._complete_row
+
+        def counting(self, values):
+            completed.append(self.name)
+            return complete_row(self, values)
+
+        monkeypatch.setattr(Table, "_complete_row", counting)
+        db = make_db()
+        pid = db.insert("parents", name="a")["id"]
+        child = db.insert("children", parent_id=pid)
+        assert completed == ["parents", "children"]
+        assert child == {"id": 1, "parent_id": pid, "label": ""}
+        assert db.table("children").get(1) == child
 
 
 class TestStats:
