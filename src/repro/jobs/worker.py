@@ -100,14 +100,7 @@ class Worker(threading.Thread):
         )
         if self.tracer is None:
             return _trace.span("job.run", **attrs)
-        context = _trace.parse_traceparent(job.get("trace_context"))
-        if context is not None:
-            trace_id, parent_span_id = context
-            attrs[_trace.REMOTE_PARENT_ATTR] = parent_span_id
-        else:
-            trace_id = None
-        return self.tracer.trace("job.run", trace_id=trace_id, fresh=True,
-                                 **attrs)
+        return self.tracer.adopt("job.run", job.get("trace_context"), **attrs)
 
     def stop(self) -> None:
         self._stop_event.set()

@@ -52,7 +52,7 @@ DEFAULT_LATENCY_TARGET = 0.95
 #: long one filters noise; both serve from the same sample ring.
 DEFAULT_WINDOWS = (("5m", 300.0), ("1h", 3600.0))
 
-#: Series the monitor reads (produced by the web metrics middleware).
+#: Series the monitor reads (produced by the web telemetry middleware).
 REQUESTS_METRIC = "http_requests_total"
 LATENCY_METRIC = "http_request_seconds"
 

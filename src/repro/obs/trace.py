@@ -42,11 +42,12 @@ Design rules, in overhead order:
 * **Context propagates across processes.**  A W3C-``traceparent``-style
   header (``00-<trace id>-<span id>-01``) carries the active span's
   identity over every proxied hop: the front tier injects it
-  (:func:`current_traceparent` / :func:`format_traceparent`), the web
-  middleware extracts it (:func:`parse_traceparent`) and opens its root
-  with the *propagated* trace id plus a ``remote_parent`` attribute
-  naming the caller's span.  Each process still records only its own
-  spans; :func:`stitch_trace` reassembles the per-process segments into
+  (:func:`current_traceparent` / :func:`format_traceparent`), and each
+  receiving root — the node's telemetry middleware, the front tier, a
+  job run — opens through :meth:`Tracer.adopt`, under the *propagated*
+  trace id plus a ``remote_parent`` attribute naming the caller's span.
+  Each process still records only its own spans;
+  :func:`stitch_trace` reassembles the per-process segments into
   one tree by attaching every remote root under the span whose id it
   names.  The same mechanism links asynchronous work: the job queue
   persists the enqueuing request's traceparent in the ``_jobs`` row and
@@ -348,8 +349,8 @@ class _Handle:
 
     @name.setter
     def name(self, value: str) -> None:
-        # The web middleware renames the root after dispatch, once the
-        # router knows which route matched.
+        # The telemetry middleware renames the root after dispatch, once
+        # the router knows which route matched.
         self.rec[_R_NAME] = value
 
     @property
@@ -987,10 +988,11 @@ class Tracer:
         No-op when the tracer is off; when a trace is already active the
         "root" is just a child span of it — unless ``fresh`` is set, in
         which case a new trace *segment* opens even under an ambient
-        trace.  Propagation boundaries (the tracing middleware, the
-        front tier, job runs) pass ``fresh=True``: their span is the
-        root of this process's segment even when the calling hop runs
-        in the same process (LocalBackend, inline job drains).
+        trace.  Propagation boundaries (:meth:`adopt`, used by the
+        telemetry middleware, the front tier and job runs) pass
+        ``fresh=True``: their span is the root of this process's
+        segment even when the calling hop runs in the same process
+        (LocalBackend, inline job drains).
         """
         if self.mode == MODE_OFF:
             return NULL_SPAN
@@ -998,6 +1000,24 @@ class Tracer:
         if trace is not None and not fresh:
             return trace.open(name, attributes)
         return _TraceScope(self, trace_id or new_trace_id(), name, attributes)
+
+    def adopt(self, name: str, traceparent: str | None, /, *,
+              trace_id: str | None = None, **attributes: Any):
+        """Open this process's root segment under an inbound context.
+
+        A parseable ``traceparent`` wins: the root opens under the
+        propagated trace id, with :data:`REMOTE_PARENT_ATTR` (the
+        caller's span) as its last attribute, so the stitcher hangs the
+        segment under the right hop.  Otherwise it opens under
+        ``trace_id`` (a fresh id when ``None``).  With tracing off
+        nothing is parsed and :data:`NULL_SPAN` comes back.
+        """
+        if self.mode == MODE_OFF:
+            return NULL_SPAN
+        context = parse_traceparent(traceparent)
+        if context is not None:
+            trace_id, attributes[REMOTE_PARENT_ATTR] = context
+        return self.trace(name, trace_id=trace_id, fresh=True, **attributes)
 
     # -- completion -------------------------------------------------------
 

@@ -17,17 +17,11 @@ from .http import (
 )
 from .middleware import (
     AdmissionMiddleware,
-    ConditionalGetMiddleware,
+    ReadOnlyMiddleware,
+    SnapshotMiddleware,
+    TelemetryMiddleware,
     TokenBucket,
     backpressure_response,
-    ErrorMiddleware,
-    LoggingMiddleware,
-    MetricsMiddleware,
-    ReadOnlyMiddleware,
-    RequestIdMiddleware,
-    SnapshotMiddleware,
-    TracingMiddleware,
-    VersionHeaderMiddleware,
     compose,
 )
 from .router import Route, Router
@@ -41,24 +35,18 @@ __all__ = [
     "BackendError",
     "CarCsApi",
     "Client",
-    "ConditionalGetMiddleware",
-    "ErrorMiddleware",
     "FrontTier",
     "HttpBackend",
     "HttpError",
     "LocalBackend",
-    "LoggingMiddleware",
-    "MetricsMiddleware",
     "ReadOnlyMiddleware",
     "Request",
-    "RequestIdMiddleware",
     "Response",
     "Route",
     "Router",
     "SnapshotMiddleware",
+    "TelemetryMiddleware",
     "TokenBucket",
-    "TracingMiddleware",
-    "VersionHeaderMiddleware",
     "backpressure_response",
     "compose",
     "cursor_page",

@@ -13,10 +13,11 @@ payload adapter where the v1 shape differs, and mounts it again as the
 unprefixed alias (``Deprecation: true``).  Every v1 and alias response
 carries a ``Sunset`` header.  The operational endpoints
 (:data:`OPS_SUFFIXES`) answer identically on both prefixes.  All
-requests flow through the middleware chain in
-:mod:`repro.web.middleware` — request ids, tracing, metrics, structured
-logging, the 500 boundary, admission control, the MVCC snapshot pin
-(reads) / write lock (mutations), and conditional GET.
+requests flow through the three-step middleware chain in
+:mod:`repro.web.middleware`: telemetry (request ids, the root span, the
+500 boundary, metrics and the request log), admission control, and the
+snapshot step (the MVCC pin for reads or the write lock for mutations,
+conditional GET, and the version stamp).
 """
 
 from __future__ import annotations
@@ -46,15 +47,9 @@ from .http import (
 )
 from .middleware import (
     AdmissionMiddleware,
-    ConditionalGetMiddleware,
-    ErrorMiddleware,
-    LoggingMiddleware,
-    MetricsMiddleware,
     ReadOnlyMiddleware,
-    RequestIdMiddleware,
     SnapshotMiddleware,
-    TracingMiddleware,
-    VersionHeaderMiddleware,
+    TelemetryMiddleware,
     compose,
 )
 from .router import Handler, Router
@@ -90,6 +85,13 @@ def _on_both_prefixes(suffixes: tuple[str, ...]) -> tuple[str, ...]:
 
 UNCONDITIONAL_PATHS = _on_both_prefixes(OPS_SUFFIXES)
 ADMISSION_EXEMPT_PATHS = _on_both_prefixes(_UNSHED_OPS)
+_UNCONDITIONAL_TREES = tuple(path + "/" for path in UNCONDITIONAL_PATHS)
+
+
+def is_unconditional(path: str) -> bool:
+    """The one ETag-exemption rule, shared by the snapshot middleware
+    and the API docs: an unconditional path or any path under one."""
+    return (path + "/").startswith(_UNCONDITIONAL_TREES)
 
 
 # v1 payload adapters: each wraps a v2 handler and covers one real
@@ -222,7 +224,7 @@ class CarCsApi:
         self._search.metrics = self.metrics
         self.tracer.registry = self.metrics
         self.request_log.metrics = self.metrics
-        # SLO burn rates derive from the same http_* series the metrics
+        # SLO burn rates derive from the same http_* series the telemetry
         # middleware feeds; the monitor snapshots them on read.
         self.slo = SloMonitor(self.metrics)
         self._started = time.monotonic()
@@ -236,9 +238,9 @@ class CarCsApi:
                 size=workers, metrics=self.metrics, tracer=self.tracer,
                 name="api",
             ).start()
-        # Admission sits below Error (sheds get request ids, metrics,
-        # logs and trace spans) but above ReadOnly/Snapshot: a shed
-        # request must never queue on the database write lock.
+        # Admission sits below telemetry (sheds get request ids,
+        # metrics, logs and trace spans) but above ReadOnly/Snapshot: a
+        # shed request must never queue on the database write lock.
         self.admission = AdmissionMiddleware(
             self.metrics,
             rate_limit=rate_limit,
@@ -247,21 +249,12 @@ class CarCsApi:
             exempt=ADMISSION_EXEMPT_PATHS,
         )
         self.middlewares = [
-            RequestIdMiddleware(),
-            TracingMiddleware(self.tracer),
-            MetricsMiddleware(self.metrics),
-            LoggingMiddleware(self.request_log),
-            ErrorMiddleware(self.metrics, self.request_log),
+            TelemetryMiddleware(self.tracer, self.metrics, self.request_log),
             self.admission,
             *([ReadOnlyMiddleware(primary_url)] if read_only else []),
-            SnapshotMiddleware(repo.db),
-            VersionHeaderMiddleware(repo.db),
-            ConditionalGetMiddleware(self._etag, UNCONDITIONAL_PATHS),
+            SnapshotMiddleware(repo.db, is_unconditional),
         ]
         self._pipeline = compose(self.middlewares, self.router.dispatch)
-
-    def _etag(self) -> str:
-        return f'"carcs-v{self.repo.version}"'
 
     def close(self) -> None:
         """Stop the in-process worker pool (if one was started)."""

@@ -253,21 +253,11 @@ class FrontTier:
         # Adopt an inbound trace context (an instrumented client, or a
         # router chained behind another router); otherwise the inbound
         # request id seeds the trace id, matching single-node behaviour.
-        context = _trace.parse_traceparent(
-            request.header(_trace.TRACEPARENT_HEADER)
-        )
-        if context is not None:
-            trace_id, parent_span_id = context
-            link = {_trace.REMOTE_PARENT_ATTR: parent_span_id}
-        else:
-            trace_id = request.header("x-request-id") or None
-            link = {}
-        with tracer.trace(
+        with tracer.adopt(
             f"front {request.method}",
-            trace_id=trace_id,
-            fresh=True,
+            request.header(_trace.TRACEPARENT_HEADER),
+            trace_id=request.header("x-request-id") or None,
             path=request.path,
-            **link,
         ) as root:
             response = self.admission(request, self._route)
             root.set(status=response.status)

@@ -38,7 +38,7 @@ class Request:
     # Filled by the router when the route matches.  Values are typed
     # according to the route pattern (``<int:id>`` arrives as ``int``).
     params: dict[str, Any] = field(default_factory=dict)
-    # Stamped by the request-id middleware before dispatch.
+    # Stamped by the telemetry middleware before dispatch.
     request_id: str = ""
     # Filled by the router on a match: the canonical route pattern (the
     # low-cardinality label metrics aggregate on) and its deprecation flag.
@@ -155,7 +155,7 @@ def text_response(
 def error_response(status: int, message: str, request_id: str = "") -> Response:
     """The uniform v1 error envelope.
 
-    Every 4xx/5xx the API emits has this shape; the request-id middleware
+    Every 4xx/5xx the API emits has this shape; the telemetry middleware
     fills ``request_id`` in for envelopes created below it in the chain.
     """
     return json_response(

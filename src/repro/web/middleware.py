@@ -1,45 +1,25 @@
 """The request pipeline: composable middleware around router dispatch.
 
-``CarCsApi.__call__`` used to inline its pre-dispatch logic (conditional
-GET); everything cross-cutting now lives here as middleware — small
-callables of ``(request, call_next) -> response`` composed into one
-handler.  The production chain, outermost first:
+Everything cross-cutting lives here as middleware — small callables of
+``(request, call_next) -> response`` composed into one handler.  The
+production chain, outermost first:
 
-1. :class:`RequestIdMiddleware` — stamps a per-request id (honouring an
-   inbound ``X-Request-Id``), echoes it as a response header, and fills
-   it into any error envelope produced further down.
-2. :class:`TracingMiddleware` — opens the root span of the request's
-   trace (the inbound ``traceparent`` context when a proxied hop
-   carries one, else trace id == request id) and stamps ``X-Trace-Id``;
-   every layer below contributes child spans through the ambient
-   context.
-3. :class:`MetricsMiddleware` — times the whole dispatch; per-route
-   request counters by status class + latency histograms.
-4. :class:`LoggingMiddleware` — one structured record per request.
-5. :class:`ErrorMiddleware` — converts uncaught exceptions into clean
-   ``500`` envelopes instead of killing the server thread.
-6. :class:`SnapshotMiddleware` — storage concurrency: GETs pin the
-   current MVCC snapshot (no lock at all) for the whole dispatch;
-   mutating methods take the exclusive write lock, which only
-   serializes writers against each other.
-7. :class:`VersionHeaderMiddleware` — stamps the served database
-   version (``x-carcs-version``, the replication offset) on every
-   response, 304s included.
-8. :class:`ConditionalGetMiddleware` — ETag / If-None-Match 304
-   short-circuit (inside the pin, so the version read is consistent).
+1. :class:`TelemetryMiddleware` — the request id, the root span (under
+   an inbound ``traceparent`` when a proxied hop carries one), the 500
+   boundary, and one record per request: the ``http_*`` metrics, one
+   request-log record, the renamed root span.
+2. :class:`AdmissionMiddleware` — request deadlines, per-client rate
+   limits and the inflight cap.  It sits under the telemetry step, so
+   sheds are counted, logged and traced like any response, and above
+   the snapshot step, so a shed request never queues on the write lock.
+3. :class:`SnapshotMiddleware` — the database version a request sees:
+   reads pin the current MVCC snapshot (no lock at all) and revalidate
+   ETags inside the pin; writes take the exclusive write lock; every
+   response carries the version it was served from.
 
-Replica nodes additionally run :class:`ReadOnlyMiddleware` above the
-snapshot middleware, refusing local mutations with 403 and pointing at
+Replica nodes additionally run :class:`ReadOnlyMiddleware` just above
+the snapshot step, refusing local mutations with 403 and pointing at
 the primary.
-
-Ordering matters: metrics/logging sit outside the error boundary so
-500s are counted and logged; the snapshot pin sits outside the
-conditional-GET check so the ETag comparison and the dispatch it
-guards see one repository version, and the version stamp sits between
-them so reads report their pinned version while 304s still carry it.
-Tracing sits directly under the request-id stamp (the trace reuses
-that id) and above everything else so the root span's wall time covers
-the full dispatch including write lock waits.
 """
 
 from __future__ import annotations
@@ -186,7 +166,7 @@ class TokenBucket:
 class AdmissionMiddleware:
     """The front door: rate limits, concurrency caps, request deadlines.
 
-    Runs *under* the error boundary (sheds are counted, logged and
+    Runs *under* the telemetry step (sheds are counted, logged and
     traced like any response) and *above* the snapshot middleware — a
     request this layer refuses never touches the storage engine and,
     crucially, never queues on the write lock.  Three independent
@@ -364,194 +344,158 @@ class AdmissionMiddleware:
                 )
 
 
-class RequestIdMiddleware:
-    """Stamp/propagate request ids and surface them everywhere."""
+class TelemetryMiddleware:
+    """The node's one telemetry step: request id, root span, the 500
+    boundary, and one record per request.
 
-    def __call__(self, request: Request, call_next: Handler) -> Response:
-        request.request_id = (
-            request.header("x-request-id") or new_request_id()
-        )
-        response = call_next(request)
-        response.headers.setdefault("x-request-id", request.request_id)
-        envelope = response.error
-        if envelope is not None and not envelope.get("request_id"):
-            envelope["request_id"] = request.request_id
-        return response
-
-
-class TracingMiddleware:
-    """Open the per-request root span; everything below adds children.
-
-    An inbound ``traceparent`` header (stamped by the front tier on
-    every proxied hop, or by any instrumented client) wins: the root
-    opens under the *propagated* trace id with a ``remote_parent``
-    attribute naming the caller's span, which is what lets the fleet
-    stitcher hang this process's segment under the right hop.  Without
-    one, the trace id reuses the request id (stamped by the middleware
-    above us), so one identifier correlates the response headers, the
-    request log and the stored trace.  When tracing is off this
-    middleware is a plain pass-through — no span objects, no
-    context-var writes.
-
-    The root span is named after the *matched route* (low cardinality),
-    which the router only knows after dispatch — so it opens under a
-    placeholder name and is renamed on the way out.
+    The root span opens through :meth:`Tracer.adopt` (trace id ==
+    request id unless an inbound ``traceparent`` names one) and is
+    renamed to the matched route once the router has run.  Inside one
+    ``perf_counter`` pair an :class:`HttpError` becomes its envelope and
+    any other exception a generic 500 whose detail goes only to the log.
+    Every request, sheds and 500s included, then feeds
+    ``http_requests_total``, ``http_request_seconds`` and one
+    :class:`RequestLog` record.
     """
 
-    def __init__(self, tracer: Tracer) -> None:
+    def __init__(self, tracer: Tracer, registry: MetricsRegistry,
+                 log: RequestLog) -> None:
         self.tracer = tracer
-
-    def __call__(self, request: Request, call_next: Handler) -> Response:
-        if not self.tracer.enabled:
-            return call_next(request)
-        context = _trace.parse_traceparent(
-            request.header(_trace.TRACEPARENT_HEADER)
-        )
-        if context is not None:
-            trace_id, parent_span_id = context
-            link = {_trace.REMOTE_PARENT_ATTR: parent_span_id}
-        else:
-            trace_id = request.request_id or None
-            link = {}
-        with self.tracer.trace(
-            "http.request",
-            trace_id=trace_id,
-            fresh=True,
-            method=request.method,
-            path=request.path,
-            **link,
-        ) as root:
-            response = call_next(request)
-            root.name = route_label(request)
-            root.set(status=response.status)
-            if response.status >= 500:
-                root.mark_error(f"http {response.status}")
-            response.headers.setdefault("x-trace-id", root.trace_id)
-            return response
-
-
-class MetricsMiddleware:
-    """Per-route request counters (by status class) + latency histograms."""
-
-    def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
+        self.log = log
 
-    def __call__(self, request: Request, call_next: Handler) -> Response:
-        start = time.perf_counter()
-        try:
-            response = call_next(request)
-        except BaseException:
-            # Only reachable if no error boundary sits below us; count the
-            # blow-up before letting it propagate.
-            self._record(request, 500, time.perf_counter() - start)
-            raise
-        self._record(request, response.status, time.perf_counter() - start)
-        return response
-
-    def _record(self, request: Request, status: int, elapsed: float) -> None:
-        label = route_label(request)
+    def _count(self, label: str, status: int, elapsed: float) -> None:
         self.registry.counter(
-            "http_requests_total",
-            route=label, status=f"{status // 100}xx",
+            "http_requests_total", route=label, status=f"{status // 100}xx",
         ).inc()
         self.registry.histogram(
             "http_request_seconds", route=label,
         ).observe(elapsed)
 
-
-class LoggingMiddleware:
-    """One structured record per request, correlated by request id."""
-
-    def __init__(self, log: RequestLog) -> None:
-        self.log = log
-
     def __call__(self, request: Request, call_next: Handler) -> Response:
-        start = time.perf_counter()
-        response = call_next(request)
-        self.log.record(
-            request_id=request.request_id,
+        request_id = request.header("x-request-id") or new_request_id()
+        request.request_id = request_id
+        tracer = self.tracer
+        with tracer.adopt(
+            "http.request",
+            request.header(_trace.TRACEPARENT_HEADER)
+            if tracer.enabled else None,
+            trace_id=request_id,
             method=request.method,
             path=request.path,
-            route=request.route_pattern or UNMATCHED,
-            status=response.status,
-            duration_ms=round((time.perf_counter() - start) * 1e3, 3),
-        )
-        return response
-
-
-class ErrorMiddleware:
-    """Uncaught exception -> clean 500 envelope (the thread survives)."""
-
-    def __init__(self, registry: MetricsRegistry | None = None,
-                 log: RequestLog | None = None) -> None:
-        self.registry = registry
-        self.log = log
-
-    def __call__(self, request: Request, call_next: Handler) -> Response:
-        try:
-            return call_next(request)
-        except HttpError as exc:
-            # Handlers normally raise inside the router (which converts),
-            # but a middleware below us may raise too.
-            return error_response(exc.status, exc.message, request.request_id)
-        except Exception as exc:  # noqa: BLE001 — the 500 boundary
-            if self.registry is not None:
+        ) as root:
+            start = time.perf_counter()
+            try:
+                response = call_next(request)
+            except HttpError as exc:
+                # Handlers raise inside the router (which converts), but
+                # a middleware below may raise too.
+                response = error_response(exc.status, exc.message, request_id)
+            except Exception as exc:  # noqa: BLE001 — the 500 boundary
                 self.registry.counter(
                     "http_exceptions_total", type=type(exc).__name__,
                 ).inc()
-            if self.log is not None:
                 self.log.record(
-                    request_id=request.request_id,
+                    request_id=request_id,
                     method=request.method,
                     path=request.path,
                     event="unhandled_exception",
                     exception=type(exc).__name__,
                     detail=str(exc),
                 )
-            # The internal detail stays in the log; clients get a generic
-            # message plus the id that finds it.
-            return error_response(
-                500, "internal server error", request.request_id
+                response = error_response(
+                    500, "internal server error", request_id
+                )
+            except BaseException:
+                self._count(route_label(request), 500,
+                            time.perf_counter() - start)
+                raise
+            elapsed = time.perf_counter() - start
+            status = response.status
+            label = route_label(request)
+            self._count(label, status, elapsed)
+            self.log.record(
+                request_id=request_id,
+                method=request.method,
+                path=request.path,
+                route=request.route_pattern or UNMATCHED,
+                status=status,
+                duration_ms=round(elapsed * 1e3, 3),
             )
+            if root:
+                root.name = label
+                root.set(status=status)
+                if status >= 500:
+                    root.mark_error(f"http {status}")
+                response.headers.setdefault("x-trace-id", root.trace_id)
+        response.headers.setdefault("x-request-id", request_id)
+        envelope = response.error
+        if envelope is not None and not envelope.get("request_id"):
+            envelope["request_id"] = request_id
+        return response
 
 
 class SnapshotMiddleware:
-    """MVCC concurrency for the whole dispatch.
+    """The database version a request sees.
 
-    GET/HEAD/OPTIONS pin the currently published database snapshot —
-    **no lock acquisition at all** — so any number of read requests
-    proceed concurrently, each observing one immutable committed
-    version even while writers commit mid-request.  Mutating methods
-    take the exclusive write lock, which only serializes writers
-    against each other (readers never wait and are never waited on).
+    GET/HEAD/OPTIONS pin the published MVCC snapshot — no lock at all —
+    so concurrent reads each observe one committed version while writers
+    commit.  Inside the pin a GET's ETag ``"carcs-v<version>"`` is
+    checked against ``If-None-Match`` (a match is an empty 304 before
+    dispatch) and put on successful responses, except on paths the
+    ``etag_exempt`` predicate accepts (they change without a repository
+    mutation).  Mutating methods take the exclusive write lock, which
+    only serializes writers against each other.  Every response, 304s
+    included, carries ``x-carcs-version``: the pinned version for reads,
+    the post-commit version (stamped before the lock is released) for
+    writes.  The front tier compares it against each session's version
+    floor for read-your-writes across replicas.
     """
 
     READ_METHODS = frozenset({"GET", "HEAD", "OPTIONS"})
+    VERSION_HEADER = "x-carcs-version"
 
-    def __init__(self, db) -> None:
+    def __init__(self, db, etag_exempt: Callable[[str], bool]) -> None:
         self.db = db
+        self.etag_exempt = etag_exempt
 
     def __call__(self, request: Request, call_next: Handler) -> Response:
-        if request.method in self.READ_METHODS:
-            with self.db.pinned() as snap:
-                # Lock-free: the span records *which* version this request
-                # reads (there is no wait to attribute — pinning is one
-                # attribute read).
-                with _trace.span(
-                    "db.snapshot.pin",
-                    version=snap.version if snap is not None else -1,
-                ):
-                    pass
-                return call_next(request)
-        lock = self.db.lock
-        # The acquire gets its own span so lock *wait* is attributed
-        # separately from the handler work it serializes.
-        with _trace.span("db.lock.acquire", mode="write"):
-            lock.acquire_write()
-        try:
-            return call_next(request)
-        finally:
-            lock.release_write()
+        db = self.db
+        if request.method not in self.READ_METHODS:
+            # The acquire gets its own span so lock *wait* is attributed
+            # separately from the handler work it serializes.
+            with _trace.span("db.lock.acquire", mode="write"):
+                db.lock.acquire_write()
+            try:
+                response = call_next(request)
+                response.headers.setdefault(
+                    self.VERSION_HEADER, str(db.version)
+                )
+                return response
+            finally:
+                db.lock.release_write()
+        with db.pinned() as snap:
+            # Lock-free: the span records *which* version this request
+            # reads (there is no wait to attribute — pinning is one
+            # attribute read).
+            with _trace.span(
+                "db.snapshot.pin",
+                version=snap.version if snap is not None else -1,
+            ):
+                pass
+            version = db.version
+            if request.method != "GET" or self.etag_exempt(request.path):
+                response = call_next(request)
+            else:
+                etag = f'"carcs-v{version}"'
+                if etag_matches(request.header("if-none-match"), etag):
+                    response = not_modified(etag)
+                else:
+                    response = call_next(request)
+                    if response.ok:
+                        response.headers.setdefault("etag", etag)
+            response.headers.setdefault(self.VERSION_HEADER, str(version))
+            return response
 
 
 class ReadOnlyMiddleware:
@@ -582,56 +526,3 @@ class ReadOnlyMiddleware:
                 response.headers["x-carcs-primary"] = self.primary_url
             return response
         return call_next(request)
-
-
-class VersionHeaderMiddleware:
-    """Stamp ``x-carcs-version`` — the replication offset — on every
-    response.
-
-    For reads the value is the MVCC version the request was served from
-    (it runs inside the snapshot pin, so ``db.version`` is the pinned
-    version); for writes it is the post-commit version.  The front tier
-    compares this header against each session's version floor to give
-    read-your-writes across replicas, so it must also ride on 304s —
-    which is why this sits *above* the conditional-GET short-circuit.
-    """
-
-    HEADER = "x-carcs-version"
-
-    def __init__(self, db) -> None:
-        self.db = db
-
-    def __call__(self, request: Request, call_next: Handler) -> Response:
-        response = call_next(request)
-        response.headers.setdefault(self.HEADER, str(self.db.version))
-        return response
-
-
-class ConditionalGetMiddleware:
-    """ETag / If-None-Match revalidation for GETs.
-
-    ``exempt`` paths (metrics, health, traces) change without a
-    repository mutation, so they never 304.  Each exempt entry also
-    covers everything nested under it (``/api/v1/traces`` exempts
-    ``/api/v1/traces/<id>``)."""
-
-    def __init__(self, etag_fn: Callable[[], str],
-                 exempt: Iterable[str] = ()) -> None:
-        self.etag_fn = etag_fn
-        self.exempt = frozenset(exempt)
-
-    def _is_exempt(self, path: str) -> bool:
-        return path in self.exempt or any(
-            path.startswith(p + "/") for p in self.exempt
-        )
-
-    def __call__(self, request: Request, call_next: Handler) -> Response:
-        if request.method != "GET" or self._is_exempt(request.path):
-            return call_next(request)
-        etag = self.etag_fn()
-        if etag_matches(request.header("if-none-match"), etag):
-            return not_modified(etag)
-        response = call_next(request)
-        if response.ok:
-            response.headers.setdefault("etag", etag)
-        return response

@@ -17,7 +17,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from typing import Callable
 
-from .http import Request, Response
+from .http import Request, Response, error_response
 
 
 def _make_handler(app: Callable[[Request], Response]):
@@ -37,13 +37,26 @@ def _make_handler(app: Callable[[Request], Response]):
             pass
 
         def _dispatch(self, method: str) -> None:
-            length = int(self.headers.get("content-length", 0) or 0)
-            body = self.rfile.read(length).decode("utf-8") if length else None
-            request = Request.build(
-                method, self.path, body=body,
-                headers={k.lower(): v for k, v in self.headers.items()},
-            )
-            response = app(request)
+            try:
+                length = int(self.headers.get("content-length") or 0)
+                if length < 0:
+                    raise ValueError(length)
+                body = self.rfile.read(length).decode("utf-8") if length else None
+            except UnicodeDecodeError:
+                response = error_response(
+                    400, "request body is not valid UTF-8"
+                )
+            except ValueError:
+                # Body framing is lost: answer, then close the connection
+                # (the header makes the handler stop reading) rather than
+                # parse the body as the next request.
+                response = error_response(400, "invalid content-length header")
+                response.headers["connection"] = "close"
+            else:
+                response = app(Request.build(
+                    method, self.path, body=body,
+                    headers={k.lower(): v for k, v in self.headers.items()},
+                ))
             content_type = response.headers.get("content-type", "")
             if response.status == 304:
                 # 304 carries validators (ETag) but no body.

@@ -9,6 +9,7 @@ from repro.db import Database
 from repro.jobs import JobQueue, run_pending
 from repro.obs import (
     MODE_ALL,
+    NULL_SPAN,
     REMOTE_PARENT_ATTR,
     TraceStore,
     Tracer,
@@ -76,6 +77,50 @@ class TestTraceparentHeader:
             with span("inner") as child:
                 _, span_id = parse_traceparent(current_traceparent())
                 assert span_id == child.span_id
+
+
+class TestAdopt:
+    @pytest.mark.parametrize("traceparent,trace_id,attributes", [
+        # A parseable context wins over the fallback id, and the remote
+        # parent is the root's last attribute.
+        ("00-deadbeefcafef00d-12345678-01", "deadbeefcafef00d",
+         {"method": "GET", "path": "/x", REMOTE_PARENT_ATTR: "12345678"}),
+        # A malformed or absent one falls back to ``trace_id``.
+        ("00-deadbeef-12345678-01", "fallback00000001",
+         {"method": "GET", "path": "/x"}),
+        (None, "fallback00000001", {"method": "GET", "path": "/x"}),
+    ], ids=["propagated", "malformed", "absent"])
+    def test_root_opens_under_the_adopted_context(self, traceparent,
+                                                  trace_id, attributes):
+        tracer = make_tracer()
+        with tracer.adopt("http.request", traceparent,
+                          trace_id="fallback00000001",
+                          method="GET", path="/x") as root:
+            assert root.trace_id == trace_id
+        record = tracer.store.get(trace_id)
+        assert record.root.name == "http.request"
+        assert list(record.root.attributes.items()) == \
+            list(attributes.items())
+
+    def test_adopt_opens_a_fresh_segment_under_an_ambient_trace(self):
+        tracer = make_tracer()
+        with tracer.trace("outer", trace_id="outer0000000001"):
+            with tracer.adopt("hop", None, trace_id="inner0000000001"):
+                pass
+        assert tracer.store.get("inner0000000001").root.name == "hop"
+
+    def test_tracing_off_returns_the_null_span_without_parsing(
+        self, monkeypatch,
+    ):
+        def parse(value):
+            raise AssertionError("traceparent parsed with tracing off")
+
+        monkeypatch.setattr("repro.obs.trace.parse_traceparent", parse)
+        tracer = make_tracer(mode="off")
+        root = tracer.adopt("http.request", "00-deadbeefcafef00d-12345678-01",
+                            trace_id="fallback00000001")
+        assert root is NULL_SPAN
+        assert tracer.stats()["started"] == 0
 
 
 class TestTraceStoreSegments:
