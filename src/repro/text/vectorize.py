@@ -3,15 +3,17 @@
 This replaces the scikit-learn ``TfidfVectorizer`` the paper's envisioned
 auto-classification would normally use.  Following the HPC guides'
 optimization advice, the document-term matrix is assembled once into
-dense NumPy arrays (the corpora here are small and dense enough that a
-sparse representation buys nothing, and dense rows keep the cosine
-kernel a single matrix multiply); all per-document Python loops are
-confined to tokenization.
+dense NumPy arrays (the corpora here are small enough that a sparse
+format buys nothing); the classifiers score a row through its nonzero
+columns only (:mod:`repro.text.naive_bayes`, :mod:`repro.text.knn`).
+All per-document Python loops are confined to tokenization.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,12 +52,8 @@ class Vocabulary:
         standard levers against hapaxes and corpus-wide noise).
         """
         docs = [set(d) for d in documents]
-        n = len(docs)
-        df: dict[str, int] = {}
-        for doc in docs:
-            for token in doc:
-                df[token] = df.get(token, 0) + 1
-        max_df = max_df_ratio * n
+        df = Counter(chain.from_iterable(docs))
+        max_df = max_df_ratio * len(docs)
         kept = sorted(t for t, c in df.items() if c >= min_df and c <= max_df)
         return cls(index={t: i for i, t in enumerate(kept)})
 
@@ -77,13 +75,15 @@ def count_matrix(
 ) -> np.ndarray:
     """Dense (n_docs, n_terms) raw term-count matrix."""
     n, m = len(documents), len(vocabulary)
-    counts = np.zeros((n, m), dtype=np.float64)
     index = vocabulary.index
-    for row, doc in enumerate(documents):
-        for token in doc:
-            col = index.get(token)
-            if col is not None:
-                counts[row, col] += 1.0
+    cells = [
+        row * m + col
+        for row, doc in enumerate(documents)
+        for col in map(index.get, doc)
+        if col is not None
+    ]
+    counts = np.zeros((n, m), dtype=np.float64)
+    np.add.at(counts.reshape(-1), cells, 1.0)
     return counts
 
 
@@ -115,11 +115,13 @@ def l2_normalize(matrix: np.ndarray) -> np.ndarray:
 class TfidfVectorizer:
     """Fit/transform TF-IDF pipeline over raw strings.
 
-    Every method tokenizes each text exactly once (tokenizing — stemming
-    above all — is the dominant cost).  Callers that need both the raw
-    counts and the TF-IDF rows of the same texts (the classify job's
-    naive Bayes and kNN) take :meth:`fit_counts` / :meth:`counts` once
-    and :meth:`weigh` the result, instead of tokenizing twice.
+    Tokenizing — stemming above all — is the dominant cost, so no method
+    tokenizes a text twice.  Callers that need both the raw counts and
+    the TF-IDF rows of the same texts (the classify job's naive Bayes
+    and kNN) take :meth:`fit_counts` / :meth:`counts` once and
+    :meth:`weigh` the result.  :meth:`fit_tokens` fits on token lists
+    made earlier by :meth:`tokenize`, so a caller that keeps each text's
+    tokens between fits re-tokenizes only the texts that changed.
 
     >>> v = TfidfVectorizer()
     >>> X = v.fit_transform(["parallel loops with OpenMP",
@@ -143,13 +145,13 @@ class TfidfVectorizer:
         self.vocabulary: Vocabulary | None = None
         self.idf: np.ndarray | None = None
 
-    def _tokenize_all(self, texts: Sequence[str]) -> list[list[str]]:
+    def tokenize(self, texts: Sequence[str]) -> list[list[str]]:
+        """The token list :func:`preprocess` makes of each text."""
         return [preprocess(t, stemming=self.stemming) for t in texts]
 
-    def fit_counts(self, texts: Sequence[str]) -> np.ndarray:
-        """Fit the vocabulary and IDF on ``texts``; return their raw
-        (n_texts, n_terms) count matrix."""
-        docs = self._tokenize_all(texts)
+    def fit_tokens(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
+        """Fit the vocabulary and IDF on tokenized ``docs``; return their
+        raw (n_docs, n_terms) count matrix."""
         self.vocabulary = Vocabulary.build(
             docs, min_df=self.min_df, max_df_ratio=self.max_df_ratio
         )
@@ -157,11 +159,16 @@ class TfidfVectorizer:
         self.idf = tfidf_weights(counts)
         return counts
 
+    def fit_counts(self, texts: Sequence[str]) -> np.ndarray:
+        """Fit the vocabulary and IDF on ``texts``; return their raw
+        (n_texts, n_terms) count matrix."""
+        return self.fit_tokens(self.tokenize(texts))
+
     def counts(self, texts: Sequence[str]) -> np.ndarray:
         """Raw count matrix of ``texts`` over the fitted vocabulary."""
         if self.vocabulary is None:
             raise RuntimeError("vectorizer is not fitted")
-        return count_matrix(self._tokenize_all(texts), self.vocabulary)
+        return count_matrix(self.tokenize(texts), self.vocabulary)
 
     def weigh(self, counts: np.ndarray) -> np.ndarray:
         """L2-normalized TF-IDF rows of a raw count matrix (``counts``

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.classification import ClassificationSet
@@ -19,6 +20,7 @@ from repro.jobs import (
     unclassified_material_ids,
 )
 from repro.jobs.worker import JobContext
+from tests.faults import CrashBudget, CrashError
 
 
 @pytest.fixture(scope="module")
@@ -205,11 +207,26 @@ def test_classify_job_makes_no_whole_corpus_pass(corpus, service,
     assert calls == []
 
 
-def test_preprocess_runs_once_per_text_per_fit_and_suggest(corpus,
-                                                           monkeypatch):
-    stored = [
-        _add_unclassified(corpus, _classified_id(corpus)) for _ in range(2)
-    ]
+def _assert_same_model(a, b) -> None:
+    """Two fitted models are equal bit for bit."""
+    assert a.train_ids == b.train_ids
+    assert a.key_ontology == b.key_ontology
+    assert a.tokens == b.tokens
+    assert a.vectorizer.vocabulary == b.vectorizer.vocabulary
+    assert np.array_equal(a.vectorizer.idf, b.vectorizer.idf)
+    assert a.nb.labels_ == b.nb.labels_
+    assert np.array_equal(a.nb._log_odds, b.nb._log_odds)
+    assert np.array_equal(a.nb._prior_odds, b.nb._prior_odds)
+    assert np.array_equal(a.knn._X, b.knn._X)
+    assert a.knn._labels == b.knn._labels
+
+
+def test_refit_preprocesses_only_changed_training_texts(monkeypatch):
+    """A cold fit preprocesses each training text once and a suggestion
+    each queried text once; a re-fit after an accept preprocesses
+    nothing, and a re-fit after a title edit only the edited material,
+    giving the model a cold fit gives."""
+    repo = seed_all()
     seen: list[str] = []
     original = vectorize.preprocess
 
@@ -218,15 +235,114 @@ def test_preprocess_runs_once_per_text_per_fit_and_suggest(corpus,
         return original(text, **kwargs)
 
     monkeypatch.setattr(vectorize, "preprocess", counting)
-    # Parameters no other test uses: a cold cache key, so a fresh fit.
-    svc = ClassificationService(corpus, knn_k=4)
+    svc = ClassificationService(repo)
     model = svc.model()
     assert Counter(seen) == Counter(
-        material_text(corpus.get_material(mid)) for mid in model.train_ids
+        material_text(repo.get_material(mid)) for mid in model.train_ids
     )
+    stored = [
+        _add_unclassified(repo, _classified_id(repo)) for _ in range(2)
+    ]
     seen.clear()
     svc.suggest_for([m.id for m in stored])
     assert Counter(seen) == Counter(material_text(m) for m in stored)
+
+    # An editor accepts a new key for a training material: the labels
+    # change, the training texts do not.
+    trained = model.train_ids[0]
+    key = next(k for k in model.nb.labels_
+               if k not in repo.classification_keys()[trained])
+    repo.accept_suggestion(repo.machine_suggest(trained, key, confidence=0.5))
+    seen.clear()
+    accepted = svc.model()
+    assert accepted is not model
+    assert key in accepted.knn._labels[accepted.train_ids.index(trained)]
+    assert seen == []
+
+    edited = model.train_ids[1]
+    repo.update_material(edited, title="Work-efficient parallel scan")
+    seen.clear()
+    warm = svc.model()
+    assert warm is not accepted
+    assert seen == [material_text(repo.get_material(edited))]
+    assert set(warm.tokens) == set(warm.train_ids)
+
+    repo.cache.invalidate("jobs.classify_model")
+    cold = ClassificationService(repo).model()
+    assert cold is not warm
+    _assert_same_model(warm, cold)
+
+
+# ------------------------------------------------ one write frame per batch
+
+
+def _durable_corpus(path):
+    """The seeded corpus, checkpointed to ``path`` and reopened from
+    disk with :meth:`Database.open`, plus three unclassified clones."""
+    seeded = seed_all()
+    seeded.db.attach(path)
+    seeded.db.close()
+    repo = Repository(Database.open(path))
+    ids = [
+        _add_unclassified(repo, _classified_id(repo)).id for _ in range(3)
+    ]
+    return repo, ids
+
+
+def _rows(repo) -> list[tuple]:
+    return [
+        (r["id"], r["material_id"], r["ontology_key"], r["action"],
+         r["status"], r["confidence"], r["origin"])
+        for r in sorted(repo.db.table("suggestions"), key=lambda r: r["id"])
+    ]
+
+
+def test_a_batch_files_its_suggestions_in_one_wal_append(tmp_path):
+    repo, ids = _durable_corpus(tmp_path)
+    service = ClassificationService(repo)
+    service.model()
+    appends = repo.db.wal_stats()["appends"]
+    report = service.classify_materials(ids)
+    assert report["suggested"] >= len(ids)
+    assert repo.db.wal_stats()["appends"] == appends + 1
+    repo.db.close()
+
+
+def test_failed_batch_files_nothing_and_rerun_matches(tmp_path,
+                                                     monkeypatch):
+    clean, ids = _durable_corpus(tmp_path / "clean")
+    ClassificationService(clean).classify_materials(ids)
+    expected = _rows(clean)
+    clean.db.close()
+
+    repo, same_ids = _durable_corpus(tmp_path / "crashed")
+    assert same_ids == ids
+    service = ClassificationService(repo)
+    writes = sum(len(v) for v in service.suggest_for(ids).values())
+    assert writes > 1
+    # The batch's last machine_suggest fails.
+    fuse = CrashBudget(writes - 1)
+    original = Repository.machine_suggest
+
+    def failing(self, *args, **kwargs):
+        fuse()
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Repository, "machine_suggest", failing)
+    appends = repo.db.wal_stats()["appends"]
+    with pytest.raises(CrashError):
+        service.classify_materials(ids)
+    assert fuse.calls == writes
+    assert repo.db.wal_stats()["appends"] == appends
+    assert all(not repo.suggestions(material_id=mid) for mid in ids)
+    repo.db.close()
+    monkeypatch.setattr(Repository, "machine_suggest", original)
+
+    reopened = Repository(Database.open(tmp_path / "crashed"))
+    assert all(not reopened.suggestions(material_id=mid) for mid in ids)
+    ClassificationService(reopened).classify_materials(ids)
+    assert _rows(reopened) == expected
+    reopened.db.close()
 
 
 # ------------------------------------------- machine_suggest idempotency
