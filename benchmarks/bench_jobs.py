@@ -11,7 +11,7 @@ The reproduced number is end-to-end **materials/second from enqueue to
 filed suggestion** — it covers queue lease/complete WAL commits, one
 memoized model build, batch inference, and the idempotent suggestion
 writes.  The floor is deliberately conservative (CI machines vary);
-typical throughput is an order of magnitude above it.
+typical throughput on a 2-CPU host is about twice it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.jobs import DONE, JobQueue, default_handlers, run_pending
 N_TRAIN = 400              # classified materials the model learns from
 N_BACKLOG = 1_000          # unclassified materials to drain
 CHUNK = 100                # material_ids per classify job
-THROUGHPUT_FLOOR = 250.0   # materials/s, conservative CI floor
+THROUGHPUT_FLOOR = 500.0   # materials/s, conservative CI floor
 
 
 @pytest.fixture(scope="module")
