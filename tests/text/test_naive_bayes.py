@@ -58,6 +58,10 @@ class TestPredict:
         odds = fitted.log_odds(np.ones((3, 4)))
         assert odds.shape == (3, 2)
 
+    def test_log_odds_rejects_other_vocabulary_width(self, fitted):
+        with pytest.raises(ValueError):
+            fitted.log_odds(np.ones((1, 3)))
+
     def test_suggest_only_positive_odds(self, fitted):
         out = fitted.suggest(np.array([[0, 0, 4, 3]], dtype=float))[0]
         assert all(s.log_odds > 0 for s in out)
