@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate every figure of the paper as SVG + text artifacts.
 
-Writes to artifacts/:
+Writes to OUT_DIR (default artifacts/):
   figure2_{nifty,peachy,itcs3145}_{cs13,pdc12}.svg/.txt   (six panels)
-  figure3_similarity.svg/.txt
+  figure3_similarity.svg/.txt/.graphml
+  report.html
 
-Run:  python examples/render_figures.py
+Run:  python examples/render_figures.py [OUT_DIR]
 """
 
+import sys
 from pathlib import Path
 
 from repro import compute_coverage, seeded_repository, similarity_graph
@@ -17,8 +19,8 @@ from repro.viz import graph_render, tree_render
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 
 
-def main() -> None:
-    ARTIFACTS.mkdir(exist_ok=True)
+def main(out: Path = ARTIFACTS) -> None:
+    out.mkdir(exist_ok=True)
     repo = seeded_repository()
 
     panel = ord("a")
@@ -28,13 +30,13 @@ def main() -> None:
             tree = coverage.tree(repo.ontology(onto_name))
             title = f"Figure 2{chr(panel)}: {collection} / {onto_name}"
             stem = f"figure2_{collection}_{onto_name.lower()}"
-            (ARTIFACTS / f"{stem}.svg").write_text(
+            (out / f"{stem}.svg").write_text(
                 tree_render.render_svg(tree, title=title)
             )
-            (ARTIFACTS / f"{stem}.txt").write_text(
+            (out / f"{stem}.txt").write_text(
                 tree_render.render_text(tree, max_depth=2) + "\n"
             )
-            print(f"wrote artifacts/{stem}.svg (+.txt)  [{title}]")
+            print(f"wrote {out / stem}.svg (+.txt)  [{title}]")
             panel += 1
 
     graph = similarity_graph(
@@ -45,24 +47,24 @@ def main() -> None:
         left_group="nifty",
         right_group="peachy",
     )
-    (ARTIFACTS / "figure3_similarity.svg").write_text(
+    (out / "figure3_similarity.svg").write_text(
         graph_render.render_svg(
             graph, title="Figure 3: Nifty (blue) vs Peachy (red) similarity"
         )
     )
-    (ARTIFACTS / "figure3_similarity.txt").write_text(
+    (out / "figure3_similarity.txt").write_text(
         graph_render.render_text(graph) + "\n"
     )
-    print("wrote artifacts/figure3_similarity.svg (+.txt)")
+    print(f"wrote {out}/figure3_similarity.svg (+.txt)")
 
     from repro.viz.export import write_similarity_graphml
     from repro.viz.html_report import write_report
 
-    write_similarity_graphml(graph, ARTIFACTS / "figure3_similarity.graphml")
-    print("wrote artifacts/figure3_similarity.graphml")
-    write_report(repo, ARTIFACTS / "report.html")
-    print("wrote artifacts/report.html (all panels, one page)")
+    write_similarity_graphml(graph, out / "figure3_similarity.graphml")
+    print(f"wrote {out}/figure3_similarity.graphml")
+    write_report(repo, out / "report.html")
+    print(f"wrote {out}/report.html (all panels, one page)")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else ARTIFACTS)
