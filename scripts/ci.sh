@@ -13,6 +13,22 @@ rm -f "$CARCS_BENCH_RESULTS"
 python -m compileall -q src
 PYTHONPATH=src python -m pytest -x -q tests/
 
+# Paper stage: the benchmarks that reproduce the paper's figures, use
+# cases and ablations assert its numbers (Figure 2's area ranking,
+# Figure 3's isolated materials and cluster, UC-C's gap counts); run
+# them as plain tests, without timing.
+PYTHONPATH=src python -m pytest -q --benchmark-disable \
+    benchmarks/bench_figure2_coverage.py \
+    benchmarks/bench_figure3_similarity.py \
+    benchmarks/bench_corpus_stats.py \
+    benchmarks/bench_usecase_coverage.py \
+    benchmarks/bench_usecase_gaps.py \
+    benchmarks/bench_ablation_threshold.py \
+    benchmarks/bench_recommend.py \
+    benchmarks/bench_crowdsim.py \
+    benchmarks/bench_extensions.py \
+    benchmarks/bench_api.py
+
 # Multi-process e2e: real `carcs serve` primary/replica/router
 # processes over loopback — replication, plus one trace id covering
 # router -> primary -> job worker (skipped by default; CI opts in).
