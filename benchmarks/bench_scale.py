@@ -168,7 +168,7 @@ def test_cached_similarity_speedup_on_subset(big_repo, cache_enabled):
     cold_s = time.perf_counter() - t0
 
     warm_s = float("inf")
-    for _ in range(3):  # warm time is dominated by the defensive graph copy
+    for _ in range(3):  # a hit returns the shared immutable graph
         t0 = time.perf_counter()
         warm = similarity_graph(repo, subset, threshold=2)
         warm_s = min(warm_s, time.perf_counter() - t0)

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.core.repository import Repository
 from repro.core.similarity import (
+    clusters,
     incidence,
+    isolated_materials,
     jaccard_matrix,
     shared_item_matrix,
     similarity_graph,
@@ -47,21 +48,15 @@ def threshold_sweep(
             repo, left_ids, right_ids, threshold=threshold,
             left_group="left", right_group="right",
         )
-        comps = [c for c in nx.connected_components(graph) if len(c) > 1]
+        comps = clusters(graph)
         out.append(
             ThresholdPoint(
                 threshold=threshold,
                 edges=graph.number_of_edges(),
-                isolated_left=sum(
-                    1 for n, d in graph.nodes(data=True)
-                    if d["group"] == "left" and graph.degree(n) == 0
-                ),
-                isolated_right=sum(
-                    1 for n, d in graph.nodes(data=True)
-                    if d["group"] == "right" and graph.degree(n) == 0
-                ),
+                isolated_left=len(isolated_materials(graph, "left")),
+                isolated_right=len(isolated_materials(graph, "right")),
                 components=len(comps),
-                largest_component=max((len(c) for c in comps), default=0),
+                largest_component=len(comps[0]) if comps else 0,
             )
         )
     return out

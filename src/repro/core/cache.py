@@ -22,9 +22,9 @@ Correctness rules:
   never memoized whole-corpus analytics**: there each memoized call is
   a bypass that recomputes the full pass (counted in
   ``CacheStats.bypasses``).
-* Cached values are **shared**: callers must treat them as read-only.
-  Call sites whose callers historically mutated results pass ``copy=`` so
-  every lookup returns a private copy.
+* Cached values are **shared** by every caller, so memoized functions
+  return immutable values (tuples, frozen graphs) or values callers
+  treat as read-only.
 * The cache is LRU-bounded (``maxsize`` distinct keys); stale entries are
   replaced in place and counted as invalidations.
 
@@ -182,16 +182,13 @@ class AnalyticsCache:
         key: Any,
         tables: Sequence[str],
         compute: Callable[[], Any],
-        *,
-        copy: Callable[[Any], Any] | None = None,
     ) -> Any:
         """Return the memoized result of ``compute``.
 
         ``name`` identifies the computation (usually the qualified
         function name), ``key`` its arguments, and ``tables`` the tables
-        whose mutation would change the answer.  ``copy``, when given, is
-        applied to the stored value on *every* return so callers can
-        safely mutate what they receive.
+        whose mutation would change the answer.  Every hit returns the
+        stored value itself.
         """
         # Readers take no database lock: computes run against the pinned
         # snapshot (or live state for unpinned callers).  The cache lock
@@ -223,8 +220,7 @@ class AnalyticsCache:
                     if span_:
                         span_.set(outcome="hit", key=key)
                     self._entries.move_to_end(full_key)
-                    value = entry[1]
-                    return copy(value) if copy is not None else value
+                    return entry[1]
                 value = compute()
                 if span_:
                     span_.set(key=key)
@@ -239,7 +235,7 @@ class AnalyticsCache:
                 while len(self._entries) > self.maxsize:
                     self._entries.popitem(last=False)
                     self.stats.evictions += 1
-                return copy(value) if copy is not None else value
+                return value
 
     # -- maintenance ------------------------------------------------------
 
@@ -270,7 +266,10 @@ class AnalyticsCache:
 
 
 class Memo:
-    """Decorator memoizing a method through its owner's ``cache`` attribute.
+    """Decorator memoizing a call through its owner's ``cache`` attribute.
+
+    The owner is the first argument: a method's ``self``, or the
+    repository a module-level analytics function takes first.
 
     ::
 
@@ -284,15 +283,9 @@ class Memo:
     plain call, so the decorator is inert on detached objects.
     """
 
-    def __init__(
-        self,
-        *tables: str,
-        cache_attr: str = "cache",
-        copy: Callable[[Any], Any] | None = None,
-    ) -> None:
+    def __init__(self, *tables: str, cache_attr: str = "cache") -> None:
         self.tables = tables
         self.cache_attr = cache_attr
-        self.copy = copy
 
     def __call__(self, fn: Callable) -> Callable:
         import functools
@@ -308,7 +301,6 @@ class Memo:
                 key,
                 self.tables,
                 lambda: fn(owner, *args, **kwargs),
-                copy=self.copy,
             )
 
         wrapper.__wrapped__ = fn

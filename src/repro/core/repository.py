@@ -499,15 +499,15 @@ class Repository:
             )
             return [self._row_to_material(r) for r in rows]
 
-    @Memo(*_CLASSIFICATION_TABLES, copy=list)
+    @Memo(*_CLASSIFICATION_TABLES)
     def classification_pairs(
         self, collection: str | None = None
-    ) -> list[tuple[int, str]]:
+    ) -> tuple[tuple[int, str], ...]:
         """(material_id, ontology key) pairs — the bulk export the
         coverage/similarity analyses consume in one pass.
 
-        Memoized on the classification tables' versions; callers get a
-        fresh list (the pairs themselves are immutable tuples)."""
+        Memoized on the classification tables' versions; the tuple is
+        immutable, so every caller shares the cached one."""
         with _trace.span(
             "repo.classification_pairs", collection=collection or "*"
         ) as span_:
@@ -515,7 +515,7 @@ class Repository:
                 None if collection is None else self.material_ids(collection)
             )
             span_.set(pairs=len(out))
-            return out
+            return tuple(out)
 
     def classification_pairs_of(
         self, material_ids: Iterable[int] | None
@@ -786,8 +786,8 @@ class Repository:
                    left_group: str = "left", right_group: str = "right"):
         """Memoized :func:`repro.core.similarity.similarity_graph`.
 
-        Every call returns a private copy of the cached graph, so callers
-        may annotate or mutate it freely.
+        The graph is immutable: every call with the same arguments and
+        table versions returns the one cached graph.
         """
         from .similarity import similarity_graph
 

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
 import numpy as np
+
+from repro.core.similarity import SimilarityGraph
 
 from .color import group_color
 
 
 def fruchterman_reingold(
-    graph: nx.Graph,
+    graph: SimilarityGraph,
     *,
     iterations: int = 150,
     size: float = 1.0,
@@ -70,7 +71,7 @@ def fruchterman_reingold(
 
 
 def render_svg(
-    graph: nx.Graph,
+    graph: SimilarityGraph,
     *,
     size: int = 720,
     node_radius: float = 6.0,
@@ -122,7 +123,7 @@ def render_svg(
     )
 
 
-def render_text(graph: nx.Graph) -> str:
+def render_text(graph: SimilarityGraph) -> str:
     """Terminal rendering: per-group node lists and the edge list."""
     groups: dict[str, list[str]] = {}
     for node, data in graph.nodes(data=True):

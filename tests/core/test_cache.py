@@ -158,15 +158,6 @@ class TestAnalyticsCache:
         assert cache.stats.bypasses == 1
         assert len(cache) == 0  # nothing stored from inside the transaction
 
-    def test_copy_protects_cached_value(self, bare_repo):
-        cache = bare_repo.cache
-        first = cache.get_or_compute("f", (), (), lambda: [1, 2], copy=list)
-        first.append(3)
-        second = cache.get_or_compute(
-            "f", (), (), lambda: pytest.fail("cached"), copy=list
-        )
-        assert second == [1, 2]
-
     def test_global_disable(self, bare_repo):
         cache = bare_repo.cache
         cache_mod.set_global_enabled(False)
@@ -344,8 +335,20 @@ class TestCachedEqualsFresh:
         assert similarity_bytes(first) == similarity_bytes(
             fresh_similarity(repo, ids)
         )
-        # Copies are private: annotating one must not leak into the next.
-        first.add_node(99999, group="rogue", title="rogue")
+        # The hit is the cached graph itself, shared safely because
+        # nothing can write to it: no mutators, read-only attributes.
+        assert again is first
+        for mutator in ("add_node", "add_edge", "add_nodes_from",
+                        "add_edges_from", "remove_node", "remove_edge",
+                        "update", "clear"):
+            assert not hasattr(first, mutator)
+        u, v = next(iter(first.edges))
+        with pytest.raises(TypeError):
+            first.nodes[u]["title"] = "rogue"
+        with pytest.raises(TypeError):
+            first.get_edge_data(u, v)["shared"] = 0
+        with pytest.raises(TypeError):
+            first.nodes[99999] = {"group": "rogue"}
         assert 99999 not in similarity_graph(repo, ids, threshold=1)
 
     def test_lru_eviction_preserves_correctness(self):

@@ -301,7 +301,8 @@ def test_scoped_coverage_matches_whole_corpus_oracle(oracle_repo, data):
     subset.add(10**9)  # an id no material has
 
     for scope in (None, *collections, empty):
-        assert repo.classification_pairs(scope) == _oracle_pairs(repo, scope)
+        assert list(repo.classification_pairs(scope)) == \
+            _oracle_pairs(repo, scope)
     for name in ("PDC12", "CS13"):
         for scope in (None, *collections, empty):
             _assert_same_report(

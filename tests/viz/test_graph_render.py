@@ -2,11 +2,10 @@
 
 import xml.etree.ElementTree as ET
 
-import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.similarity import similarity_graph
+from repro.core.similarity import SimilarityGraph, similarity_graph
 from repro.corpus import collection_ids
 from repro.viz.graph_render import fruchterman_reingold, render_svg, render_text
 
@@ -39,9 +38,10 @@ class TestLayout:
         assert a == b
 
     def test_connected_nodes_closer_than_average(self):
-        g = nx.Graph()
-        g.add_edges_from([(0, 1), (1, 2), (0, 2)])   # a triangle...
-        g.add_nodes_from(range(3, 23))               # ...plus 20 isolated
+        g = SimilarityGraph(
+            [(n, {}) for n in range(23)],            # 23 nodes: a triangle...
+            [(0, 1, {}), (1, 2, {}), (0, 2, {})],    # ...plus 20 isolated
+        )
         pos = fruchterman_reingold(g, iterations=200)
 
         def dist(u, v):
@@ -57,11 +57,10 @@ class TestLayout:
         assert edge_mean < all_mean
 
     def test_empty_graph(self):
-        assert fruchterman_reingold(nx.Graph()) == {}
+        assert fruchterman_reingold(SimilarityGraph()) == {}
 
     def test_single_node(self):
-        g = nx.Graph()
-        g.add_node("only")
+        g = SimilarityGraph([("only", {})])
         pos = fruchterman_reingold(g)
         assert "only" in pos
 
