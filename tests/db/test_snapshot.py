@@ -88,25 +88,33 @@ class TestPinning:
                 assert snap is None
                 assert db.table("items").count() == 2
 
-    def test_pin_does_not_touch_the_lock(self):
+    def test_pin_does_not_take_the_write_lock(self):
         db = make_db()
         db.insert("items", name="a")
         acquires = []
-        original = db.lock.acquire_read
+        original_acquire, original_write = db.lock.acquire_write, db.lock.write
 
         def counting_acquire():
-            acquires.append(1)
-            original()
+            acquires.append("acquire_write")
+            original_acquire()
 
-        db.lock.acquire_read = counting_acquire
+        def counting_write():
+            acquires.append("write")
+            return original_write()
+
+        db.lock.acquire_write = counting_acquire
+        db.lock.write = counting_write
         try:
             with db.pinned():
                 db.table("items").get(1)
                 db.table("items").find(name="a")
                 assert db.version >= 1
+            assert acquires == []
+            # The probe itself counts: a committed insert is seen.
+            db.insert("items", name="b")
+            assert acquires
         finally:
-            del db.lock.acquire_read
-        assert acquires == []
+            del db.lock.acquire_write, db.lock.write
 
     def test_current_pin_resets_on_exit(self):
         db = make_db()

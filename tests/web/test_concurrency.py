@@ -107,20 +107,26 @@ class TestConcurrentSmoke:
         leftovers = quiet.get("/assignments?collection=smoke").json()
         assert leftovers["total"] == 0
 
-    def test_get_path_never_acquires_the_read_lock(self, seeded_repo):
+    def test_get_path_never_acquires_the_write_lock(self, seeded_repo):
         """The MVCC contract: GETs pin a snapshot and take **no lock**.
-        Any ``RWLock.acquire_read`` on the read path is a regression."""
+        Any write-lock acquisition on the read path — direct or through
+        ``write()`` — is a regression."""
         api = CarCsApi(seeded_repo)
         client = Client(api, root="/api/v1")
         lock = seeded_repo.db.lock
         acquires = []
-        original = lock.acquire_read
+        original_acquire, original_write = lock.acquire_write, lock.write
 
         def counting_acquire():
-            acquires.append(1)
-            original()
+            acquires.append("acquire_write")
+            original_acquire()
 
-        lock.acquire_read = counting_acquire
+        def counting_write():
+            acquires.append("write")
+            return original_write()
+
+        lock.acquire_write = counting_acquire
+        lock.write = counting_write
         try:
             for path in (
                 "/healthz",
@@ -136,9 +142,13 @@ class TestConcurrentSmoke:
             ):
                 response = client.get(path)
                 assert response.status in (200, 404)
+            assert acquires == [], "GET dispatch acquired the write lock"
+            # The probe itself counts: a write scope is seen.
+            with lock.write():
+                pass
+            assert "write" in acquires
         finally:
-            del lock.acquire_read
-        assert acquires == [], "GET dispatch acquired the read lock"
+            del lock.acquire_write, lock.write
 
     def test_reads_see_one_snapshot_while_bulk_commit_lands(self, bare_repo):
         """Readers racing a bulk-seed transaction must serve a payload
