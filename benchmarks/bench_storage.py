@@ -10,13 +10,17 @@ one writer applies a sustained stream of fsynced single-row commits
 (``wal_sync="always"`` — a durable ingest burst).  The baseline runs
 every request under ``RWLock.acquire_read`` — exactly the discipline
 of the deleted ``LockMiddleware`` read path — against the *same*
-writer.  Because the lock prefers writers and the writer re-acquires
-back-to-back, locked readers spend the window parked; MVCC readers
-pin a snapshot and never wait.  The gate: pinned aggregate read
-throughput must be **>= 2x** the locked baseline.  (Measured margin
-is orders of magnitude; 2x is the floor, not the estimate.  Both
-reader and writer rates are reported — under the GIL the RWLock mode
-trades read availability for writer speed, MVCC the reverse.)
+writer.  The engine's lock no longer has a read side, so the baseline
+rounds install the reader-writer lock the engine used before (kept
+below as :class:`RWLock`) as ``db.lock``; the engine's writes go
+through its write side unchanged.  Because the lock prefers writers
+and the writer re-acquires back-to-back, locked readers spend the
+window parked; MVCC readers pin a snapshot and never wait.  The gate:
+pinned aggregate read throughput must be **>= 2x** the locked
+baseline.  (Measured margin is orders of magnitude; 2x is the floor,
+not the estimate.  Both reader and writer rates are reported — under
+the GIL the RWLock mode trades read availability for writer speed,
+MVCC the reverse.)
 
 **Gate B — WAL batch-mode write overhead.**  Single-threaded bulk
 ingest in transaction frames (the shape of corpus seeding: one WAL
@@ -30,14 +34,21 @@ gated — per-row durability at per-row granularity is what
 Both gates use a **best-of-rounds** discipline: interference on a
 shared host only ever slows a sample, so the max throughput / min
 cost per mode converges on the interference-free figure.  Rounds
-scale with ``CARCS_BENCH_STORAGE_ROUNDS`` (default 3).
+scale with ``CARCS_BENCH_STORAGE_ROUNDS`` (default 3; gate B takes at
+least 7).  Gate B runs the in-memory and durable samples of a round
+back to back, alternating which goes first, with a ``gc.collect()``
+before each, so host drift and collector debt land on both modes
+alike instead of on whichever mode runs last.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
+from contextlib import contextmanager
+from typing import Iterator
 
 import pytest
 
@@ -45,6 +56,7 @@ from _results import record
 from repro.db import Column, Database, TableSchema
 
 ROUNDS = max(1, int(os.environ.get("CARCS_BENCH_STORAGE_ROUNDS", "3")))
+WRITE_ROUNDS = max(7, ROUNDS)  # gate B: best-of-7 interleaved pairs
 
 READERS = 8
 READ_WINDOW = 1.2          # seconds per measured round
@@ -59,6 +71,105 @@ TX_ROWS = 100              # rows per transaction frame
 SINGLE_OPS = 2_000         # context figure: one frame per row
 
 JOIN_TIMEOUT = 60.0
+
+
+# The engine's reader-writer lock before it became a writer-only mutex,
+# kept as gate A's read-lock baseline.
+class RWLock:
+    """Many concurrent readers xor one (reentrant) writer."""
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._readers: dict[int, int] = {}   # thread ident -> hold count
+        self._writer: int | None = None      # ident of the writing thread
+        self._writer_depth = 0
+        self._writers_waiting = 0
+
+    # -- read side --------------------------------------------------------
+
+    def acquire_read(self) -> None:
+        me = threading.get_ident()
+        with self._cond:
+            if self._writer == me or me in self._readers:
+                # Reentrant entry (write access implies read access).
+                self._readers[me] = self._readers.get(me, 0) + 1
+                return
+            while self._writer is not None or self._writers_waiting:
+                self._cond.wait()
+            self._readers[me] = 1
+
+    def release_read(self) -> None:
+        me = threading.get_ident()
+        with self._cond:
+            count = self._readers.get(me, 0)
+            if count == 0:
+                raise RuntimeError("release_read without acquire_read")
+            if count == 1:
+                del self._readers[me]
+                self._cond.notify_all()
+            else:
+                self._readers[me] = count - 1
+
+    @contextmanager
+    def read(self) -> Iterator[None]:
+        self.acquire_read()
+        try:
+            yield
+        finally:
+            self.release_read()
+
+    # -- write side -------------------------------------------------------
+
+    def acquire_write(self) -> None:
+        me = threading.get_ident()
+        with self._cond:
+            if self._writer == me:
+                self._writer_depth += 1
+                return
+            if me in self._readers:
+                raise RuntimeError(
+                    "cannot upgrade a read lock to a write lock "
+                    "(acquire write() first, read access is implied)"
+                )
+            self._writers_waiting += 1
+            try:
+                while self._writer is not None or self._readers:
+                    self._cond.wait()
+            finally:
+                self._writers_waiting -= 1
+            self._writer = me
+            self._writer_depth = 1
+
+    def release_write(self) -> None:
+        me = threading.get_ident()
+        with self._cond:
+            if self._writer != me:
+                raise RuntimeError("release_write by a non-writing thread")
+            self._writer_depth -= 1
+            if self._writer_depth == 0:
+                self._writer = None
+                self._cond.notify_all()
+
+    @contextmanager
+    def write(self) -> Iterator[None]:
+        self.acquire_write()
+        try:
+            yield
+        finally:
+            self.release_write()
+
+    # -- introspection ----------------------------------------------------
+
+    @property
+    def write_held(self) -> bool:
+        """Is the *current thread* holding the write lock?"""
+        return self._writer == threading.get_ident()
+
+    @property
+    def read_held(self) -> bool:
+        """Does the current thread hold read access (directly or via write)?"""
+        me = threading.get_ident()
+        return me in self._readers or self._writer == me
 
 
 def _schema() -> TableSchema:
@@ -138,6 +249,8 @@ def _best_read_rate(tmp_path, mode: str) -> tuple[float, float]:
     best = (0.0, 0.0)
     for round_no in range(ROUNDS):
         db = _seeded_store(tmp_path, f"{mode}-{round_no}")
+        if mode == "lock":
+            db.lock = RWLock()
         try:
             rate = _read_round(db, mode)
         finally:
@@ -167,15 +280,23 @@ def _single_op_cost(db: Database) -> float:
     return (time.perf_counter() - start) / SINGLE_OPS
 
 
-def _best_cost(make_db, measure) -> float:
-    best = float("inf")
-    for _ in range(ROUNDS):
-        db = make_db()
-        try:
-            best = min(best, measure(db))
-        finally:
-            db.close()
-    return best
+def _best_costs(tmp_path, tag: str, measure) -> tuple[float, float]:
+    """Best (in-memory, batch-WAL) cost over WRITE_ROUNDS interleaved pairs."""
+    best = {"memory": float("inf"), "durable": float("inf")}
+    for round_no in range(WRITE_ROUNDS):
+        order = ("memory", "durable")
+        for mode in order if round_no % 2 == 0 else order[::-1]:
+            if mode == "memory":
+                db = Database("bench")
+            else:
+                db = Database.open(tmp_path / f"{tag}-{round_no}",
+                                   wal_sync="batch")
+            try:
+                gc.collect()
+                best[mode] = min(best[mode], measure(db))
+            finally:
+                db.close()
+    return best["memory"], best["durable"]
 
 
 def test_pinned_reads_beat_locked_reads_under_durable_writer(tmp_path):
@@ -202,27 +323,14 @@ def test_pinned_reads_beat_locked_reads_under_durable_writer(tmp_path):
 
 
 def test_wal_batch_write_overhead_within_budget(tmp_path):
-    memory = _best_cost(lambda: Database("bench"), _tx_ingest_cost)
-
-    counter = iter(range(10_000))
-    durable = _best_cost(
-        lambda: Database.open(
-            tmp_path / f"tx-{next(counter)}", wal_sync="batch",
-        ),
-        _tx_ingest_cost,
-    )
+    memory, durable = _best_costs(tmp_path, "tx", _tx_ingest_cost)
     overhead = durable / memory - 1.0
-
-    memory_single = _best_cost(lambda: Database("bench"), _single_op_cost)
-    durable_single = _best_cost(
-        lambda: Database.open(
-            tmp_path / f"single-{next(counter)}", wal_sync="batch",
-        ),
-        _single_op_cost,
+    memory_single, durable_single = _best_costs(
+        tmp_path, "single", _single_op_cost,
     )
 
     print(f"\nbulk ingest, {TX_COUNT} transactions x {TX_ROWS} rows "
-          f"(best of {ROUNDS} rounds)")
+          f"(best of {WRITE_ROUNDS} interleaved rounds)")
     print(f"  in-memory      {memory * 1e6:7.2f} us/row")
     print(f"  batch WAL      {durable * 1e6:7.2f} us/row   "
           f"overhead {overhead:+7.1%}   "

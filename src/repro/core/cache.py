@@ -199,10 +199,7 @@ class AnalyticsCache:
         # rendered, so traced lookups never pay repr() on the hot path.
         with _trace.span("cache.get", name=name) as span_:
             with self._lock:
-                in_writer_tx = (
-                    self.db.lock.write_held and self.db.in_transaction
-                )
-                if not self.active or in_writer_tx:
+                if not self.active or self.db.in_transaction:
                     # Inside this thread's own transaction versions
                     # are not yet durable (rollback restores them),
                     # so neither lookups nor stores are safe.  Other

@@ -155,7 +155,7 @@ class SearchEngine:
         # could serve phantom rows under a re-used version number.  Only
         # this thread's own transaction matters — concurrent readers run
         # against committed pinned snapshots.
-        if self.repo.db.lock.write_held and self.repo.db.in_transaction:
+        if self.repo.db.in_transaction:
             self._indexed_version = None
         else:
             self._indexed_version = self.repo.version
@@ -176,10 +176,8 @@ class SearchEngine:
         # shared index for everyone else.
         if self._indexed_version is not None and self._indexed_version >= version:
             return
-        in_writer_tx = (
-            self.repo.db.lock.write_held and self.repo.db.in_transaction
-        )
-        if self._indexed_version is not None and not in_writer_tx:
+        if (self._indexed_version is not None
+                and not self.repo.db.in_transaction):
             changes = self.repo.db.changes_since(
                 self._indexed_version, upto=version
             )

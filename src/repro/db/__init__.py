@@ -19,7 +19,6 @@ from .errors import (
     TransactionError,
     UniqueViolation,
 )
-from .locks import RWLock
 from .plan import PlanNode, QuerySpec, RangeBound, build_plan, render_plan
 from .query import Query, query
 from .relations import ManyToMany
@@ -51,7 +50,6 @@ __all__ = [
     "PlanNode",
     "Query",
     "QuerySpec",
-    "RWLock",
     "RangeBound",
     "RecoveryError",
     "RowNotFound",

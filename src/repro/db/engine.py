@@ -14,8 +14,8 @@ work done inside the transaction.
 
 Concurrency follows PostgreSQL's reader/writer split (MVCC):
 
-* **Writers serialize** on ``lock`` (a reentrant :class:`RWLock`; only its
-  write side is used by the engine).  Every top-level entry point — DML,
+* **Writers serialize** on ``lock`` (a reentrant
+  :class:`~repro.db.locks.WriterLock`).  Every top-level entry point — DML,
   DDL, a whole ``transaction()`` scope — runs as one **write frame**: an
   implicit transaction that either commits atomically or rolls back.
 * **Readers take no lock.**  Each committed frame path-copies the touched
@@ -62,7 +62,7 @@ from .errors import (
     SchemaError,
     TransactionError,
 )
-from .locks import RWLock
+from .locks import WriterLock
 from .pager import (
     BlockCache,
     BlockStore,
@@ -149,17 +149,15 @@ class Database:
     """A named collection of tables with cross-table integrity.
 
     Concurrency: writers (DML, DDL, whole ``transaction()`` scopes) hold
-    the exclusive write side of ``lock``; readers pin a published
-    snapshot via :meth:`pinned` and take **no lock at all**.  The read
-    side of :class:`RWLock` is kept for API compatibility but nothing in
-    the engine acquires it anymore.
+    ``lock``; readers pin a published snapshot via :meth:`pinned` and
+    take **no lock at all**.
     """
 
     def __init__(self, name: str = "carcs", *,
                  changelog_size: int | None = None,
                  slow_op_ms: float | None = None) -> None:
         self.name = name
-        self.lock = RWLock()
+        self.lock = WriterLock()
         # Slow-operation log: every traced entry point (DML, DDL,
         # transactions, journal reads) that takes >= slow_op_ms lands
         # here with the trace id that was active, so a slow request's
@@ -182,8 +180,8 @@ class Database:
         # oldest-first, so the retained suffix is always contiguous in
         # `version`.  Mutations inside an aborted transaction pop their
         # own records, keeping the journal committed-history-only.
-        # Guarded by its own mutex (NOT the RWLock): lock-free readers
-        # must never iterate the deque while a writer appends.
+        # Guarded by its own mutex: lock-free readers must never
+        # iterate the deque while a writer appends.
         self._changes: deque[Change] = deque(
             maxlen=changelog_size if changelog_size is not None
             else CHANGELOG_SIZE
@@ -740,7 +738,8 @@ class Database:
 
     @property
     def in_transaction(self) -> bool:
-        return self._tx_depth > 0
+        """Is the *calling thread* inside its own ``transaction()``?"""
+        return self._tx_depth > 0 and self.lock.write_held
 
     # -- durability -----------------------------------------------------------
 

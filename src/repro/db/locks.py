@@ -1,23 +1,9 @@
-"""A reentrant reader-writer lock for the database and its caches.
+"""The database's writer lock: one reentrant writer at a time.
 
-The CAR-CS workload is read-heavy: many concurrent ``/coverage`` and
-``/similarity`` GETs per mutation.  A plain mutex would serialize those
-reads; this lock lets any number of readers proceed together while
-writers (inserts, updates, deletes, whole transactions) get exclusive
-access.
-
-Semantics:
-
-* **Reentrant** for both sides: a thread may nest ``read()`` inside
-  ``read()``, ``write()`` inside ``write()``, and ``read()`` inside
-  ``write()`` (holding the write lock implies read access).
-* **No upgrades**: acquiring ``write()`` while holding only ``read()``
-  raises ``RuntimeError`` — two upgraders would deadlock, so the attempt
-  is rejected eagerly instead of hanging.
-* **Writer preference**: once a writer is waiting, *new* reader threads
-  queue behind it (threads already holding read access may still
-  re-enter, which keeps reentrancy deadlock-free).  Under a constant
-  stream of readers a writer still gets in.
+Readers never take it — they pin a published MVCC snapshot
+(:meth:`repro.db.Database.pinned`) — so the only job left is to
+serialize writers (DML, DDL, whole transactions) and to tell a thread
+whether it is the one writing.
 """
 
 from __future__ import annotations
@@ -27,80 +13,26 @@ from contextlib import contextmanager
 from typing import Iterator
 
 
-class RWLock:
-    """Many concurrent readers xor one (reentrant) writer."""
+class WriterLock:
+    """A reentrant mutex that knows which thread holds it."""
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers: dict[int, int] = {}   # thread ident -> hold count
-        self._writer: int | None = None      # ident of the writing thread
-        self._writer_depth = 0
-        self._writers_waiting = 0
-
-    # -- read side --------------------------------------------------------
-
-    def acquire_read(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer == me or me in self._readers:
-                # Reentrant entry (write access implies read access).
-                self._readers[me] = self._readers.get(me, 0) + 1
-                return
-            while self._writer is not None or self._writers_waiting:
-                self._cond.wait()
-            self._readers[me] = 1
-
-    def release_read(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            count = self._readers.get(me, 0)
-            if count == 0:
-                raise RuntimeError("release_read without acquire_read")
-            if count == 1:
-                del self._readers[me]
-                self._cond.notify_all()
-            else:
-                self._readers[me] = count - 1
-
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    # -- write side -------------------------------------------------------
+        self._lock = threading.RLock()
+        self._owner: int | None = None
+        self._depth = 0
 
     def acquire_write(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer == me:
-                self._writer_depth += 1
-                return
-            if me in self._readers:
-                raise RuntimeError(
-                    "cannot upgrade a read lock to a write lock "
-                    "(acquire write() first, read access is implied)"
-                )
-            self._writers_waiting += 1
-            try:
-                while self._writer is not None or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer = me
-            self._writer_depth = 1
+        self._lock.acquire()
+        self._owner = threading.get_ident()
+        self._depth += 1
 
     def release_write(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer != me:
-                raise RuntimeError("release_write by a non-writing thread")
-            self._writer_depth -= 1
-            if self._writer_depth == 0:
-                self._writer = None
-                self._cond.notify_all()
+        if self._owner != threading.get_ident():
+            raise RuntimeError("release_write by a non-writing thread")
+        self._depth -= 1
+        if self._depth == 0:
+            self._owner = None
+        self._lock.release()
 
     @contextmanager
     def write(self) -> Iterator[None]:
@@ -110,15 +42,7 @@ class RWLock:
         finally:
             self.release_write()
 
-    # -- introspection ----------------------------------------------------
-
     @property
     def write_held(self) -> bool:
-        """Is the *current thread* holding the write lock?"""
-        return self._writer == threading.get_ident()
-
-    @property
-    def read_held(self) -> bool:
-        """Does the current thread hold read access (directly or via write)?"""
-        me = threading.get_ident()
-        return me in self._readers or self._writer == me
+        """Is the *current thread* holding the lock?"""
+        return self._owner == threading.get_ident()

@@ -1,5 +1,7 @@
 """Database-level behaviour: DDL, foreign keys, transactions."""
 
+import threading
+
 import pytest
 
 from repro.db import Column, Database, ForeignKey, TableSchema
@@ -185,6 +187,29 @@ class TestTransactions:
         with db.transaction():
             assert db.in_transaction
         assert not db.in_transaction
+
+    def test_in_transaction_is_per_thread(self):
+        # Another thread's open transaction is not the reader's: only
+        # the thread inside its own transaction sees the flag.
+        db = make_db()
+        inside, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def writer():
+            with db.transaction():
+                seen["writer"] = db.in_transaction
+                inside.set()
+                release.wait(10)
+
+        t = threading.Thread(target=writer)
+        t.start()
+        try:
+            assert inside.wait(10)
+            seen["reader"] = db.in_transaction
+        finally:
+            release.set()
+            t.join(10)
+        assert seen == {"writer": True, "reader": False}
 
     def test_table_created_inside_rolled_back_transaction_vanishes(self):
         db = make_db()

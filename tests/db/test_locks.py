@@ -1,67 +1,39 @@
-"""RWLock semantics: shared readers, exclusive writers, reentrancy."""
+"""WriterLock semantics: one reentrant writer, owner-checked release."""
 
 import threading
 import time
 
 import pytest
 
-from repro.db.locks import RWLock
+from repro.db.locks import WriterLock
 
 WAIT = 5.0  # generous thread-sync timeout; tests fail fast on deadlock
 
 
 class TestReentrancy:
-    def test_read_inside_read(self):
-        lock = RWLock()
-        with lock.read():
-            with lock.read():
-                assert lock.read_held
-        assert not lock.read_held
-
     def test_write_inside_write(self):
-        lock = RWLock()
+        lock = WriterLock()
         with lock.write():
             with lock.write():
                 assert lock.write_held
         assert not lock.write_held
 
-    def test_read_inside_write(self):
-        lock = RWLock()
-        with lock.write():
-            with lock.read():
-                assert lock.read_held and lock.write_held
-
-    def test_upgrade_is_rejected(self):
-        lock = RWLock()
-        with lock.read():
-            with pytest.raises(RuntimeError):
-                lock.acquire_write()
-        # The failed upgrade must not corrupt state: a writer can proceed.
-        with lock.write():
-            pass
-
     def test_unbalanced_release_raises(self):
-        lock = RWLock()
-        with pytest.raises(RuntimeError):
-            lock.release_read()
+        lock = WriterLock()
         with pytest.raises(RuntimeError):
             lock.release_write()
 
     def test_over_release_after_balanced_use_raises(self):
         # A correct acquire/release pair must not leave residue that lets
         # a later unbalanced release slip through.
-        lock = RWLock()
-        with lock.read():
-            pass
-        with pytest.raises(RuntimeError):
-            lock.release_read()
+        lock = WriterLock()
         with lock.write():
             pass
         with pytest.raises(RuntimeError):
             lock.release_write()
 
     def test_release_write_from_other_thread_raises(self):
-        lock = RWLock()
+        lock = WriterLock()
         lock.acquire_write()
         caught: list[BaseException] = []
 
@@ -77,146 +49,28 @@ class TestReentrancy:
         lock.release_write()  # the owner can still release cleanly
         assert not lock.write_held
 
-    def test_failed_upgrade_does_not_leak_waiting_state(self):
-        # The rejected upgrade must not leave `_writers_waiting` residue
-        # that would park future readers forever.
-        lock = RWLock()
-        with lock.read():
-            with pytest.raises(RuntimeError):
-                lock.acquire_write()
-        done = threading.Event()
-
-        def reader():
-            with lock.read():
-                done.set()
-
-        t = threading.Thread(target=reader)
-        t.start(); t.join(WAIT)
-        assert done.is_set()
-
 
 class TestSharingAndExclusion:
-    def test_two_readers_hold_simultaneously(self):
-        lock = RWLock()
-        first_in = threading.Event()
-        second_in = threading.Event()
-
-        def reader(my_event, other_event):
-            with lock.read():
-                my_event.set()
-                # Both readers must be inside at once for this to pass.
-                assert other_event.wait(WAIT)
-
-        a = threading.Thread(target=reader, args=(first_in, second_in))
-        b = threading.Thread(target=reader, args=(second_in, first_in))
-        a.start(); b.start()
-        a.join(WAIT); b.join(WAIT)
-        assert not a.is_alive() and not b.is_alive()
-
-    def test_writer_excludes_reader(self):
-        lock = RWLock()
-        order = []
-        writer_in = threading.Event()
-        release_writer = threading.Event()
-
-        def writer():
-            with lock.write():
-                writer_in.set()
-                assert release_writer.wait(WAIT)
-                order.append("writer-done")
-
-        def reader():
-            assert writer_in.wait(WAIT)
-            with lock.read():
-                order.append("reader-in")
-
-        w = threading.Thread(target=writer)
-        r = threading.Thread(target=reader)
-        w.start(); r.start()
-        assert writer_in.wait(WAIT)
-        time.sleep(0.05)          # give the reader a chance to (wrongly) enter
-        assert order == []        # reader is blocked behind the writer
-        release_writer.set()
-        w.join(WAIT); r.join(WAIT)
-        assert order == ["writer-done", "reader-in"]
-
-    def test_waiting_writer_blocks_new_readers(self):
-        """Writer preference: under a stream of readers the writer gets in
-        before readers that arrived after it."""
-        lock = RWLock()
-        reader_in = threading.Event()
-        release_first_reader = threading.Event()
+    def test_second_writer_waits_for_the_first(self):
+        lock = WriterLock()
         order = []
 
-        def first_reader():
-            with lock.read():
-                reader_in.set()
-                assert release_first_reader.wait(WAIT)
-
-        def writer():
+        def other():
+            order.append(("other holds", lock.write_held))
             with lock.write():
-                order.append("writer")
+                order.append("other in")
 
-        def late_reader():
-            with lock.read():
-                order.append("late-reader")
-
-        r1 = threading.Thread(target=first_reader)
-        r1.start()
-        assert reader_in.wait(WAIT)
-        w = threading.Thread(target=writer)
-        w.start()
-        time.sleep(0.05)          # writer is now queued behind r1
-        r2 = threading.Thread(target=late_reader)
-        r2.start()
-        time.sleep(0.05)
-        release_first_reader.set()
-        for t in (r1, w, r2):
-            t.join(WAIT)
-        assert order[0] == "writer"
-
-    def test_writer_gets_in_under_constant_reader_stream(self):
-        """Stronger writer-preference check: with several reader threads
-        re-acquiring in a tight loop (the lock is never reader-idle for
-        long), a writer that shows up still completes promptly."""
-        lock = RWLock()
-        stop = threading.Event()
-        writer_done = threading.Event()
-        reads_before = []
-        reads_total = {"n": 0}
-        counter_lock = threading.Lock()
-
-        def reader():
-            while not stop.is_set():
-                with lock.read():
-                    with counter_lock:
-                        reads_total["n"] += 1
-
-        def writer():
-            time.sleep(0.05)  # let the reader stream saturate first
-            with counter_lock:
-                reads_before.append(reads_total["n"])
-            with lock.write():
-                writer_done.set()
-
-        readers = [threading.Thread(target=reader) for _ in range(6)]
-        w = threading.Thread(target=writer)
-        for t in readers:
+        with lock.write():
+            t = threading.Thread(target=other)
             t.start()
-        w.start()
-        got_in = writer_done.wait(WAIT)
-        stop.set()
-        w.join(WAIT)
-        for t in readers:
-            t.join(WAIT)
-        assert got_in, "writer starved by the reader stream"
-        # Sanity: the stream really was constant while the writer queued.
-        assert reads_before and reads_before[0] > 0
-        assert reads_total["n"] > reads_before[0]
+            time.sleep(0.05)      # give the other writer a chance to (wrongly) enter
+            order.append("first out")
+        t.join(WAIT)
+        assert order == [("other holds", False), "first out", "other in"]
 
     def test_concurrent_counter_mutation_is_exclusive(self):
         """A read-modify-write under the write lock never loses updates."""
-        lock = RWLock()
+        lock = WriterLock()
         state = {"n": 0}
 
         def bump():
