@@ -14,20 +14,16 @@ from repro.corpus.seed import seed_all
 from repro.corpus import collection_ids
 
 
-def pytest_configure(config):
-    # Honour CARCS_CACHE even if some import flipped the flag earlier:
-    # `CARCS_CACHE=off pytest benchmarks/` measures every analysis cold.
-    cache_mod.reset_global_enabled()
-
-
 def pytest_report_header(config):
-    state = "on" if cache_mod.global_enabled() else "off"
+    # Every cache reads CARCS_CACHE when it is built:
+    # `CARCS_CACHE=off pytest benchmarks/` measures every analysis cold.
+    state = "on" if cache_mod.env_enabled() else "off"
     return f"analytics cache: {state} (set {cache_mod.ENV_FLAG}=off to disable)"
 
 
 @pytest.fixture(scope="session")
 def cache_enabled() -> bool:
-    return cache_mod.global_enabled()
+    return cache_mod.env_enabled()
 
 
 @pytest.fixture(scope="session")

@@ -28,9 +28,10 @@ Correctness rules:
 * The cache is LRU-bounded (``maxsize`` distinct keys); stale entries are
   replaced in place and counted as invalidations.
 
-The global kill switch honours the ``CARCS_CACHE`` environment variable
-(``CARCS_CACHE=off`` disables every cache in the process) so benchmarks
-can measure cold behaviour without code changes.
+Each cache starts enabled unless the ``CARCS_CACHE`` environment
+variable says otherwise (``CARCS_CACHE=off`` disables every cache built
+after it is set), so benchmarks can measure cold behaviour without code
+changes; ``cache.enabled`` switches one cache at run time.
 
 Scope note: this cache invalidates **whole entries** on any dependency
 version drift.  Scoped reads keep the recompute small: a collection's
@@ -63,24 +64,6 @@ _FALSEY = {"off", "0", "false", "no", "disabled"}
 def env_enabled() -> bool:
     """Does the ``CARCS_CACHE`` environment variable allow caching?"""
     return os.environ.get(ENV_FLAG, "on").strip().lower() not in _FALSEY
-
-
-_GLOBAL_ENABLED = env_enabled()
-
-
-def set_global_enabled(on: bool) -> None:
-    """Process-wide override (used by the benchmark harness)."""
-    global _GLOBAL_ENABLED
-    _GLOBAL_ENABLED = bool(on)
-
-
-def global_enabled() -> bool:
-    return _GLOBAL_ENABLED
-
-
-def reset_global_enabled() -> None:
-    """Re-derive the process-wide flag from the environment."""
-    set_global_enabled(env_enabled())
 
 
 def freeze(value: Any) -> Any:
@@ -138,7 +121,7 @@ class AnalyticsCache:
             raise ValueError("maxsize must be >= 1")
         self.db = db
         self.maxsize = maxsize
-        self.enabled = True
+        self.enabled = env_enabled()
         self.stats = CacheStats()
         # Serializes bookkeeping *and* computes: concurrent readers asking
         # for the same cold entry produce one compute, not a thundering
@@ -155,10 +138,6 @@ class AnalyticsCache:
 
     def keys(self) -> list[tuple]:
         return list(self._entries)
-
-    @property
-    def active(self) -> bool:
-        return self.enabled and global_enabled()
 
     # -- core -------------------------------------------------------------
 
@@ -199,7 +178,7 @@ class AnalyticsCache:
         # rendered, so traced lookups never pay repr() on the hot path.
         with _trace.span("cache.get", name=name) as span_:
             with self._lock:
-                if not self.active or self.db.in_transaction:
+                if not self.enabled or self.db.in_transaction:
                     # Inside this thread's own transaction versions
                     # are not yet durable (rollback restores them),
                     # so neither lookups nor stores are safe.  Other

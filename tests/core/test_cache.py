@@ -158,18 +158,23 @@ class TestAnalyticsCache:
         assert cache.stats.bypasses == 1
         assert len(cache) == 0  # nothing stored from inside the transaction
 
-    def test_global_disable(self, bare_repo):
-        cache = bare_repo.cache
-        cache_mod.set_global_enabled(False)
-        try:
-            calls = []
-            for _ in range(2):
-                cache.get_or_compute("f", (), (), lambda: calls.append(1))
-            assert len(calls) == 2
-            assert cache.stats.bypasses == 2
-        finally:
-            cache_mod.reset_global_enabled()
-        assert cache_mod.global_enabled()  # env default is "on" in tests
+    def test_global_disable(self, monkeypatch):
+        # CARCS_CACHE=off at build time bypasses every lookup ...
+        monkeypatch.setenv(cache_mod.ENV_FLAG, "off")
+        cache = Repository().cache
+        calls = []
+        for _ in range(2):
+            cache.get_or_compute("f", (), (), lambda: calls.append(1))
+        assert len(calls) == 2
+        assert cache.stats.bypasses == 2 and len(cache) == 0
+        # ... and a repository built with it unset caches.
+        monkeypatch.delenv(cache_mod.ENV_FLAG)
+        cache = Repository().cache
+        calls = []
+        for _ in range(2):
+            cache.get_or_compute("f", (), (), lambda: calls.append(1))
+        assert len(calls) == 1
+        assert cache.stats.hits == 1 and cache.stats.bypasses == 0
 
     def test_env_flag_parsing(self, monkeypatch):
         for raw in ("off", "0", "false", "NO", " Disabled "):
