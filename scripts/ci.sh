@@ -49,9 +49,11 @@ PYTHONPATH=src python scripts/check_doc_snippets.py
 # (docs/architecture.md, "Observability").
 PYTHONPATH=src python -m pytest -q benchmarks/bench_obs.py
 
-# Storage gate: pinned MVCC reads must beat the RWLock read path >= 2x
+# Storage gate: pinned MVCC reads must beat a per-request read lock
+# (the engine's former reader-writer lock, kept in the benchmark) >= 2x
 # under a durable writer, and batch-mode WAL ingest must stay within
-# 30% of in-memory (docs/architecture.md, "Storage & durability").
+# 30% of in-memory, measured in interleaved best-of-7 pairs
+# (docs/architecture.md, "Storage & durability").
 PYTHONPATH=src python -m pytest -q benchmarks/bench_storage.py
 
 # Jobs gate: enqueue-to-suggestion throughput of the classification

@@ -3,9 +3,10 @@
 The in-process application object is transport-agnostic; this adapter
 binds it to a TCP socket so the prototype can actually be browsed or
 curl'ed, standing in for the paper's Heroku deployment.  Threaded by
-default — the application pipeline is concurrency-safe (reader-writer
-lock around the repository, locked caches, thread-safe metrics), so one
-slow ``/similarity`` no longer blocks every other client.  Pass
+default — the application pipeline is concurrency-safe (lock-free
+snapshot reads, one writer lock around the repository's mutations,
+locked caches, thread-safe metrics), so one slow ``/similarity`` no
+longer blocks every other client.  Pass
 ``threaded=False`` for a strictly serial server (e.g. when bisecting a
 concurrency bug).
 """

@@ -76,11 +76,14 @@ class TestSharingAndExclusion:
         def bump():
             for _ in range(2000):
                 with lock.write():
-                    state["n"] += 1
+                    n = state["n"]
+                    time.sleep(0)  # yield the GIL mid-update
+                    state["n"] = n + 1
 
         threads = [threading.Thread(target=bump) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(WAIT)
+        assert not any(t.is_alive() for t in threads)
         assert state["n"] == 8000
