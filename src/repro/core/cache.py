@@ -38,10 +38,11 @@ version drift.  Scoped reads keep the recompute small: a collection's
 coverage reads only that collection's rows, so the miss after a
 curator's write costs O(collection), not O(corpus).
 State that can be repaired per document — the search engine's inverted
-index — deliberately lives *outside* this cache: it subscribes to the
-database change journal (:meth:`repro.db.Database.changes_since`) and
-patches only the touched documents' postings instead of discarding
-everything (see :mod:`repro.core.index`).
+index, the classify model's training features — deliberately lives
+*outside* this cache: :class:`repro.core.view.MaterialView` replays the
+database change journal (:meth:`repro.db.Database.changes_since`) into
+it and patches only the touched materials instead of discarding
+everything.
 """
 
 from __future__ import annotations

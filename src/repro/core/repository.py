@@ -69,8 +69,8 @@ class Repository:
         # Version-keyed memo for the analytics hot paths (coverage,
         # similarity, recommendation, classification-pair export).
         self.cache = AnalyticsCache(self.db)
-        self._search_engine = None
-        self._engine_init_lock = threading.Lock()
+        self._view = None
+        self._view_init_lock = threading.Lock()
 
     @property
     def version(self) -> int:
@@ -662,7 +662,15 @@ class Repository:
     # ------------------------------------------- machine-assist suggestions
 
     def ensure_user(self, name: str, role: Role) -> int:
-        """Find-or-create a (system) user account; returns its id."""
+        """Find-or-create a (system) user account; returns its id.
+
+        Finding an existing account is a read; only creating one opens
+        a transaction, which looks again so that two racing callers
+        create one row."""
+        with self.db.pinned():
+            row = self.db.table("users").find_one(name=name)
+        if row is not None:
+            return row["id"]
         with self.db.transaction():
             row = self.db.table("users").find_one(name=name)
             if row is not None:
@@ -799,15 +807,24 @@ class Repository:
                     left_group=left_group, right_group=right_group,
                 )
 
+    def material_view(self):
+        """The repository's change-journal view: one cursor feeding the
+        search index and the classify model's training features."""
+        from .view import MaterialView
+
+        if self._view is None:
+            with self._view_init_lock:
+                if self._view is None:
+                    self._view = MaterialView(self)
+        return self._view
+
     def search_engine(self):
         """The repository's shared, version-tracking search engine."""
         from .search import SearchEngine
 
-        if self._search_engine is None:
-            with self._engine_init_lock:
-                if self._search_engine is None:
-                    self._search_engine = SearchEngine(self)
-        return self._search_engine
+        return self.material_view().shared(
+            "search", lambda: SearchEngine(self)
+        )
 
     def search(self, text: str = "", filters=None, *, limit: int = 20):
         """Facet + full-text search.  The BM25 inverted index catches up
@@ -852,7 +869,8 @@ class Repository:
             base[f"wal_{key}"] = value
         for key, value in self.db.storage_stats().items():
             base[f"storage_{key}"] = value
-        if self._search_engine is not None:
-            for key, value in self._search_engine.stats().items():
+        engine = self._view.peek("search") if self._view else None
+        if engine is not None:
+            for key, value in engine.stats().items():
                 base[f"search_{key}"] = value
         return base

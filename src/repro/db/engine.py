@@ -35,8 +35,9 @@ On top of the version counter sits a bounded **change journal**: every
 mutation appends one :class:`Change` record, and rollback pops the
 records of the aborted frame, so the retained journal always describes
 exactly the committed history.  Incremental consumers — the search index
-in :mod:`repro.core.search` — call :meth:`Database.changes_since` to
-catch up in O(changed rows); when the bounded journal no longer reaches
+and the classify model's training features, through
+:class:`repro.core.view.MaterialView` — call
+:meth:`Database.changes_since` to catch up in O(changed rows); when the bounded journal no longer reaches
 back far enough it returns ``None`` and the consumer falls back to a
 full rebuild.  The bound is :data:`CHANGELOG_SIZE` records
 (``changelog_size=`` overrides it per database).

@@ -1,5 +1,7 @@
 """Repository facade: CRUD, classification links, roles, curation."""
 
+import threading
+
 import pytest
 
 from repro.core.classification import ClassificationSet
@@ -7,6 +9,7 @@ from repro.core.material import Material, MaterialKind
 from repro.core.ontology import BloomLevel
 from repro.core.repository import PermissionError_, Role, SubmissionStatus
 from repro.corpus import keys as K
+from repro.db import Database
 
 
 def simple_material(**overrides):
@@ -230,3 +233,63 @@ class TestRolesAndCuration:
         cs = ClassificationSet(); cs.add("CS13", K.SDF_ARRAYS)
         fresh_repo.add_material(simple_material(), cs)
         assert fresh_repo.stats()["classification_links"] == 1
+
+
+class TestEnsureUser:
+    """Find-or-create of the system accounts the review and classify
+    paths act as."""
+
+    @staticmethod
+    def _rows(repo, name):
+        return [r for r in repo.db.table("users") if r["name"] == name]
+
+    def test_finding_an_existing_user_opens_no_transaction(
+            self, fresh_repo, monkeypatch):
+        uid = fresh_repo.ensure_user("carcs-ml", Role.USER)
+        entered = []
+        original = Database.transaction
+
+        def counting(db):
+            entered.append(1)
+            return original(db)
+
+        monkeypatch.setattr(Database, "transaction", counting)
+        assert fresh_repo.ensure_user("carcs-ml", Role.USER) == uid
+        assert entered == []
+
+    def test_racing_threads_create_one_row(self, fresh_repo, monkeypatch):
+        # Both callers miss the name before either creates it: each
+        # waits for the other at the transaction's door.
+        barrier = threading.Barrier(2, timeout=10)
+        original = Database.transaction
+
+        def after_both_looked(db):
+            barrier.wait()
+            return original(db)
+
+        monkeypatch.setattr(Database, "transaction", after_both_looked)
+        ids = []
+        threads = [
+            threading.Thread(target=lambda: ids.append(
+                fresh_repo.ensure_user("carcs-editor", Role.EDITOR)))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(ids) == 2 and ids[0] == ids[1]
+        assert len(self._rows(fresh_repo, "carcs-editor")) == 1
+
+    def test_rolled_back_creation_leaves_no_row(self, fresh_repo):
+        class Abort(Exception):
+            pass
+
+        with pytest.raises(Abort):
+            with fresh_repo.db.transaction():
+                fresh_repo.ensure_user("carcs-ml", Role.USER)
+                assert self._rows(fresh_repo, "carcs-ml")
+                raise Abort
+        assert self._rows(fresh_repo, "carcs-ml") == []
+        uid = fresh_repo.ensure_user("carcs-ml", Role.USER)
+        assert [r["id"] for r in self._rows(fresh_repo, "carcs-ml")] == [uid]

@@ -142,9 +142,10 @@ def training_sets(draw):
 # --------------------------------------------------------- naive Bayes
 
 
-def _log_odds_matrix(nb: NaiveBayesClassifier) -> np.ndarray:
-    """The fitted (labels × vocabulary) log-odds matrix."""
-    return nb._log_odds
+def _log_odds_matrix(nb: NaiveBayesClassifier, vocab: int) -> np.ndarray:
+    """The fitted (labels × vocabulary) log-odds matrix, every column
+    computed."""
+    return nb.log_odds_matrix(range(vocab))
 
 
 @settings(max_examples=80, deadline=None)
@@ -155,7 +156,8 @@ def test_nb_log_odds_match_dense_reference(drawn):
         counts, labels)
     names, ll_pos, ll_neg, log_prior = dense_nb(counts, labels)
     assert nb.labels_ == names
-    assert np.array_equal(_log_odds_matrix(nb), ll_pos - ll_neg)
+    assert np.array_equal(_log_odds_matrix(nb, counts.shape[1]),
+                          ll_pos - ll_neg)
     ref = dense_log_odds(queries, ll_pos, ll_neg, log_prior)
     got = nb.log_odds(queries)
     assert got.shape == ref.shape
@@ -176,7 +178,7 @@ def test_nb_single_label_and_unseen_query():
         counts, labels)
     names, ll_pos, ll_neg, log_prior = dense_nb(counts, labels)
     assert nb.labels_ == names == ["only"]
-    assert np.array_equal(_log_odds_matrix(nb), ll_pos - ll_neg)
+    assert np.array_equal(_log_odds_matrix(nb, 3), ll_pos - ll_neg)
     zero = np.zeros((1, 3))
     assert np.max(np.abs(
         nb.log_odds(zero) - dense_log_odds(zero, ll_pos, ll_neg, log_prior)
