@@ -34,6 +34,12 @@ class TestFit:
         with pytest.raises(ValueError):
             KnnClassifier(threshold=1.5)
 
+    def test_single_row_input_is_copied(self):
+        X = np.array([[3.0, 4.0]])  # C- and F-contiguous at once
+        clf = KnnClassifier().fit(X, [["a"]])
+        assert np.array_equal(X, [[3.0, 4.0]])
+        assert np.array_equal(clf._X, [[0.6, 0.8]])
+
     def test_suggest_before_fit(self):
         with pytest.raises(RuntimeError):
             KnnClassifier().suggest(np.ones((1, 2)))
@@ -95,6 +101,7 @@ class TestPreNormalizedRows:
         raw = X.copy()
         clf = KnnClassifier(k=4, threshold=0.0).fit(X, labels)
         assert np.array_equal(X, raw)  # the caller's matrix is untouched
+        assert clf._X.flags.f_contiguous
         seen = []
         original = knn.top_k_neighbors
 
