@@ -1,12 +1,16 @@
-"""numpy is the only third-party runtime dependency.
+"""numpy is the only third-party runtime dependency, and ``core`` sits
+below ``jobs``.
 
 Every ``repro`` module must import in a fresh interpreter whose import
 system refuses ``networkx`` and ``scipy``, and ``pyproject.toml`` must
-declare numpy alone.
+declare numpy alone.  No module under ``repro.core`` may import
+``repro.jobs``: the job handlers are built on the core, not the other
+way round.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -60,3 +64,31 @@ def test_pyproject_declares_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == ["numpy"]
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every module ``path`` imports, relative imports resolved."""
+    package = list(path.relative_to(SRC).parent.parts)
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package[:len(package) - node.level + 1]
+                base = ".".join(parent + ([base] if base else []))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_core_does_not_import_jobs():
+    offenders = {
+        str(path.relative_to(SRC)): sorted(
+            name for name in _imported_modules(path)
+            if name == "repro.jobs" or name.startswith("repro.jobs.")
+        )
+        for path in (SRC / "repro" / "core").rglob("*.py")
+    }
+    assert {k: v for k, v in offenders.items() if v} == {}
