@@ -28,6 +28,7 @@ import pytest
 
 from _results import record
 from repro.core.classification import ClassificationSet
+from repro.core.recommend import TrainingFeatures
 from repro.core.repository import Repository
 from repro.corpus.generator import GeneratorConfig, generate_specs, seed_synthetic
 from repro.corpus.seed import seed_ontologies
@@ -38,7 +39,6 @@ from repro.jobs import (
     default_handlers,
     run_pending,
 )
-from repro.jobs.classify import TrainingFeatures
 
 N_TRAIN = 400              # classified materials the model learns from
 N_BACKLOG = 1_000          # unclassified materials to drain
@@ -109,11 +109,10 @@ def test_enqueue_to_suggestion_throughput(backlog_repo):
     )
 
 
-def _cold_fit(repo, svc):
+def _cold_fit(repo):
     """Build the model from training features read from scratch."""
     with repo.db.pinned():
-        return TrainingFeatures(repo).model((svc.nb_alpha, svc.min_label_count,
-                               svc.knn_k, svc.knn_threshold))
+        return TrainingFeatures(repo).model()
 
 
 def _timed(fn) -> float:
@@ -150,11 +149,11 @@ def test_retrain_after_one_accept_beats_cold_fit():
             repo.machine_suggest(mid, best.key, confidence=best.confidence))
         # Interleaved pairs, alternating which side runs first.
         if i % 2:
-            cold_s.append(_timed(lambda: _cold_fit(repo, svc)))
+            cold_s.append(_timed(lambda: _cold_fit(repo)))
             retrain_s.append(_timed(svc.model))
         else:
             retrain_s.append(_timed(svc.model))
-            cold_s.append(_timed(lambda: _cold_fit(repo, svc)))
+            cold_s.append(_timed(lambda: _cold_fit(repo)))
     assert mid in svc.model().train_ids
     ratio = min(retrain_s) / min(cold_s)
     print(f"\nJOBS retrain gate: one accept absorbed in "

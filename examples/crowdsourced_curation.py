@@ -13,7 +13,6 @@ Run:  python examples/crowdsourced_curation.py
 
 from repro import Material, Role, seeded_repository
 from repro.core.classification import ClassificationSet
-from repro.core.recommend import TextKnnRecommender
 from repro.corpus import keys as K
 
 
@@ -45,9 +44,9 @@ def main() -> None:
     material_id = pending[0]["material_id"]
 
     print("\n2. The recommender proposes the missing classifications")
-    recommender = TextKnnRecommender(repo).fit(exclude={material_id})
     text = repo.get_material(material_id).text()
-    for rec in recommender.recommend(text, top=5):
+    selected = [str(item.key) for item in rough.items()]
+    for rec in repo.recommend(text, selected=selected, top=5):
         print(f"   suggested ({rec.score:.2f}): {rec.key}")
 
     print("\n3. The editor fixes the classification and approves")

@@ -41,7 +41,6 @@ from typing import Callable
 from repro.analysis import compare_communities, core_targets, plan_course
 from repro.core.coverage import compute_coverage
 from repro.core.ontology import Tier
-from repro.core.recommend import HybridRecommender
 from repro.core.repository import Repository
 from repro.core.search import SearchEngine, SearchFilters
 from repro.core.similarity import isolated_materials, similarity_graph
@@ -148,8 +147,7 @@ def cmd_gaps(repo: Repository, args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(repo: Repository, args: argparse.Namespace) -> int:
-    recommender = HybridRecommender(repo).fit()
-    recs = recommender.recommend(args.text, args.selected or (), top=args.top)
+    recs = repo.recommend(args.text, args.selected or (), top=args.top)
     if not recs:
         print("no suggestions")
         return 1

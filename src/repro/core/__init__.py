@@ -17,13 +17,14 @@ from .gaps import GapEntry, GapReport, alignment_score, curriculum_holes, find_g
 from .material import CourseLevel, Material, MaterialKind, normalize_authors
 from .ontology import BloomLevel, NodeKind, Ontology, OntologyNode, Tier
 from .recommend import (
+    ClassifyModel,
     CooccurrenceRecommender,
     HybridRecommender,
     Recommendation,
-    TextKnnRecommender,
-    TextNbRecommender,
-    evaluate_knn_loo_fast,
+    TrainingFeatures,
+    classify_model,
     evaluate_leave_one_out,
+    material_text,
 )
 from .report import ClassReport, class_report, coverage_summary_table
 from .repository import PermissionError_, Repository, Role, SubmissionStatus
@@ -47,6 +48,7 @@ __all__ = [
     "ClassReport",
     "ClassificationItem",
     "ClassificationSet",
+    "ClassifyModel",
     "CooccurrenceRecommender",
     "CourseLevel",
     "CoverageNode",
@@ -70,24 +72,24 @@ __all__ = [
     "SearchHit",
     "SimilarityEdge",
     "SubmissionStatus",
-    "TextKnnRecommender",
-    "TextNbRecommender",
     "Tier",
+    "TrainingFeatures",
     "alignment_score",
     "class_report",
+    "classify_model",
     "clusters",
     "compare_coverage",
     "compute_coverage",
     "coverage_summary_table",
     "curriculum_holes",
     "edges_with_shared_keys",
-    "evaluate_knn_loo_fast",
     "evaluate_leave_one_out",
     "expand_to_ancestors",
     "find_gaps",
     "incidence",
     "isolated_materials",
     "jaccard_matrix",
+    "material_text",
     "normalize_authors",
     "shared_item_matrix",
     "similarity_graph",

@@ -833,15 +833,12 @@ class Repository:
         return self.search_engine().search(text, filters, limit=limit)
 
     def recommender(self):
-        """A fitted :class:`~repro.core.recommend.HybridRecommender`,
-        memoized until the classification tables mutate (fitting is the
-        dominant cost of the ``/recommend`` endpoint)."""
+        """A :class:`~repro.core.recommend.HybridRecommender` over the
+        repository's shared classify model (memoized until a model table
+        mutates)."""
         from .recommend import HybridRecommender
 
-        return self.cache.get_or_compute(
-            "Repository.recommender", (), _CLASSIFICATION_TABLES,
-            lambda: HybridRecommender(self).fit(),
-        )
+        return HybridRecommender(self).fit()
 
     def recommend(self, text: str = "", selected=(), *, top: int = 10):
         selected = tuple(selected)

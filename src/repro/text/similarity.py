@@ -36,31 +36,25 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def top_k_neighbors(
-    sims: np.ndarray, k: int, *, exclude_self: bool = False
+    sims: np.ndarray, k: int
 ) -> list[list[tuple[int, float]]]:
     """For each row of a similarity matrix, its k most similar columns.
 
     Returns, per row, a list of ``(column index, similarity)`` sorted by
-    descending similarity.  ``exclude_self`` skips the diagonal (for
-    self-similarity matrices).
+    descending similarity.
     """
     sims = np.asarray(sims, dtype=np.float64)
     n_rows, n_cols = sims.shape
-    if exclude_self and n_rows != n_cols:
-        raise ValueError("exclude_self requires a square matrix")
-    work = sims.copy()
-    if exclude_self:
-        np.fill_diagonal(work, -np.inf)
-    k = min(k, n_cols - (1 if exclude_self else 0))
+    k = min(k, n_cols)
     if k <= 0:
         return [[] for _ in range(n_rows)]
     # argpartition then sort the slice: O(n + k log k) per row.
-    part = np.argpartition(-work, k - 1, axis=1)[:, :k]
+    part = np.argpartition(-sims, k - 1, axis=1)[:, :k]
     out: list[list[tuple[int, float]]] = []
     for row in range(n_rows):
         cols = part[row]
-        order = np.argsort(-work[row, cols], kind="stable")
+        order = np.argsort(-sims[row, cols], kind="stable")
         out.append(
-            [(int(cols[j]), float(work[row, cols[j]])) for j in order]
+            [(int(cols[j]), float(sims[row, cols[j]])) for j in order]
         )
     return out

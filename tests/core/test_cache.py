@@ -387,10 +387,10 @@ class TestCachedEqualsFresh:
         repo = tiny_repo()
         add(repo, "m1", [KEYS[0], KEYS[1]])
         add(repo, "m2", [KEYS[0], KEYS[2]])
-        first = repo.recommender()
-        assert repo.recommender() is first
+        first = repo.recommender().model
+        assert repo.recommender().model is first
         add(repo, "m3", [KEYS[3]])
-        assert repo.recommender() is not first
+        assert repo.recommender().model is not first
 
 
 # ----------------------------------------------------------- the property test

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.classification import ClassificationSet
 from repro.core.material import Material
-from repro.core.recommend import CooccurrenceRecommender
+from repro.core.recommend import classify_model
 from repro.core.repository import Repository
 from repro.corpus.seed import seed_ontologies
 
@@ -66,7 +66,7 @@ def _labels(repo: Repository) -> list[list[str]]:
 
 
 def _system(repo: Repository, selected, *, top, min_score):
-    rec = CooccurrenceRecommender(repo).fit()
+    rec = classify_model(repo).cooccurrence
     return [
         (r.key, r.score)
         for r in rec.recommend(selected, top=top, min_score=min_score)

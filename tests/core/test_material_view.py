@@ -19,13 +19,13 @@ import pytest
 
 from repro.core.classification import ClassificationSet
 from repro.core.material import Material
+from repro.core.recommend import TrainingFeatures, training_features
 from repro.core.repository import Repository, Role
 from repro.core.search import SearchEngine
 from repro.corpus.generator import GeneratorConfig, generate_specs
 from repro.corpus.seed import seed_ontologies
 from repro.db import Column, Database, TableSchema
 from repro.jobs import ClassificationService, JobQueue
-from repro.jobs.classify import TrainingFeatures, training_features
 
 N_TRAIN = 12
 

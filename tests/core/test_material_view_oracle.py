@@ -42,7 +42,14 @@ from repro.core.repository import Repository
 from repro.core.search import SearchEngine
 from repro.corpus.generator import GeneratorConfig, generate_specs
 from repro.corpus.seed import seed_ontologies
-from repro.jobs.classify import ClassificationService, material_text
+from repro.core.recommend import (
+    KNN_K,
+    KNN_THRESHOLD,
+    MIN_LABEL_COUNT,
+    NB_ALPHA,
+    material_text,
+)
+from repro.jobs.classify import ClassificationService
 from repro.text import KnnClassifier, NaiveBayesClassifier, TfidfVectorizer
 
 N_START = 16
@@ -101,7 +108,7 @@ def _assert_search_matches_rebuild(engine: SearchEngine, repo) -> None:
 # ------------------------------------------------------- classify oracle
 
 
-def _cold_fit(repo, svc: ClassificationService):
+def _cold_fit(repo):
     """(train_ids, vectorizer, nb or None, knn or None) from scratch."""
     keys = repo.classification_keys()
     train_ids = [mid for mid in sorted(keys) if keys[mid]]
@@ -113,18 +120,18 @@ def _cold_fit(repo, svc: ClassificationService):
     counts = vectorizer.fit_counts(texts)
     try:
         nb = NaiveBayesClassifier(
-            alpha=svc.nb_alpha, min_label_count=svc.min_label_count,
+            alpha=NB_ALPHA, min_label_count=MIN_LABEL_COUNT,
         ).fit(counts, labels)
     except ValueError:
         nb = None
-    knn = KnnClassifier(k=svc.knn_k, threshold=svc.knn_threshold).fit(
+    knn = KnnClassifier(k=KNN_K, threshold=KNN_THRESHOLD).fit(
         vectorizer.weigh(counts), labels)
     return train_ids, vectorizer, nb, knn
 
 
 def _assert_model_matches_cold_fit(svc: ClassificationService, repo) -> None:
     model = svc.model()
-    train_ids, vectorizer, nb, knn = _cold_fit(repo, svc)
+    train_ids, vectorizer, nb, knn = _cold_fit(repo)
     assert model.train_ids == train_ids
     if vectorizer is None:
         assert model.vectorizer is None

@@ -10,6 +10,12 @@ import pytest
 
 from repro.core.classification import ClassificationSet
 from repro.core.material import Material, MaterialKind
+from repro.core.recommend import (
+    KNN_K,
+    KNN_THRESHOLD,
+    MIN_LABEL_COUNT,
+    NB_ALPHA,
+)
 from repro.core.repository import Repository
 from repro.corpus.seed import seed_all, seed_ontologies
 from repro.db import Database
@@ -228,7 +234,7 @@ def _assert_same_model(a, b) -> None:
     assert a.knn._labels == b.knn._labels
 
 
-def _cold_model(repo, svc):
+def _cold_model(repo):
     """The textbook pipeline over public text APIs: vectorize every
     training text, fit NB on the raw counts and kNN on their TF-IDF
     rows."""
@@ -246,9 +252,9 @@ def _cold_model(repo, svc):
         },
         vectorizer=vectorizer,
         nb=NaiveBayesClassifier(
-            alpha=svc.nb_alpha, min_label_count=svc.min_label_count,
+            alpha=NB_ALPHA, min_label_count=MIN_LABEL_COUNT,
         ).fit(counts, labels),
-        knn=KnnClassifier(k=svc.knn_k, threshold=svc.knn_threshold).fit(
+        knn=KnnClassifier(k=KNN_K, threshold=KNN_THRESHOLD).fit(
             vectorizer.weigh(counts), labels),
     )
 
@@ -298,7 +304,7 @@ def test_refit_preprocesses_only_changed_training_texts(monkeypatch):
     assert warm is not accepted
     assert seen == [material_text(repo.get_material(edited))]
 
-    _assert_same_model(warm, _cold_model(repo, svc))
+    _assert_same_model(warm, _cold_model(repo))
 
 
 def test_refit_through_another_service_preprocesses_nothing(monkeypatch):

@@ -80,6 +80,19 @@ class TestRecommend:
         out = capsys.readouterr().out
         assert "PDC12/" in out or "CS13/" in out
 
+    def test_empty_repository_has_no_suggestions(self, monkeypatch, capsys):
+        from repro.core.repository import Repository
+        from repro.corpus.seed import seed_ontologies
+
+        def empty():
+            repo = Repository()
+            seed_ontologies(repo)
+            return repo
+
+        monkeypatch.setattr("repro.cli.seed_all", empty)
+        assert main(["recommend", "parallel loops over an image"]) == 1
+        assert capsys.readouterr().out == "no suggestions\n"
+
 
 class TestPlan:
     def test_core_plan(self, capsys):

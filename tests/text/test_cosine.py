@@ -68,16 +68,6 @@ class TestTopK:
         assert [i for i, _ in out[0]] == [1, 2]
         assert out[0][0][1] == pytest.approx(0.9)
 
-    def test_exclude_self_skips_diagonal(self):
-        sims = np.array([[1.0, 0.3], [0.3, 1.0]])
-        out = top_k_neighbors(sims, 1, exclude_self=True)
-        assert out[0][0][0] == 1
-        assert out[1][0][0] == 0
-
-    def test_exclude_self_requires_square(self):
-        with pytest.raises(ValueError):
-            top_k_neighbors(np.ones((2, 3)), 1, exclude_self=True)
-
     def test_k_larger_than_columns_clamped(self):
         sims = np.array([[0.5, 0.6]])
         out = top_k_neighbors(sims, 10)
@@ -85,5 +75,5 @@ class TestTopK:
 
     def test_zero_k_effective(self):
         sims = np.ones((1, 1))
-        out = top_k_neighbors(sims, 1, exclude_self=True)
+        out = top_k_neighbors(sims, 0)
         assert out == [[]]
