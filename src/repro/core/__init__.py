@@ -17,14 +17,11 @@ from .gaps import GapEntry, GapReport, alignment_score, curriculum_holes, find_g
 from .material import CourseLevel, Material, MaterialKind, normalize_authors
 from .ontology import BloomLevel, NodeKind, Ontology, OntologyNode, Tier
 from .recommend import (
-    ClassifyModel,
     CooccurrenceRecommender,
     HybridRecommender,
     Recommendation,
-    TrainingFeatures,
     classify_model,
     evaluate_leave_one_out,
-    material_text,
 )
 from .report import ClassReport, class_report, coverage_summary_table
 from .repository import PermissionError_, Repository, Role, SubmissionStatus
@@ -48,7 +45,6 @@ __all__ = [
     "ClassReport",
     "ClassificationItem",
     "ClassificationSet",
-    "ClassifyModel",
     "CooccurrenceRecommender",
     "CourseLevel",
     "CoverageNode",
@@ -73,7 +69,6 @@ __all__ = [
     "SimilarityEdge",
     "SubmissionStatus",
     "Tier",
-    "TrainingFeatures",
     "alignment_score",
     "class_report",
     "classify_model",
@@ -89,7 +84,6 @@ __all__ = [
     "incidence",
     "isolated_materials",
     "jaccard_matrix",
-    "material_text",
     "normalize_authors",
     "shared_item_matrix",
     "similarity_graph",

@@ -67,7 +67,7 @@ KNN_K = 5
 KNN_THRESHOLD = 0.2
 
 #: Tables whose mutation invalidates the fitted model.
-MODEL_TABLES = (
+_MODEL_TABLES = (
     "material_classifications", "ontology_entries", "materials",
     "material_tags",
 )
@@ -293,7 +293,7 @@ def classify_model(repo: Repository) -> "ClassifyModel":
     features = training_features(repo)
     with repo.db.pinned():
         return repo.cache.get_or_compute(
-            "jobs.classify_model", (), MODEL_TABLES, features.model,
+            "jobs.classify_model", (), _MODEL_TABLES, features.model,
         )
 
 
@@ -564,6 +564,7 @@ def evaluate_leave_one_out(
                     suggested["nb"] = {
                         s.label for s in model.nb.suggest(counts, top=top)[0]
                     }
+            # Back in with the tokens it has: reindex would tokenize.
             features._add(mid, doc.text, doc.tokens, doc.labels)
             for arm, keys in suggested.items():
                 hit = len(keys & doc.labels)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.classification import ClassificationSet
+from repro.core.material import Material
 from repro.core.recommend import (
     KNN_K,
     KNN_THRESHOLD,
@@ -87,9 +89,6 @@ class TestCooccurrence:
 
     def test_counts_are_built_on_first_use(self, fresh_repo):
         """A retrain builds no co-occurrence counts; a selection does."""
-        from repro.core.classification import ClassificationSet
-        from repro.core.material import Material
-
         cs = ClassificationSet()
         cs.add("CS13", K.SDF_ARRAYS)
         cs.add("CS13", K.SDF_CTRL)
