@@ -53,7 +53,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.obs import trace as _trace
 
@@ -643,13 +643,27 @@ class Database:
         except KeyError:
             raise SchemaError(f"no table {name!r}") from None
 
+    def _insert_into(self, table: Table,
+                     values: Mapping[str, Any]) -> dict[str, Any]:
+        # Validate FKs against a completed candidate row before committing.
+        candidate = table._complete_row(values)
+        self._check_fks_outbound(table, candidate)
+        return table._insert_row(candidate)
+
     def insert(self, table_name: str, **values: Any) -> dict[str, Any]:
         with self._traced_op("insert", table_name), self._write_frame():
+            return self._insert_into(self._live_table(table_name), values)
+
+    def insert_many(self, table_name: str,
+                    rows: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
+        """Insert ``rows`` in order as one write frame; returns the stored
+        rows.  Each row is checked against the rows before it, and a
+        failing row rolls back the whole call, also inside an enclosing
+        ``transaction()``."""
+        with self._traced_op("insert_many", table_name), self._write_frame(), \
+                self._savepoint():
             table = self._live_table(table_name)
-            # Validate FKs against a completed candidate row before committing.
-            candidate = table._complete_row(values)
-            self._check_fks_outbound(table, candidate)
-            return table._insert_row(candidate)
+            return [self._insert_into(table, values) for values in rows]
 
     def update(self, table_name: str, pk: Any, **changes: Any) -> dict[str, Any]:
         with self._traced_op("update", table_name), self._write_frame():
@@ -705,15 +719,20 @@ class Database:
         The whole scope holds the write lock and commits as one frame:
         one WAL record, one published snapshot — concurrent readers see
         either the entire transaction or none of it."""
-        with self._traced_op("transaction", "*"), self._write_frame():
-            self._begin()
-            try:
-                yield self
-            except BaseException:
-                self._rollback()
-                raise
-            else:
-                self._commit()
+        with self._traced_op("transaction", "*"), self._write_frame(), \
+                self._savepoint():
+            yield self
+
+    @contextmanager
+    def _savepoint(self) -> Iterator[None]:
+        self._begin()
+        try:
+            yield
+        except BaseException:
+            self._rollback()
+            raise
+        else:
+            self._commit()
 
     def _begin(self) -> None:
         self._tx_journal.append([])

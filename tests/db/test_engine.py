@@ -240,6 +240,80 @@ class TestInsert:
         assert db.table("children").get(1) == child
 
 
+
+class TestInsertMany:
+    @staticmethod
+    def _tree_db() -> Database:
+        db = Database("tree")
+        db.create_table(TableSchema(
+            "nodes",
+            columns=(Column("id", int), Column("name", str),
+                     Column("parent_id", int, nullable=True, default=None)),
+            unique=(("name",),),
+            foreign_keys=(ForeignKey("parent_id", "nodes"),),
+        ))
+        return db
+
+    def test_equals_one_insert_per_row(self):
+        rows = [{"name": "root"}, {"name": "a", "parent_id": 1},
+                {"name": "b", "parent_id": 2}]
+        batched, single = self._tree_db(), self._tree_db()
+        stored = batched.insert_many("nodes", rows)
+        assert stored == [single.insert("nodes", **r) for r in rows]
+        assert list(batched.table("nodes")) == list(single.table("nodes"))
+        assert batched.version == single.version
+        assert ([(c.op, c.pk) for c in batched.changes_since(0)]
+                == [(c.op, c.pk) for c in single.changes_since(0)])
+
+    def test_commits_one_frame(self):
+        db = self._tree_db()
+        frames: list[dict] = []
+        db.add_commit_listener(frames.append)
+        db.insert_many("nodes", [{"name": "x"}, {"name": "y"}])
+        assert len(frames) == 1
+        assert [op["pk"] for op in frames[0]["ops"]] == [1, 2]
+
+    def test_each_row_completes_once(self, monkeypatch):
+        completed: list[str] = []
+        complete_row = Table._complete_row
+
+        def counting(self, values):
+            completed.append(self.name)
+            return complete_row(self, values)
+
+        monkeypatch.setattr(Table, "_complete_row", counting)
+        self._tree_db().insert_many("nodes", [{"name": "x"}, {"name": "y"}])
+        assert completed == ["nodes", "nodes"]
+
+    def test_no_rows_commits_nothing(self):
+        db = self._tree_db()
+        version = db.version
+        assert db.insert_many("nodes", []) == []
+        assert db.version == version
+
+    @pytest.mark.parametrize("bad, error", [
+        ({"name": "c", "parent_id": 99}, ForeignKeyError),
+        ({"name": "a"}, UniqueViolation),
+    ])
+    def test_failing_last_row_rolls_back_the_call(self, bad, error):
+        db = self._tree_db()
+        version = db.version
+        with pytest.raises(error):
+            db.insert_many("nodes", [{"name": "a"}, {"name": "b"}, bad])
+        assert len(db.table("nodes")) == 0
+        assert db.version == version
+        assert db.insert("nodes", name="z")["id"] == 1
+
+    def test_failing_row_inside_transaction_rolls_back_only_the_call(self):
+        db = self._tree_db()
+        with db.transaction():
+            db.insert("nodes", name="kept")
+            with pytest.raises(UniqueViolation):
+                db.insert_many("nodes", [{"name": "gone"}, {"name": "kept"}])
+            db.insert("nodes", name="after")
+        assert [r["name"] for r in db.table("nodes")] == ["kept", "after"]
+        assert db.table("nodes").get(2)["name"] == "after"
+
 class TestStats:
     def test_stats_counts_rows(self):
         db = make_db()

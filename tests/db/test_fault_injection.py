@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.db import Column, Database, ForeignKey, TableSchema, database_to_dict
+from repro.db.errors import UniqueViolation
 from repro.db.wal import MAGIC, encode_record, read_wal
 from tests.faults import (
     CrashError,
@@ -57,8 +58,8 @@ def _schema():
 
 
 def _workload(db, rng: random.Random, commit):
-    """A mixed write stream: DML, DDL, transactions, cascades.  Calls
-    ``commit`` after every committed frame (oracle capture point)."""
+    """A mixed write stream: DML, DDL, batches, transactions, cascades.
+    Calls ``commit`` after every committed frame (oracle capture point)."""
     for schema in _schema():
         commit(lambda s=schema: db.create_table(s))
     for i in range(6):
@@ -68,6 +69,16 @@ def _workload(db, rng: random.Random, commit):
     commit(lambda: db.table("materials").create_index("collection"))
     for i in range(4):
         commit(lambda i=i: db.insert("tags", name=f"t-{i}"))
+    commit(lambda: db.insert_many(
+        "tags", [{"name": f"t-{i}"} for i in range(4, 8)],
+    ))
+    # A batch whose last row breaks uniqueness commits nothing and
+    # appends no WAL record.
+    version, appends = db.version, db.wal_stats()["appends"]
+    with pytest.raises(UniqueViolation):
+        db.insert_many("tags", [{"name": "t-8"}, {"name": "t-0"}])
+    assert (db.version, db.wal_stats()["appends"]) == (version, appends)
+    assert db.table("tags").find_one(name="t-8") is None
 
     def link_batch():
         with db.transaction():
@@ -92,7 +103,9 @@ def oracle_run(tmp_path_factory):
     """One uninterrupted run: per-frame oracle dumps + record sizes.
 
     ``record_sizes[i]`` is the encoded byte length of frame ``i``'s WAL
-    record; ``oracle[i]`` is the engine dump after ``i`` frames.
+    record; ``oracle[i]`` is the engine dump after ``i`` frames;
+    ``batches`` are the indexes of the multi-row insert records (an
+    ``insert_many`` call or a transaction of inserts into one table).
     """
     store = tmp_path_factory.mktemp("oracle") / "store"
     db = Database.open(store, wal_sync="off")
@@ -108,14 +121,20 @@ def oracle_run(tmp_path_factory):
     frames, _, torn = read_wal(store / "wal.log")
     assert not torn and len(frames) == len(oracle) - 1
     record_sizes = [len(encode_record(f)) for f in frames]
-    return oracle, record_sizes
+    batches = {
+        i for i, f in enumerate(frames)
+        if len(f["ops"]) > 1 and len({op["t"] for op in f["ops"]}) == 1
+        and all(op["o"] == "insert" for op in f["ops"])
+    }
+    assert len(batches) == 2
+    return oracle, record_sizes, batches
 
 
 class TestCrashAtEveryFrameBoundary:
     def test_prefix_consistent_recovery(self, oracle_run, tmp_path):
         """Kill the live writer at every frame boundary (budget = exact
         bytes for k whole records): recovery must land on oracle[k]."""
-        oracle, record_sizes = oracle_run
+        oracle, record_sizes, _ = oracle_run
         for k in range(len(record_sizes)):
             budget = sum(record_sizes[:k])
             store = tmp_path / f"crash-{k}"
@@ -137,14 +156,15 @@ class TestCrashAtEveryFrameBoundary:
             recovered.close()
 
     def test_mid_record_tears_recover_the_prefix(self, oracle_run, tmp_path):
-        """Tear *inside* a record (every offset of a short record, a
-        seeded sample of a long one): the torn frame never applies, the
-        prefix always does, and the tail is truncated on reopen."""
-        oracle, record_sizes = oracle_run
+        """Tear *inside* a record (every offset of a short record or a
+        batch record, a seeded sample of any other long one): the torn
+        frame never applies, the prefix always does, and the tail is
+        truncated on reopen."""
+        oracle, record_sizes, batches = oracle_run
         rng = random.Random(0xBAD5EED)
         cases = []
         for k, size in enumerate(record_sizes):
-            offsets = range(1, size) if size <= 24 else sorted(
+            offsets = range(1, size) if size <= 24 or k in batches else sorted(
                 rng.sample(range(1, size), 12)
             )
             cases.extend((k, off) for off in offsets)
