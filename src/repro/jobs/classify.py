@@ -12,8 +12,8 @@ editor closes the loop through the review endpoints
 model :mod:`repro.analysis.crowdsim` simulates.
 
 Suggestion writes are idempotent per ``(material, ontology key)``
-(:meth:`repro.core.repository.Repository.machine_suggest`), which is
-what makes job retries and lease re-issues safe: a job that ran
+(:meth:`repro.core.repository.Repository.machine_suggest_many`), which
+is what makes job retries and lease re-issues safe: a job that ran
 halfway before its worker died re-runs from the top and only fills in
 the missing rows.
 
@@ -25,8 +25,10 @@ classification, a training text or an ontology entry changes.
 
 Each batch files its suggestions in one transaction: one write frame
 (one WAL record, one published snapshot) per batch, not per suggestion.
-A failure mid-batch files none of the batch's rows, and the re-run
-files them all.
+Within it, each material's suggestions are one ``machine_suggest_many``
+call: one duplicate check against the material's links and suggestions,
+then one ``Database.insert_many`` of the new rows.  A failure mid-batch
+files none of the batch's rows, and the re-run files them all.
 """
 
 from __future__ import annotations
@@ -136,15 +138,13 @@ class ClassificationService:
                 )
                 with self.repo.db.transaction():
                     for mid in batch:
-                        for s in suggestions.get(mid, ()):
-                            sid = self.repo.machine_suggest(
-                                mid, s.key,
-                                confidence=s.confidence, source=s.source,
-                            )
-                            if sid is None:
-                                skipped += 1
-                            else:
-                                written += 1
+                        ids = self.repo.machine_suggest_many(mid, [
+                            (s.key, s.confidence)
+                            for s in suggestions.get(mid, ())
+                        ])
+                        filed = sum(sid is not None for sid in ids)
+                        written += filed
+                        skipped += len(ids) - filed
             span_.set(written=written, skipped=skipped)
         return {
             "materials": len(material_ids),
