@@ -43,7 +43,7 @@ from repro.jobs import (
 N_TRAIN = 400              # classified materials the model learns from
 N_BACKLOG = 1_000          # unclassified materials to drain
 CHUNK = 100                # material_ids per classify job
-THROUGHPUT_FLOOR = 500.0   # materials/s, conservative CI floor
+THROUGHPUT_FLOOR = 800.0   # materials/s, conservative CI floor
 RETRAIN_ROUNDS = 7         # interleaved (retrain, cold fit) pairs
 RETRAIN_OVER_COLD = 1 / 3  # retrain cost bound, as a share of a cold fit
 

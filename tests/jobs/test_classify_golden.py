@@ -5,7 +5,7 @@ run through inline ``classify`` jobs of three materials each.  Halfway
 through, the editor accepts one suggestion (which retrains the model)
 and rejects another, and a curator classifies one inbox material by
 hand; a batch that was already classified is then re-run, so every
-idempotency branch of ``Repository.machine_suggest`` is exercised.
+idempotency branch of ``Repository.machine_suggest_many`` is exercised.
 Each job result and every ``suggestions`` row — id, material, key,
 status and ``confidence.hex()`` — must equal
 ``tests/jobs/golden/classify.json`` byte for byte, so a speed-up of the

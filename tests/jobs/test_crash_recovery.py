@@ -7,7 +7,7 @@ of them against a real on-disk WAL:
    crash because every state transition is a WAL frame;
 2. after the visibility timeout the job is leased out again and the
    re-run completes it — with zero duplicated suggestion rows, because
-   ``machine_suggest`` is idempotent per (material, key);
+   ``machine_suggest_many`` is idempotent per (material, key);
 3. the dead worker's zombie writes are fenced off with StaleLease.
 """
 
