@@ -11,6 +11,8 @@ export CARCS_BENCH_RESULTS="${CARCS_BENCH_RESULTS:-BENCH_results.json}"
 rm -f "$CARCS_BENCH_RESULTS"
 
 python -m compileall -q src
+# The suite includes the dead-code gate (tests/test_dead_code.py): every
+# function, method and class in src/ must be named by program code.
 PYTHONPATH=src python -m pytest -x -q tests/
 
 # Paper stage: the benchmarks that reproduce the paper's figures, use

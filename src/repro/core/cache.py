@@ -216,25 +216,6 @@ class AnalyticsCache:
 
     # -- maintenance ------------------------------------------------------
 
-    def invalidate(self, name: str | None = None, key: Any = None) -> int:
-        """Drop entries and return how many were dropped.
-
-        With no arguments everything goes; with ``name`` every entry of
-        that function; with ``name`` *and* ``key`` exactly one memoized
-        call (``key`` is frozen the same way lookups freeze arguments).
-        """
-        with self._lock:
-            if name is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-                return dropped
-            if key is not None:
-                return 1 if self._entries.pop((name, freeze(key)), None) else 0
-            victims = [k for k in self._entries if k[0] == name]
-            for k in victims:
-                del self._entries[k]
-            return len(victims)
-
     def clear(self) -> None:
         """Drop every entry and reset the counters."""
         with self._lock:

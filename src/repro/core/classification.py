@@ -10,7 +10,7 @@ mapping, implementing that suggested extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .ontology import BloomLevel, Ontology
 
@@ -38,13 +38,6 @@ class ClassificationSet:
 
     def __init__(self) -> None:
         self._items: dict[str, dict[str, BloomLevel | None]] = {}
-
-    @classmethod
-    def from_items(cls, items: Iterable[ClassificationItem]) -> "ClassificationSet":
-        cs = cls()
-        for item in items:
-            cs.add(item.ontology, item.key, item.bloom)
-        return cs
 
     def add(
         self, ontology: str, key: str, bloom: BloomLevel | None = None

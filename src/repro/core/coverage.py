@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .ontology import NodeKind, Ontology, OntologyNode
+from .ontology import Ontology, OntologyNode
 from .repository import Repository
 
 
@@ -74,21 +74,6 @@ class CoverageReport:
 
     def is_covered(self, key: str) -> bool:
         return self.rollup_counts.get(key, 0) > 0
-
-    def kind_breakdown(self, ontology: Ontology) -> dict[NodeKind, int]:
-        """Directly-classified entries per node kind.
-
-        The schema "separat[es] topics and learning outcomes" (III-B);
-        this shows how a corpus uses that distinction — e.g. whether
-        curators select outcomes at all or stay at the topic level.
-        """
-        counts: dict[NodeKind, int] = {}
-        for key in self.direct_counts:
-            node = ontology.get(key)
-            if node is None:
-                continue
-            counts[node.kind] = counts.get(node.kind, 0) + 1
-        return counts
 
     def coverage_ratio(self, ontology: Ontology, *, within: str | None = None) -> float:
         """Fraction of entries (optionally inside subtree ``within``)

@@ -305,11 +305,5 @@ class Ontology:
                     break
         return out
 
-    def count_by_kind(self) -> dict[NodeKind, int]:
-        counts: dict[NodeKind, int] = {}
-        for node in self.nodes():
-            counts[node.kind] = counts.get(node.kind, 0) + 1
-        return counts
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Ontology {self.name!r}: {len(self)} entries>"

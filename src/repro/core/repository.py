@@ -608,13 +608,6 @@ class Repository:
             status=SubmissionStatus.PENDING.value
         ).order_by("id").all()
 
-    def approved_material_ids(self) -> set[int]:
-        return set(
-            db_query(self.db, "submissions").filter(
-                status=SubmissionStatus.APPROVED.value
-            ).values("material_id")
-        )
-
     def suggest_classification(
         self, material_id: int, key: str, *, action: str, suggested_by: int
     ) -> int:

@@ -35,9 +35,6 @@ class MaterialVectorSpace:
     def n(self) -> int:
         return len(self.material_ids)
 
-    def row_of(self, material_id: int) -> np.ndarray:
-        return self.matrix[self.material_ids.index(material_id)]
-
 
 def incidence(
     repo: Repository,
@@ -182,9 +179,6 @@ class SimilarityGraph:
 
     def neighbors(self, node: Hashable):
         return iter(self._adj[node])
-
-    def has_edge(self, u: Hashable, v: Hashable) -> bool:
-        return v in self._adj.get(u, ())
 
     def get_edge_data(self, u: Hashable, v: Hashable, default: Any = None):
         return self._adj.get(u, {}).get(v, default)

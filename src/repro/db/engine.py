@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -93,14 +92,6 @@ from .wal import WalReader, WalWriter, truncate_wal
 #: Override per-database with ``changelog_size=``.
 CHANGELOG_SIZE = 1024
 
-#: Slow-operation threshold (milliseconds) — operations at or above it
-#: land in the bounded slow-op log, with the active trace id when one
-#: exists.  Override per-database via ``slow_op_ms`` or process-wide via
-#: the environment.
-ENV_DB_SLOW_MS = "CARCS_DB_SLOW_MS"
-DEFAULT_SLOW_OP_MS = 50.0
-SLOW_OP_LOG_SIZE = 256
-
 #: Durable file names inside a database directory.
 SNAPSHOT_FILE = "snapshot.json"
 WAL_FILE = "wal.log"
@@ -110,13 +101,6 @@ WAL_FILE = "wal.log"
 #: environment).  Keeps replay time bounded without manual compaction.
 ENV_WAL_COMPACT = "CARCS_WAL_COMPACT_BYTES"
 DEFAULT_COMPACT_BYTES = 4 * 1024 * 1024
-
-
-def env_slow_op_ms() -> float:
-    try:
-        return float(os.environ.get(ENV_DB_SLOW_MS, DEFAULT_SLOW_OP_MS))
-    except ValueError:
-        return DEFAULT_SLOW_OP_MS
 
 
 def env_compact_bytes() -> int:
@@ -155,18 +139,9 @@ class Database:
     """
 
     def __init__(self, name: str = "carcs", *,
-                 changelog_size: int | None = None,
-                 slow_op_ms: float | None = None) -> None:
+                 changelog_size: int | None = None) -> None:
         self.name = name
         self.lock = WriterLock()
-        # Slow-operation log: every traced entry point (DML, DDL,
-        # transactions, journal reads) that takes >= slow_op_ms lands
-        # here with the trace id that was active, so a slow request's
-        # trace and the db-side record cross-reference each other.
-        self.slow_op_ms = (
-            slow_op_ms if slow_op_ms is not None else env_slow_op_ms()
-        )
-        self._slow_ops: deque[dict[str, Any]] = deque(maxlen=SLOW_OP_LOG_SIZE)
         self._tables: dict[str, Table] = {}
         self._tx_depth = 0
         # Stack of transaction frames; each frame is a list of undo
@@ -220,35 +195,18 @@ class Database:
 
     @contextmanager
     def _traced_op(self, op: str, table: str) -> Iterator[Any]:
-        """Span + slow-op accounting around one database entry point.
-
-        The span (``db.insert``, ``db.transaction``, ...) opens *before*
-        lock acquisition so lock wait is attributed to the operation
-        that suffered it; with no active trace the span is a no-op but
-        the slow-op log still records outliers (trace_id ``None``).
+        """The ``db.<op>`` span around one database entry point (a no-op
+        with no active trace).  Write ops open it *before* taking the
+        write lock, so lock wait is attributed to the op that suffered
+        it.  Slow ops are kept by the tracer's slow-trace retention
+        (``CARCS_TRACE_SLOW_MS``).
         """
         # A request past its deadline aborts before doing db work (and
         # before queuing on the write lock) — the admission layer maps
         # the exception to a shed response.
         _trace.check_deadline(f"db.{op}")
-        start = time.perf_counter()
         with _trace.span(f"db.{op}", table=table) as span_:
-            try:
-                yield span_
-            finally:
-                elapsed_ms = (time.perf_counter() - start) * 1e3
-                if elapsed_ms >= self.slow_op_ms:
-                    self._slow_ops.append({
-                        "ts": time.time(),
-                        "op": op,
-                        "table": table,
-                        "duration_ms": round(elapsed_ms, 3),
-                        "trace_id": span_.trace_id if span_ else None,
-                    })
-
-    def slow_ops(self) -> list[dict[str, Any]]:
-        """The retained slow-operation records, oldest first."""
-        return list(self._slow_ops)
+            yield span_
 
     # -- MVCC snapshots -------------------------------------------------------
 
@@ -456,20 +414,23 @@ class Database:
     # -- write frames ---------------------------------------------------------
 
     @contextmanager
-    def _write_frame(self) -> Iterator[None]:
-        """One atomic commit unit around every top-level entry point.
+    def _write_frame(self, op: str, table: str) -> Iterator[None]:
+        """One atomic unit around every write entry point, traced as
+        ``db.<op>``.
 
-        Acquires the write lock, opens an implicit transaction (so even
-        autocommit ops that fail midway — e.g. a cascade delete hitting
-        a RESTRICT — roll back instead of partially applying), and on
-        success appends the collected ops as one WAL record and
-        publishes the next snapshot.  Re-entered frames (DML inside a
-        ``transaction()``) are no-ops: everything folds into the
-        outermost frame and commits once.
+        Acquires the write lock, opens an implicit transaction (so an op
+        that fails midway — e.g. a cascade delete hitting a RESTRICT —
+        rolls back instead of partially applying), and on success
+        appends the collected ops as one WAL record and publishes the
+        next snapshot.  A re-entered frame (DML inside a
+        ``transaction()``) is a savepoint: a failure rolls back that op
+        alone, and everything else folds into the outermost frame and
+        commits once.
         """
-        with self.lock.write():
+        with self._traced_op(op, table), self.lock.write():
             if self._frame_active:
-                yield
+                with self._savepoint():
+                    yield
                 return
             self._frame_active = True
             self._frame_ops = []
@@ -548,7 +509,7 @@ class Database:
     # -- DDL ----------------------------------------------------------------
 
     def create_table(self, schema: TableSchema) -> Table:
-        with self._traced_op("create_table", schema.name), self._write_frame():
+        with self._write_frame("create_table", schema.name):
             return self._create_table(schema)
 
     def _create_table(self, schema: TableSchema) -> Table:
@@ -575,7 +536,7 @@ class Database:
         return table
 
     def drop_table(self, name: str) -> None:
-        with self._traced_op("drop_table", name), self._write_frame():
+        with self._write_frame("drop_table", name):
             self._drop_table(name)
 
     def _drop_table(self, name: str) -> None:
@@ -607,10 +568,6 @@ class Database:
             return self._tables[name]
         except KeyError:
             raise SchemaError(f"no table {name!r}") from None
-
-    def table_names(self) -> list[str]:
-        pin = self._pin()
-        return pin.table_names() if pin is not None else sorted(self._tables)
 
     def __contains__(self, name: str) -> bool:
         pin = self._pin()
@@ -651,7 +608,7 @@ class Database:
         return table._insert_row(candidate)
 
     def insert(self, table_name: str, **values: Any) -> dict[str, Any]:
-        with self._traced_op("insert", table_name), self._write_frame():
+        with self._write_frame("insert", table_name):
             return self._insert_into(self._live_table(table_name), values)
 
     def insert_many(self, table_name: str,
@@ -660,13 +617,12 @@ class Database:
         rows.  Each row is checked against the rows before it, and a
         failing row rolls back the whole call, also inside an enclosing
         ``transaction()``."""
-        with self._traced_op("insert_many", table_name), self._write_frame(), \
-                self._savepoint():
+        with self._write_frame("insert_many", table_name):
             table = self._live_table(table_name)
             return [self._insert_into(table, values) for values in rows]
 
     def update(self, table_name: str, pk: Any, **changes: Any) -> dict[str, Any]:
-        with self._traced_op("update", table_name), self._write_frame():
+        with self._write_frame("update", table_name):
             table = self._live_table(table_name)
             fk_cols = {fk.column: fk for fk in table.schema.foreign_keys}
             for name, value in changes.items():
@@ -685,8 +641,9 @@ class Database:
 
         Runs as one write frame: a cascade that hits a RESTRICT midway
         rolls the already-deleted children back instead of leaving a
-        partial cascade behind."""
-        with self._traced_op("delete", table_name), self._write_frame():
+        partial cascade behind, also inside an enclosing
+        ``transaction()``."""
+        with self._write_frame("delete", table_name):
             return self._delete(table_name, pk)
 
     def _delete(self, table_name: str, pk: Any) -> dict[str, Any]:
@@ -719,8 +676,7 @@ class Database:
         The whole scope holds the write lock and commits as one frame:
         one WAL record, one published snapshot — concurrent readers see
         either the entire transaction or none of it."""
-        with self._traced_op("transaction", "*"), self._write_frame(), \
-                self._savepoint():
+        with self._write_frame("transaction", "*"):
             yield self
 
     @contextmanager
@@ -767,7 +723,6 @@ class Database:
     def open(cls, path: str | Path, *, name: str = "carcs",
              wal_sync: str | None = None,
              changelog_size: int | None = None,
-             slow_op_ms: float | None = None,
              compact_bytes: int | None = None) -> "Database":
         """Open (or create) a durable database directory.
 
@@ -779,9 +734,7 @@ class Database:
         """
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
-        kwargs: dict[str, Any] = {
-            "changelog_size": changelog_size, "slow_op_ms": slow_op_ms,
-        }
+        kwargs: dict[str, Any] = {"changelog_size": changelog_size}
         report: dict[str, Any] = {
             "snapshot_version": 0, "frames_replayed": 0, "ops_replayed": 0,
             "torn": False, "truncated_bytes": 0,

@@ -399,11 +399,6 @@ class Query:
                 span_.set(plan=node.summary(), groups=len(counts))
         return counts
 
-    def aggregate(
-        self, column: str, fn: Callable[[list[Any]], Any]
-    ) -> Any:
-        return fn(self.values(column))
-
 
 def query(db: Database, table_name: str) -> Query:
     """Entry point: ``query(db, "materials").filter(...)...``"""

@@ -24,7 +24,6 @@ class ManyToMany:
         links = ManyToMany(db, "material_tags", "materials", "tags")
         links.add(material_id, tag_id)
         links.right_of(material_id)   # -> [tag_id, ...]
-        links.left_of(tag_id)         # -> [material_id, ...]
     """
 
     def __init__(
@@ -97,13 +96,6 @@ class ManyToMany:
         self.db.delete(self.name, row["id"])
         return True
 
-    def clear_left(self, left_id: int) -> int:
-        """Remove every link of ``left_id``; returns how many were removed."""
-        rows = self.table.find(**{self.left_column: left_id})
-        for row in rows:
-            self.db.delete(self.name, row["id"])
-        return len(rows)
-
     # -- reads ------------------------------------------------------------------
 
     def has(self, left_id: int, right_id: int) -> bool:
@@ -118,12 +110,6 @@ class ManyToMany:
         return [
             row[self.right_column]
             for row in self.table.find(**{self.left_column: left_id})
-        ]
-
-    def left_of(self, right_id: int) -> list[int]:
-        return [
-            row[self.left_column]
-            for row in self.table.find(**{self.right_column: right_id})
         ]
 
     def links_of(self, left_id: int) -> list[dict[str, Any]]:

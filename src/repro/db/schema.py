@@ -135,11 +135,3 @@ class TableSchema:
 
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
-
-    def has_column(self, name: str) -> bool:
-        return name in self._by_name
-
-
-def autoid() -> Column:
-    """Convenience: the conventional integer surrogate primary-key column."""
-    return Column("id", int, nullable=False, default=_NO_DEFAULT)

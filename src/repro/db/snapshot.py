@@ -273,10 +273,6 @@ class TableSnapshot:
             return self._size
         return len(self.find(**equals))
 
-    def column_values(self, column: str) -> list[Any]:
-        self.schema.column(column)
-        return [row[column] for _, row in self._items()]
-
 
 class Snapshot:
     """One published database version: db version + per-table snapshots."""
@@ -294,9 +290,6 @@ class Snapshot:
             return self.tables[name]
         except KeyError:
             raise SchemaError(f"no table {name!r}") from None
-
-    def table_names(self) -> list[str]:
-        return sorted(self.tables)
 
     def __contains__(self, name: str) -> bool:
         return name in self.tables

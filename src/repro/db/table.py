@@ -554,7 +554,3 @@ class Table:
         if not equals:
             return len(self._rows)
         return len(self.find(**equals))
-
-    def column_values(self, column: str) -> list[Any]:
-        self.schema.column(column)
-        return [row[column] for row in self._rows.values()]

@@ -56,11 +56,6 @@ class RequestLog:
             self.logger.info(json.dumps(entry, sort_keys=True, default=str))
         return entry
 
-    def tail(self, n: int = 50) -> list[dict[str, Any]]:
-        with self._lock:
-            records = list(self._records)
-        return records[-n:]
-
     def find(self, request_id: str) -> list[dict[str, Any]]:
         with self._lock:
             return [r for r in self._records if r.get("request_id") == request_id]

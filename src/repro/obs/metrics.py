@@ -149,23 +149,6 @@ class Histogram:
             out.append((float("inf"), running + self._counts[-1]))
         return out
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket
-        containing the q-th observation); +inf observations report the
-        largest finite bound."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        with self._lock:
-            if self._count == 0:
-                return 0.0
-            target = q * self._count
-            running = 0
-            for bound, n in zip(self.bounds, self._counts):
-                running += n
-                if running >= target:
-                    return bound
-        return self.bounds[-1]
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "count": self._count,

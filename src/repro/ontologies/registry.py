@@ -61,7 +61,3 @@ def load(name: str) -> Ontology:
 def load_all() -> dict[str, Ontology]:
     """All registered ontologies, keyed by name."""
     return {name: load(name) for name in available()}
-
-
-def clear_cache() -> None:
-    _CACHE.clear()

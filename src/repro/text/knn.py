@@ -114,10 +114,3 @@ class KnnClassifier:
             suggestions.sort(key=lambda s: (-s.score, s.label))
             out.append(suggestions)
         return out
-
-    def predict_labels(self, queries: np.ndarray) -> list[frozenset[str]]:
-        """Suggested label sets only (scores dropped)."""
-        return [
-            frozenset(s.label for s in suggestions)
-            for suggestions in self.suggest(queries)
-        ]

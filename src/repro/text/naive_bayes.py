@@ -196,12 +196,6 @@ class NaiveBayesClassifier:
             out.append(pairs)
         return out
 
-    def predict_labels(self, counts: np.ndarray) -> list[frozenset[str]]:
-        return [
-            frozenset(s.label for s in suggestions)
-            for suggestions in self.suggest(counts, top=len(self.labels_))
-        ]
-
 
 def _pair_totals(counts: np.ndarray, docs: np.ndarray, labels: np.ndarray,
                  n_labels: int) -> np.ndarray:

@@ -1,53 +1,16 @@
-"""Tabular and graph exports of the analyses.
+"""Graph export of the similarity analysis.
 
-CAR-CS data feeds downstream tools — spreadsheets for curriculum
-committees (CSV) and graph tools like Gephi for the similarity structure
-(GraphML via :mod:`xml.etree`).  All writers are pure functions over the
-analysis results; nothing re-queries the repository.
+CAR-CS data feeds graph tools like Gephi with the similarity structure
+(GraphML via :mod:`xml.etree`).  The writer is a pure function over the
+analysis result; nothing re-queries the repository.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-from repro.core.coverage import CoverageReport
-from repro.core.ontology import Ontology
 from repro.core.similarity import SimilarityGraph
-
-
-def coverage_to_csv(
-    report: CoverageReport,
-    ontology: Ontology,
-    *,
-    include_uncovered: bool = False,
-) -> str:
-    """Coverage as CSV: key, path, kind, direct count, rollup count."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["key", "path", "kind", "direct", "rollup"])
-    for node in ontology.nodes():
-        rollup = report.rollup_counts.get(node.key, 0)
-        if rollup == 0 and not include_uncovered:
-            continue
-        writer.writerow([
-            node.key,
-            ontology.path_string(node.key),
-            node.kind.value,
-            report.direct_counts.get(node.key, 0),
-            rollup,
-        ])
-    return buffer.getvalue()
-
-
-def write_coverage_csv(
-    report: CoverageReport, ontology: Ontology, path: str | Path, **kwargs
-) -> Path:
-    path = Path(path)
-    path.write_text(coverage_to_csv(report, ontology, **kwargs))
-    return path
 
 
 _GRAPHML_ROOT = {
@@ -98,25 +61,3 @@ def write_similarity_graphml(graph: SimilarityGraph, path: str | Path) -> Path:
     path.write_text(similarity_to_graphml(graph))
     return path
 
-
-def materials_to_csv(repo, collection: str | None = None) -> str:
-    """Material metadata as CSV (one row per material)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow([
-        "id", "title", "kind", "collection", "year", "course_level",
-        "languages", "datasets", "n_classifications",
-    ])
-    for material in repo.materials(collection):
-        writer.writerow([
-            material.id,
-            material.title,
-            material.kind.value,
-            material.collection,
-            material.year if material.year is not None else "",
-            material.course_level.value if material.course_level else "",
-            "|".join(material.languages),
-            "|".join(material.datasets),
-            len(repo.classification_of(material.id)),
-        ])
-    return buffer.getvalue()

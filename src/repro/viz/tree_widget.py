@@ -53,24 +53,10 @@ class TreeListWidget:
             raise ValueError("the root row cannot be collapsed")
         self._expanded.discard(key)
 
-    def toggle(self, key: str) -> bool:
-        """Flip expansion; returns the new state."""
-        if key in self._expanded:
-            self.collapse(key)
-            return False
-        self.expand(key)
-        return True
-
-    def is_expanded(self, key: str) -> bool:
-        return key in self._expanded
-
     def expand_to(self, key: str) -> None:
         """Expand every ancestor so ``key`` becomes visible."""
         for ancestor in self.ontology.ancestors(key):
             self._expanded.add(ancestor.key)
-
-    def collapse_all(self) -> None:
-        self._expanded = {self.ontology.root.key}
 
     # -- selection ----------------------------------------------------------
 
@@ -82,30 +68,6 @@ class TreeListWidget:
 
     def deselect(self, key: str) -> None:
         self._selected.discard(key)
-
-    def toggle_selection(self, key: str) -> bool:
-        if key in self._selected:
-            self.deselect(key)
-            return False
-        self.select(key)
-        return True
-
-    def is_selected(self, key: str) -> bool:
-        return key in self._selected
-
-    def selection(self) -> frozenset[str]:
-        return frozenset(self._selected)
-
-    def load_classification(self, cs: ClassificationSet) -> None:
-        """Initialize selection from a stored classification (editing an
-        existing material) and reveal the selected entries."""
-        self._selected = {
-            str(item.key)
-            for item in cs.items()
-            if item.ontology == self.ontology.name
-        }
-        for key in self._selected:
-            self.expand_to(key)
 
     def to_classification(self) -> ClassificationSet:
         """The widget's current selection as a ClassificationSet — "the

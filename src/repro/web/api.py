@@ -9,9 +9,8 @@ Figure 3 — plus gap analysis and classification recommendation.
 Each resource has one handler, in :mod:`repro.web.v2`, served under
 ``/api/v2``.  The older ``/api/v1`` surface is data, not code:
 :data:`V1_ROUTES` binds each v1 path to its v2 handler, through a small
-payload adapter where the v1 shape differs, and mounts it again as the
-unprefixed alias (``Deprecation: true``).  Every v1 and alias response
-carries a ``Sunset`` header.  The operational endpoints
+payload adapter where the v1 shape differs.  Every v1 response carries
+a ``Sunset`` header.  The operational endpoints
 (:data:`OPS_SUFFIXES`) answer identically on both prefixes.  All
 requests flow through the three-step middleware chain in
 :mod:`repro.web.middleware`: telemetry (request ids, the root span, the
@@ -138,8 +137,7 @@ def _without_location(handler: Handler) -> Handler:
 Adapter = Callable[[Handler], Handler]
 
 #: The v1 shim as data: (method, v1 path, v2 path, payload adapter).
-#: Each row binds the v2 handler under ``/api/v1`` and as the deprecated
-#: unprefixed alias, both with ``Sunset``.
+#: Each row binds the v2 handler under ``/api/v1``, with ``Sunset``.
 V1_ROUTES: tuple[tuple[str, str, str, Adapter | None], ...] = (
     ("GET", "/assignments", "/materials", _offset_pages_without_kind),
     ("GET", "/search", "/search", _offset_pages),
@@ -392,8 +390,7 @@ class CarCsApi:
                 "routes": [
                     {"method": r.method, "path": r.pattern}
                     for r in router.routes()
-                    if not r.deprecated
-                    and r.pattern.startswith(API_PREFIX)
+                    if r.pattern.startswith(API_PREFIX)
                 ],
             })
 
@@ -405,5 +402,3 @@ class CarCsApi:
             if adapt is not None:
                 handler = adapt(handler)
             router.add(method, API_PREFIX + v1_path, handler, sunset=V1_SUNSET)
-            router.add(method, v1_path, handler, deprecated=True,
-                       sunset=V1_SUNSET)

@@ -4,9 +4,10 @@ Plays the role of the jQuery front end's asynchronous calls: build a
 :class:`~repro.web.http.Request`, dispatch it through the application,
 return the :class:`~repro.web.http.Response` — no network involved.
 
-Pass ``root="/api/v1"`` to pin the client to the versioned surface;
-error responses expose the uniform envelope via ``response.error``
-(``{"code", "message", "request_id"}``).
+Pass ``root="/api/v2"`` (or ``"/api/v1"``) to pin the client to one
+surface; without it every URL carries its own prefix.  Error responses
+expose the uniform envelope via ``response.error`` (``{"code",
+"message", "request_id"}``).
 """
 
 from __future__ import annotations

@@ -41,9 +41,8 @@ class Request:
     # Stamped by the telemetry middleware before dispatch.
     request_id: str = ""
     # Filled by the router on a match: the canonical route pattern (the
-    # low-cardinality label metrics aggregate on) and its deprecation flag.
+    # low-cardinality label metrics aggregate on).
     route_pattern: str | None = None
-    route_deprecated: bool = False
 
     @classmethod
     def build(

@@ -7,11 +7,8 @@ arrives as an ``int``, so handlers never re-cast by hand.  Unknown paths
 yield 404, known paths with the wrong method yield 405 — the behaviours
 REST clients depend on.
 
-A route may be registered as ``deprecated`` (the unprefixed aliases of
-the ``/api/v1`` surface): it still dispatches, but every response gains
-a ``Deprecation: true`` header so clients can spot their stale paths.
-A ``sunset`` date adds an RFC 8594 ``Sunset`` header (every v1 route and
-alias).  Several routes may share one handler: the v1 table binds its
+A ``sunset`` date adds an RFC 8594 ``Sunset`` header (every v1
+route).  Several routes may share one handler: the v1 table binds its
 patterns straight to the v2 handlers, so each request's
 ``route_pattern`` is still the pattern it matched.
 """
@@ -60,7 +57,6 @@ class Route:
     regex: re.Pattern
     types: dict[str, str]
     handler: Handler
-    deprecated: bool = False
     #: RFC 8594 ``Sunset`` header value (an HTTP-date) announcing when
     #: the route is scheduled to disappear; ``None`` for none.
     sunset: str | None = None
@@ -73,21 +69,18 @@ class Router:
         self._routes: list[Route] = []
 
     def add(self, method: str, pattern: str, handler: Handler, *,
-            deprecated: bool = False, sunset: str | None = None) -> None:
+            sunset: str | None = None) -> None:
         regex, types = _compile(pattern)
         self._routes.append(Route(
             method=method.upper(), pattern=pattern, regex=regex,
-            types=types, handler=handler, deprecated=deprecated,
-            sunset=sunset,
+            types=types, handler=handler, sunset=sunset,
         ))
 
-    def route(self, method: str, pattern: str, *,
-              deprecated: bool = False, sunset: str | None = None):
+    def route(self, method: str, pattern: str, *, sunset: str | None = None):
         """Decorator form: ``@router.route("GET", "/things/<int:id>")``."""
 
         def register(handler: Handler) -> Handler:
-            self.add(method, pattern, handler,
-                     deprecated=deprecated, sunset=sunset)
+            self.add(method, pattern, handler, sunset=sunset)
             return handler
 
         return register
@@ -106,15 +99,12 @@ class Router:
                 for name, value in match.groupdict().items()
             }
             request.route_pattern = route.pattern
-            request.route_deprecated = route.deprecated
             try:
                 response = route.handler(request)
             except HttpError as exc:
                 response = error_response(
                     exc.status, exc.message, request.request_id
                 )
-            if route.deprecated:
-                response.headers.setdefault("deprecation", "true")
             if route.sunset is not None:
                 response.headers.setdefault("sunset", route.sunset)
             return response

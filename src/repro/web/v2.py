@@ -237,7 +237,7 @@ def register_v2(api: "CarCsApi") -> None:
             "routes": [
                 {"method": r.method, "path": r.pattern}
                 for r in router.routes()
-                if not r.deprecated and r.pattern.startswith(prefix)
+                if r.pattern.startswith(prefix)
             ],
         })
 

@@ -192,14 +192,6 @@ class TestAnalyticsCache:
         assert freeze({1, 2}) == frozenset({1, 2})
         assert hash(freeze({"a": [{"x": {1, 2}}]})) is not None
 
-    def test_invalidate_by_name(self, bare_repo):
-        cache = bare_repo.cache
-        cache.get_or_compute("f", (1,), (), lambda: 1)
-        cache.get_or_compute("f", (2,), (), lambda: 2)
-        cache.get_or_compute("g", (), (), lambda: 3)
-        assert cache.invalidate("f") == 2
-        assert len(cache) == 1
-
 
 class TestMemo:
     def test_memo_uses_owner_cache(self):

@@ -60,7 +60,9 @@ class TestBasics:
         cs.add("A", "A/y", BloomLevel.USAGE)
         items = cs.items()
         assert [i.ontology for i in items] == ["A", "B"]
-        rebuilt = ClassificationSet.from_items(items)
+        rebuilt = ClassificationSet()
+        for item in items:
+            rebuilt.add(item.ontology, item.key, item.bloom)
         assert rebuilt.items() == items
 
     def test_item_str(self):

@@ -116,5 +116,5 @@ class TestCurriculumHoles:
         empty = compute_coverage(fresh_repo, "PDC12", collection="ghost")
         holes = curriculum_holes(pdc12, empty)
         from repro.core.ontology import NodeKind
-        n_topics = pdc12.count_by_kind()[NodeKind.TOPIC]
+        n_topics = sum(n.kind is NodeKind.TOPIC for n in pdc12.nodes())
         assert len(holes) == n_topics

@@ -99,7 +99,7 @@ def test_unmappable_change_rebuilds_each_subscriber_once(change, rebuilds):
     assert rebuilds == {id(engine): 1, id(features): 1}
     change(repo)
     # Not every such change moves the model's own tables: retrain.
-    repo.cache.invalidate("jobs.classify_model")
+    repo.cache.clear()
     svc.model()
     engine.search("parallel")
     assert rebuilds == {id(engine): 2, id(features): 2}

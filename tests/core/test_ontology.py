@@ -1,5 +1,7 @@
 """Ontology tree structure and traversal."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.ontology import BloomLevel, NodeKind, Ontology, Tier
@@ -142,7 +144,7 @@ class TestSearch:
         assert small.search("   ") == []
 
     def test_count_by_kind(self, small):
-        counts = small.count_by_kind()
+        counts = Counter(node.kind for node in small.nodes())
         assert counts[NodeKind.AREA] == 2
         assert counts[NodeKind.TOPIC] == 2
         assert counts[NodeKind.LEARNING_OUTCOME] == 1

@@ -161,7 +161,6 @@ class TestRolesAndCuration:
         assert status is SubmissionStatus.APPROVED
         assert fresh_repo.pending_submissions() == []
         assert fresh_repo.material_count() == 1
-        assert fresh_repo.approved_material_ids() != set()
 
     def test_submission_flow_rejected_deletes_material(self, fresh_repo):
         editor = fresh_repo.add_user("ed", Role.EDITOR)

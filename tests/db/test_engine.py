@@ -36,6 +36,39 @@ def make_db() -> Database:
     return db
 
 
+def _durable_db(path) -> Database:
+    """Parent 1 with cascading kids 1 and 2; a RESTRICT pin holds kid 2."""
+    db = Database.open(path)
+    db.create_table(TableSchema(
+        "parents", columns=(Column("id", int), Column("name", str)),
+        unique=(("name",),),
+    ))
+    db.create_table(TableSchema(
+        "kids", columns=(Column("id", int), Column("parent_id", int)),
+        foreign_keys=(ForeignKey("parent_id", "parents", on_delete="cascade"),),
+    ))
+    db.create_table(TableSchema(
+        "pins", columns=(Column("id", int), Column("kid_id", int)),
+        foreign_keys=(ForeignKey("kid_id", "kids"),),
+    ))
+    parent = db.insert("parents", name="p")["id"]
+    db.insert_many("kids", [{"parent_id": parent}, {"parent_id": parent}])
+    db.insert("pins", kid_id=2)
+    return db
+
+
+#: Case -> (op that fails on a fresh ``_durable_db``, its error).  The
+#: delete cascades to kid 1, then meets the pin on kid 2.
+FAILING_OPS = {
+    "cascade-hits-restrict": (lambda db: db.delete("parents", 1),
+                              ForeignKeyError),
+    "unique-insert": (lambda db: db.insert("parents", name="p"),
+                      UniqueViolation),
+    "fk-update": (lambda db: db.update("kids", 1, parent_id=99),
+                  ForeignKeyError),
+}
+
+
 class TestDdl:
     def test_duplicate_table_rejected(self):
         db = make_db()
@@ -63,7 +96,7 @@ class TestDdl:
 
     def test_table_names_sorted(self):
         db = make_db()
-        assert db.table_names() == ["cascading", "children", "parents"]
+        assert list(db.stats()) == ["cascading", "children", "parents"]
 
     def test_unknown_table_lookup(self):
         db = Database()
@@ -139,7 +172,7 @@ class TestTransactions:
             with db.transaction():
                 db.insert("parents", name="inside")
                 raise RuntimeError("boom")
-        names = db.table("parents").column_values("name")
+        names = [row["name"] for row in db.table("parents")]
         assert names == ["before"]
 
     def test_rollback_restores_indexes(self):
@@ -159,8 +192,8 @@ class TestTransactions:
                 with db.transaction():
                     db.insert("parents", name="inner")
                     raise RuntimeError
-            assert db.table("parents").column_values("name") == ["outer"]
-        assert db.table("parents").column_values("name") == ["outer"]
+            assert [row["name"] for row in db.table("parents")] == ["outer"]
+        assert [row["name"] for row in db.table("parents")] == ["outer"]
 
     def test_id_sequence_rewinds_on_rollback(self):
         db = make_db()
@@ -218,6 +251,30 @@ class TestTransactions:
                 db.create_table(TableSchema("temp", columns=(Column("id", int),)))
                 raise RuntimeError
         assert "temp" not in db
+
+    @pytest.mark.parametrize("case", sorted(FAILING_OPS))
+    def test_caught_failure_inside_transaction_leaves_no_trace(
+        self, tmp_path, case,
+    ):
+        """A failing op inside ``transaction()`` that the caller catches
+        before committing changes no table, journal entry or WAL byte."""
+        op, error = FAILING_OPS[case]
+
+        def run(path, fail):
+            db = _durable_db(path)
+            with db.transaction():
+                db.insert("parents", name="before")
+                if fail:
+                    with pytest.raises(error):
+                        op(db)
+                db.insert("parents", name="after")
+            tables = {name: {row["id"]: row for row in db.table(name)}
+                      for name in db.stats()}
+            changes = db.changes_since(0)
+            db.close()
+            return tables, changes, (path / "wal.log").read_bytes()
+
+        assert run(tmp_path / "failed", True) == run(tmp_path / "clean", False)
 
 
 class TestInsert:

@@ -36,7 +36,7 @@ def test_insert_count_matches_distinct_names(batch):
         except UniqueViolation:
             pass
     assert len(db.table("items")) == len(set(batch))
-    assert sorted(db.table("items").column_values("name")) == sorted(set(batch))
+    assert sorted(row["name"] for row in db.table("items")) == sorted(set(batch))
 
 
 @given(st.lists(st.tuples(names, st.integers(-100, 100)), min_size=1, max_size=25))

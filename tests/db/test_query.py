@@ -102,9 +102,9 @@ class TestProjectionAggregation:
         assert counts == {"scifi": 2, "history": 2, "misc": 1}
 
     def test_aggregate(self, db):
-        total = query(db, "books").where(
+        total = sum(query(db, "books").where(
             lambda r: r["year"] is not None
-        ).aggregate("year", sum)
+        ).values("year"))
         assert total == 2001 + 1999 + 2010 + 2005
 
     def test_values(self, db):

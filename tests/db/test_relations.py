@@ -30,7 +30,6 @@ class TestAddRemove:
         links.add(pid, tid)
         assert links.has(pid, tid)
         assert links.right_of(pid) == [tid]
-        assert links.left_of(tid) == [pid]
 
     def test_add_is_idempotent(self, db, links):
         pid, tid = add_pair(db)
@@ -51,13 +50,6 @@ class TestAddRemove:
         assert not links.has(pid, tid)
         assert links.remove(pid, tid) is False
 
-    def test_clear_left(self, db, links):
-        pid = db.insert("posts")["id"]
-        tids = [db.insert("tags")["id"] for _ in range(3)]
-        for tid in tids:
-            links.add(pid, tid)
-        assert links.clear_left(pid) == 3
-        assert links.right_of(pid) == []
 
 
 class TestCascade:

@@ -78,8 +78,6 @@ class TestTableSchema:
         assert schema.column("x").type is str
         with pytest.raises(SchemaError):
             schema.column("nope")
-        assert schema.has_column("id")
-        assert not schema.has_column("nope")
 
     def test_column_names_order(self):
         schema = TableSchema("t", columns=(Column("id", int), Column("b", str)))

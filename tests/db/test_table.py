@@ -187,12 +187,6 @@ class TestFindAndIndexes:
         row["name"] = "mutated"
         assert t.get(row["id"])["name"] == "x"
 
-    def test_column_values(self):
-        t = make_table()
-        t.insert(name="x")
-        t.insert(name="y")
-        assert sorted(t.column_values("name")) == ["x", "y"]
-
     def test_iteration_and_contains(self):
         t = make_table()
         r = t.insert(name="x")

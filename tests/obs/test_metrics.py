@@ -85,18 +85,6 @@ class TestHistogramBucketMath:
         assert counts == sorted(counts)
         assert cumulative[-1] == (float("inf"), 4)
 
-    def test_quantile_estimates_bucket_upper_bound(self):
-        h = Histogram(buckets=(1.0, 2.0, 4.0))
-        for _ in range(90):
-            h.observe(0.5)
-        for _ in range(10):
-            h.observe(3.0)
-        assert h.quantile(0.5) == 1.0
-        assert h.quantile(0.99) == 4.0
-
-    def test_quantile_of_empty_histogram(self):
-        assert Histogram().quantile(0.5) == 0.0
-
     def test_rejects_empty_or_duplicate_buckets(self):
         with pytest.raises(ValueError):
             Histogram(buckets=())
@@ -126,7 +114,7 @@ class TestRequestLog:
         entry = log.record(request_id="abc", method="GET", status=200)
         assert entry["request_id"] == "abc"
         assert entry["ts"] > 0
-        assert log.tail(1)[0]["method"] == "GET"
+        assert log.find("abc")[0]["method"] == "GET"
 
     def test_ring_bound_and_dropped_counter(self):
         log = RequestLog(capacity=3)
@@ -134,7 +122,9 @@ class TestRequestLog:
             log.record(request_id=str(i))
         assert len(log) == 3
         assert log.dropped == 2
-        assert [r["request_id"] for r in log.tail()] == ["2", "3", "4"]
+        assert [bool(log.find(str(i))) for i in range(5)] == [
+            False, False, True, True, True,
+        ]
 
     def test_find_by_request_id(self):
         log = RequestLog()

@@ -106,7 +106,8 @@ def test_similarity_graph_edges_match_rule(params, threshold):
     for lid in left:
         for rid in right:
             shared = len(keysets[lid] & keysets[rid])
-            assert graph.has_edge(lid, rid) == (shared >= threshold)
+            edge = graph.get_edge_data(lid, rid)
+            assert (edge is not None) == (shared >= threshold)
 
 
 @SETTINGS

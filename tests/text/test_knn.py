@@ -51,8 +51,8 @@ class TestSuggest:
         assert out[0].label == "a"
 
     def test_multilabel_region(self, fitted):
-        labels = fitted.predict_labels(np.array([[0.7, 0.7]]))[0]
-        assert labels == frozenset({"a", "b"})
+        out = fitted.suggest(np.array([[0.7, 0.7]]))[0]
+        assert {s.label for s in out} == {"a", "b"}
 
     def test_scores_normalized_and_sorted(self, fitted):
         out = fitted.suggest(np.array([[0.5, 0.5]]))[0]

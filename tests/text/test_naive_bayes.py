@@ -71,8 +71,9 @@ class TestPredict:
             NaiveBayesClassifier().log_odds(np.ones((1, 2)))
 
     def test_predict_labels_multilabel(self, fitted):
-        labels = fitted.predict_labels(np.array([[2, 2, 2, 2]], dtype=float))[0]
-        assert labels <= {"par", "alg"}
+        counts = np.array([[2, 2, 2, 2]], dtype=float)
+        out = fitted.suggest(counts, top=len(fitted.labels_))[0]
+        assert {s.label for s in out} <= {"par", "alg"}
 
     def test_top_limits_suggestions(self, fitted):
         out = fitted.suggest(np.array([[1, 1, 1, 1]], dtype=float), top=1)[0]

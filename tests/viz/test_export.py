@@ -1,26 +1,12 @@
-"""CSV and GraphML exports."""
+"""GraphML export."""
 
-import csv
-import io
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.core.coverage import compute_coverage
 from repro.core.similarity import similarity_graph
 from repro.corpus import collection_ids
-from repro.viz.export import (
-    coverage_to_csv,
-    materials_to_csv,
-    similarity_to_graphml,
-    write_coverage_csv,
-    write_similarity_graphml,
-)
-
-
-@pytest.fixture(scope="module")
-def itcs_coverage(seeded_repo):
-    return compute_coverage(seeded_repo, "PDC12", collection="itcs3145")
+from repro.viz.export import similarity_to_graphml, write_similarity_graphml
 
 
 @pytest.fixture(scope="module")
@@ -31,35 +17,6 @@ def figure3(seeded_repo):
         collection_ids(seeded_repo, "peachy"),
         threshold=2, left_group="nifty", right_group="peachy",
     )
-
-
-class TestCoverageCsv:
-    def test_rows_parse_and_match_report(self, seeded_repo, itcs_coverage):
-        text = coverage_to_csv(itcs_coverage, seeded_repo.ontology("PDC12"))
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert rows
-        by_key = {r["key"]: r for r in rows}
-        prog = by_key["PDC12/PROG"]
-        assert int(prog["rollup"]) == 16
-        assert prog["kind"] == "area"
-
-    def test_uncovered_excluded_by_default(self, seeded_repo, itcs_coverage):
-        text = coverage_to_csv(itcs_coverage, seeded_repo.ontology("PDC12"))
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert all(int(r["rollup"]) > 0 for r in rows)
-
-    def test_include_uncovered_lists_everything(self, seeded_repo, itcs_coverage):
-        onto = seeded_repo.ontology("PDC12")
-        text = coverage_to_csv(itcs_coverage, onto, include_uncovered=True)
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == len(onto)
-
-    def test_write_to_file(self, seeded_repo, itcs_coverage, tmp_path):
-        path = write_coverage_csv(
-            itcs_coverage, seeded_repo.ontology("PDC12"),
-            tmp_path / "coverage.csv",
-        )
-        assert path.read_text().startswith("key,path,kind,direct,rollup")
 
 
 NS = {"g": "http://graphml.graphdrawing.org/xmlns"}
@@ -119,19 +76,3 @@ class TestGraphml:
         path = write_similarity_graphml(figure3, tmp_path / "fig3.graphml")
         assert path.exists()
 
-
-class TestMaterialsCsv:
-    def test_all_materials(self, seeded_repo):
-        rows = list(csv.DictReader(io.StringIO(materials_to_csv(seeded_repo))))
-        assert len(rows) == 97
-
-    def test_collection_filter(self, seeded_repo):
-        rows = list(csv.DictReader(io.StringIO(
-            materials_to_csv(seeded_repo, "peachy")
-        )))
-        assert len(rows) == 11
-        assert all(r["collection"] == "peachy" for r in rows)
-
-    def test_classification_counts_positive(self, seeded_repo):
-        rows = list(csv.DictReader(io.StringIO(materials_to_csv(seeded_repo))))
-        assert all(int(r["n_classifications"]) > 0 for r in rows)

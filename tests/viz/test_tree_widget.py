@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.classification import ClassificationSet
 from repro.corpus import keys as K
 from repro.viz.tree_widget import TreeListWidget
 
@@ -30,11 +29,6 @@ class TestExpansion:
         widget.collapse("PDC12/PROG")
         assert all(r.depth == 0 for r in widget.visible_rows())
 
-    def test_toggle(self, widget):
-        assert widget.toggle("PDC12/PROG") is True
-        assert widget.is_expanded("PDC12/PROG")
-        assert widget.toggle("PDC12/PROG") is False
-
     def test_root_cannot_collapse(self, widget):
         with pytest.raises(ValueError):
             widget.collapse("PDC12")
@@ -48,22 +42,13 @@ class TestExpansion:
         keys = {r.key for r in widget.visible_rows()}
         assert K.P_OPENMP in keys
 
-    def test_collapse_all(self, widget):
-        widget.expand_to(K.P_OPENMP)
-        widget.collapse_all()
-        assert all(r.depth == 0 for r in widget.visible_rows())
-
 
 class TestSelection:
     def test_select_and_deselect(self, widget):
         widget.select(K.P_OPENMP)
-        assert widget.is_selected(K.P_OPENMP)
+        assert widget.to_classification().has("PDC12", K.P_OPENMP)
         widget.deselect(K.P_OPENMP)
-        assert not widget.is_selected(K.P_OPENMP)
-
-    def test_toggle_selection(self, widget):
-        assert widget.toggle_selection(K.P_MPI) is True
-        assert widget.toggle_selection(K.P_MPI) is False
+        assert not widget.to_classification().has("PDC12", K.P_OPENMP)
 
     def test_root_not_selectable(self, widget):
         with pytest.raises(ValueError):
@@ -74,14 +59,6 @@ class TestSelection:
         widget.select(K.P_MPI)
         cs = widget.to_classification()
         assert cs.keys("PDC12") == frozenset({K.P_OPENMP, K.P_MPI})
-
-    def test_load_classification_initializes_and_reveals(self, widget):
-        cs = ClassificationSet()
-        cs.add("PDC12", K.P_OPENMP)
-        cs.add("CS13", K.SDF_ARRAYS)  # other ontology — ignored
-        widget.load_classification(cs)
-        assert widget.selection() == frozenset({K.P_OPENMP})
-        assert K.P_OPENMP in {r.key for r in widget.visible_rows()}
 
 
 class TestSearch:
@@ -101,7 +78,7 @@ class TestSearch:
     def test_search_does_not_change_selection(self, widget):
         widget.select(K.P_MPI)
         widget.search("openmp")
-        assert widget.selection() == frozenset({K.P_MPI})
+        assert widget.to_classification().keys("PDC12") == {K.P_MPI}
 
 
 class TestRendering:

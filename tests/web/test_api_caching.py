@@ -19,7 +19,7 @@ from repro.web import ApiServer, CarCsApi, Client
 
 @pytest.fixture()
 def client():
-    return Client(CarCsApi(seed_all()))
+    return Client(CarCsApi(seed_all()), root="/api/v1")
 
 
 def make_material(client, title="Cache probe"):
@@ -128,13 +128,13 @@ class TestEtagOverRealHttp:
             yield srv
 
     def test_304_over_the_wire(self, server):
-        with urllib.request.urlopen(f"{server.url}/stats") as resp:
+        with urllib.request.urlopen(f"{server.url}/api/v1/stats") as resp:
             assert resp.status == 200
             etag = resp.headers["etag"]
             assert json.loads(resp.read())
 
         request = urllib.request.Request(
-            f"{server.url}/stats", headers={"If-None-Match": etag}
+            f"{server.url}/api/v1/stats", headers={"If-None-Match": etag}
         )
         # urllib raises on any non-2xx status, including 304.
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -1,8 +1,7 @@
 """Golden transcript of the whole HTTP surface.
 
-Drives every route on all three surfaces — ``/api/v2``, the ``/api/v1``
-shim and the unprefixed deprecated aliases — against a fresh
-``seed_all()`` repository, in a fixed order with the mutations last.
+Drives every route on both surfaces — ``/api/v2`` and the ``/api/v1``
+shim — against a fresh ``seed_all()`` repository, in a fixed order with the mutations last.
 Each exchange records the status, every response header (in order) and
 the body exactly as :mod:`repro.web.server` would encode it, and the
 whole sequence must equal ``tests/web/golden/api_transcript.json``.
@@ -48,13 +47,12 @@ VOLATILE = "<volatile>"
 SURFACES = {
     "v2": ("/api/v2", "/materials", "/recommendations"),
     "v1": ("/api/v1", "/assignments", "/recommend"),
-    "alias": ("", "/assignments", "/recommend"),
 }
 
 KEY = "PDC12/ALGO/algorithmic-paradigms/prefix-sums-and-scan"
 OTHER_KEY = "PDC12/ARCH/classes-of-architecture/taxonomy-flynn-s-taxonomy-sisd-simd-mimd"
 
-#: Served on ``/api/v2`` and ``/api/v1`` but not as unprefixed aliases.
+#: The index and the operational endpoints, identical on both surfaces.
 OPS_READS = [
     ("GET", ""),
     ("GET", "/healthz"),
@@ -201,9 +199,7 @@ def _plan() -> list[tuple[str, tuple]]:
     """The fixed request order: (surface, step) pairs."""
     plan: list[tuple[str, tuple]] = []
     for surface in SURFACES:
-        steps = READS + (V2_READS if surface == "v2" else [])
-        if surface != "alias":
-            steps = OPS_READS + steps
+        steps = OPS_READS + READS + (V2_READS if surface == "v2" else [])
         plan += [(surface, step) for step in steps]
     for surface in SURFACES:
         steps = MUTATIONS + (V2_MUTATIONS if surface == "v2" else [])

@@ -34,6 +34,8 @@ def _broken_backend() -> LocalBackend:
 CASES = {
     "router-404": lambda: Client(_api()).get("/api/v2/not-a-resource"),
     "router-405": lambda: Client(_api()).delete("/api/v2/search"),
+    # Only /api/v2 and /api/v1 are routed: a bare v1 path is a 404.
+    "unprefixed-404": lambda: Client(_api()).get("/assignments/31337"),
     "resource-404": lambda: Client(_api()).get("/api/v2/materials/12345"),
     "validation-400": lambda: Client(_api()).post(
         "/api/v2/materials", body={}
@@ -65,6 +67,7 @@ def _saturated_queue_response():
 EXPECTED_STATUS = {
     "router-404": 404,
     "router-405": 405,
+    "unprefixed-404": 404,
     "resource-404": 404,
     "validation-400": 400,
     "cursor-400": 400,
@@ -85,6 +88,7 @@ def test_error_envelope_shape(case):
     assert envelope["code"] == response.status
     assert isinstance(envelope["message"], str) and envelope["message"]
     assert isinstance(envelope["request_id"], str)
+    assert "deprecation" not in response.headers
 
 
 @pytest.mark.parametrize("case", sorted(set(CASES) - {"front-tier-503"}))

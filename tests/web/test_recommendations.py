@@ -20,7 +20,6 @@ from repro.web import CarCsApi, Client
 SURFACES = {
     "v2": ("/api/v2", "/recommendations"),
     "v1": ("/api/v1", "/recommend"),
-    "alias": ("", "/recommend"),
 }
 
 

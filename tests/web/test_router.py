@@ -78,19 +78,6 @@ class TestDispatch:
         table = make_router().routes()
         assert ("GET", "/things") in [(r.method, r.pattern) for r in table]
 
-    def test_deprecated_route_gets_header(self):
-        router = make_router()
-        router.add(
-            "GET", "/old-things",
-            lambda request: json_response(["a"]), deprecated=True,
-        )
-        r = router.dispatch(Request.build("GET", "/old-things"))
-        assert r.ok
-        assert r.headers["deprecation"] == "true"
-        # Canonical routes carry no deprecation header.
-        fresh = router.dispatch(Request.build("GET", "/things"))
-        assert "deprecation" not in fresh.headers
-
     def test_typed_param_conversion_in_dispatch(self):
         captured = {}
 

@@ -25,13 +25,13 @@ def get_json(url: str):
 
 class TestHttpServer:
     def test_stats_over_tcp(self, server):
-        status, body = get_json(f"{server.url}/stats")
+        status, body = get_json(f"{server.url}/api/v1/stats")
         assert status == 200
         assert body["materials"] >= 97
 
     def test_coverage_over_tcp(self, server):
         status, body = get_json(
-            f"{server.url}/coverage?collection=peachy&ontology=PDC12"
+            f"{server.url}/api/v1/coverage?collection=peachy&ontology=PDC12"
         )
         assert status == 200
         assert body["n_materials"] == 11
@@ -46,7 +46,7 @@ class TestHttpServer:
             "text": "parallel sorting with OpenMP tasks",
         }).encode()
         request = urllib.request.Request(
-            f"{server.url}/recommend", data=data, method="POST",
+            f"{server.url}/api/v1/recommend", data=data, method="POST",
             headers={"content-type": "application/json"},
         )
         with urllib.request.urlopen(request, timeout=10) as response:
