@@ -1,19 +1,18 @@
-"""Observability substrate: metrics + structured logging + tracing.
+"""Observability substrate: metrics + tracing.
 
 The paper's prototype was a hosted web service with no way to answer
 "how fast is /coverage right now?" or "which routes are erroring?".
-This package provides the three primitives the ROADMAP's production
+This package provides the two primitives the ROADMAP's production
 target needs: a process-local :class:`MetricsRegistry` (counters,
-gauges, fixed-bucket latency histograms — all thread-safe), a
-:class:`RequestLog` ring buffer of structured per-request records keyed
-by request id, and a :class:`Tracer` producing hierarchical per-request
-:class:`Span` trees that attribute latency across the web → core → db
-layers.  The web middleware chain feeds all three; ``GET
-/api/v1/metrics`` exports the registry (JSON or Prometheus text) and
-``GET /api/v1/traces`` pages over retained traces.
+gauges, fixed-bucket latency histograms — all thread-safe) and a
+:class:`Tracer` producing hierarchical per-request :class:`Span` trees
+that attribute latency across the web → core → db layers.  The web
+middleware chain records one telemetry event per request — the two
+``http_*`` series plus the root span, whose trace id is the request id;
+``GET /api/v1/metrics`` exports the registry (JSON or Prometheus text)
+and ``GET /api/v1/traces`` pages over retained traces.
 """
 
-from .logging import RequestLog, new_request_id
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -59,7 +58,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPAN",
     "REMOTE_PARENT_ATTR",
-    "RequestLog",
     "SloMonitor",
     "Span",
     "TRACEPARENT_HEADER",
@@ -73,7 +71,6 @@ __all__ = [
     "current_traceparent",
     "format_traceparent",
     "get_tracer",
-    "new_request_id",
     "parse_traceparent",
     "render_prometheus",
     "render_text",

@@ -197,6 +197,13 @@ class MetricsRegistry:
         factory = (lambda: Histogram(buckets)) if buckets is not None else Histogram
         return self._get_or_create(name, labels, factory, "histogram")
 
+    def value(self, name: str, **labels: Any) -> float:
+        """A counter's or gauge's current value, 0 when the series does
+        not exist — a read that never adds an empty series to the
+        export."""
+        metric = self._metrics.get((name, _freeze_labels(labels)))
+        return metric.value if metric is not None else 0
+
     def series(self) -> list[tuple[str, Labels, Any]]:
         with self._lock:
             return [(name, labels, metric)

@@ -57,12 +57,11 @@ Design rules, in overhead order:
   duration histograms (``carcs_span_seconds{span=...}``) into an
   attached :class:`~repro.obs.metrics.MetricsRegistry`, and the tracer
   remembers one exemplar trace id per span name — the metrics export
-  links a histogram back to a concrete retrievable trace.  Feeding is
-  buffered: requests append ``(span name, wall seconds)`` pairs and the
-  buffer drains into the registry on :meth:`Tracer.flush_metrics`
-  (called by every ``stats()`` read, i.e. every metrics scrape) — the
-  registry's label freezing and bucket search run per scrape, not per
-  span.
+  links a histogram back to a concrete retrievable trace.  The feed
+  runs when the completion queue drains (on any read, ``stats()`` and
+  every metrics scrape included, or once the queue fills), through
+  metric handles cached per span name — the request thread never
+  touches the registry.
 """
 
 from __future__ import annotations
@@ -385,35 +384,16 @@ class Span:
     wall−CPU gap *is* the contention).  ``self_s`` subtracts finished
     children, attributing time to the layer that actually spent it.
 
-    Live tracing never builds these — call sites get flight-recorder
-    handles, and :class:`TraceRecord` reconstructs the Span tree from
-    the flat records on first read.
+    A read-only node: live tracing never builds these — call sites get
+    flight-recorder handles, and :meth:`TraceRecord._build` is the only
+    constructor, turning the flat records into a Span tree on first
+    read.
     """
 
     __slots__ = (
         "name", "trace_id", "_span_id", "parent_id", "attributes",
-        "_t0", "_cpu0", "wall_s", "cpu_s", "status", "error",
-        "children",
+        "_t0", "wall_s", "cpu_s", "status", "error", "children",
     )
-
-    def __init__(self, name: str, trace_id: str,
-                 parent_id: str | None = None,
-                 attributes: dict[str, Any] | None = None) -> None:
-        self.name = name
-        self.trace_id = trace_id
-        self._span_id: str | None = None
-        self.parent_id = parent_id
-        self.attributes = attributes if attributes is not None else {}
-        self._t0 = _perf_counter()
-        self._cpu0 = _thread_time()
-        self.wall_s: float | None = None
-        self.cpu_s: float | None = None
-        self.status = "ok"
-        self.error: str | None = None
-        self.children: list["Span"] = []
-
-    def __bool__(self) -> bool:
-        return True
 
     @property
     def span_id(self) -> str:
@@ -426,22 +406,6 @@ class Span:
     def start_ts(self) -> float:
         """Wall-clock start time, derived from the monotonic reading."""
         return _EPOCH + self._t0
-
-    def set(self, **attributes: Any) -> None:
-        """Attach structured attributes (merged, last write wins)."""
-        self.attributes.update(attributes)
-
-    def finish(self, error: BaseException | None = None) -> None:
-        if self.wall_s is None:
-            self.wall_s = _perf_counter() - self._t0
-            self.cpu_s = _thread_time() - self._cpu0
-        if error is not None:
-            self.status = "error"
-            self.error = f"{type(error).__name__}: {error}"
-
-    def mark_error(self, detail: str) -> None:
-        self.status = "error"
-        self.error = detail
 
     @property
     def self_s(self) -> float:
@@ -624,7 +588,6 @@ class TraceRecord:
             s.parent_id = None
             s.attributes = rec[_R_ATTRS]
             s._t0 = rec[_R_T0]
-            s._cpu0 = rec[_R_CPU0]
             s.wall_s = rec[_R_WALL]
             s.cpu_s = rec[_R_CPU]
             s.status = rec[_R_STATUS]
@@ -661,13 +624,11 @@ class TraceRecord:
 class TraceStore:
     """Bounded, thread-safe store of completed traces (newest wins).
 
-    Writes stay raw: the request thread inserts the bare
-    ``(trace_id, records, slow, retained_by)`` tuple — one ordered-dict
-    store plus (at capacity) one eviction pop, nothing else.  Read paths
-    wrap entries into :class:`TraceRecord` on demand and memoize the
-    wrapper in place, so trace reads keep their lazily-built span trees
-    while the request hot path never constructs one.  Memory stays
-    strictly bounded by ``capacity`` either way.
+    Inserts happen when the owning tracer drains its completion queue,
+    off the request path, so each entry is stored as its
+    :class:`TraceRecord` straight away; the record still builds its span
+    tree lazily, on first read.  Memory stays strictly bounded by
+    ``capacity``.
 
     One trace id may hold several *segments*: with cross-process
     propagation an HTTP request and the job it enqueued share a trace
@@ -687,9 +648,8 @@ class TraceStore:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._lock = threading.Lock()
-        #: trace id -> list of segments, each a raw tuple (unread) |
-        #: TraceRecord (read at least once)
-        self._traces: "OrderedDict[str, list[Any]]" = OrderedDict()
+        #: trace id -> its segments, in completion order
+        self._traces: "OrderedDict[str, list[TraceRecord]]" = OrderedDict()
         self._evicted = 0
         #: Set by the owning Tracer: read paths call it first so traces
         #: still sitting in the tracer's completion queue become visible
@@ -697,64 +657,38 @@ class TraceStore:
         #: (the hook runs before this store's lock is taken).
         self._drain_hook: Any = None
 
-    def _append_locked(self, trace_id: str, entry: Any) -> None:
-        traces = self._traces
-        existing = traces.pop(trace_id, None)
-        if existing is None:
-            traces[trace_id] = [entry]
-        else:
-            existing.append(entry)
-            if len(existing) > self.MAX_SEGMENTS:
-                del existing[0]
-            traces[trace_id] = existing
-        while len(traces) > self.capacity:
-            traces.popitem(last=False)
-            self._evicted += 1
-
-    def add_deferred(self, trace_id: str, records: list[list[Any]],
-                     slow: bool, retained_by: str) -> None:
-        """Insert a finished trace segment as a raw tuple (the hot path)."""
-        with self._lock:
-            self._append_locked(
-                trace_id, (trace_id, records, slow, retained_by)
-            )
+    def _sync(self) -> None:
+        hook = self._drain_hook
+        if hook is not None:
+            hook()
 
     def add(self, record: TraceRecord) -> None:
         with self._lock:
-            self._append_locked(record.trace_id, record)
-
-    def _wrap_locked(self, entries: list[Any], index: int) -> TraceRecord:
-        value = entries[index]
-        if type(value) is tuple:
-            value = TraceRecord(
-                value[0], value[1], slow=value[2], retained_by=value[3],
-            )
-            entries[index] = value
-        return value
+            traces = self._traces
+            existing = traces.pop(record.trace_id, None)
+            if existing is None:
+                traces[record.trace_id] = [record]
+            else:
+                existing.append(record)
+                if len(existing) > self.MAX_SEGMENTS:
+                    del existing[0]
+                traces[record.trace_id] = existing
+            while len(traces) > self.capacity:
+                traces.popitem(last=False)
+                self._evicted += 1
 
     def get(self, trace_id: str) -> TraceRecord | None:
         """The trace's first segment (its originating request)."""
-        hook = self._drain_hook
-        if hook is not None:
-            hook()
+        self._sync()
         with self._lock:
             entries = self._traces.get(trace_id)
-            if entries is None:
-                return None
-            return self._wrap_locked(entries, 0)
+            return entries[0] if entries else None
 
     def segments(self, trace_id: str) -> list[TraceRecord]:
         """Every stored segment of a trace, in completion order."""
-        hook = self._drain_hook
-        if hook is not None:
-            hook()
+        self._sync()
         with self._lock:
-            entries = self._traces.get(trace_id)
-            if entries is None:
-                return []
-            return [
-                self._wrap_locked(entries, i) for i in range(len(entries))
-            ]
+            return list(self._traces.get(trace_id, ()))
 
     def summaries(self) -> list[dict[str, Any]]:
         """Newest-first summary dicts (the ``/api/v1/traces`` payload)."""
@@ -762,28 +696,18 @@ class TraceStore:
 
     def records(self) -> list[TraceRecord]:
         """Newest-first stored segments (exemplar derivation, the CLI)."""
-        hook = self._drain_hook
-        if hook is not None:
-            hook()
+        self._sync()
         with self._lock:
-            wrapped = [
-                self._wrap_locked(entries, i)
-                for entries in self._traces.values()
-                for i in range(len(entries))
-            ]
-        return list(reversed(wrapped))
+            stored = [r for entries in self._traces.values() for r in entries]
+        return stored[::-1]
 
     @property
     def evicted(self) -> int:
-        hook = self._drain_hook
-        if hook is not None:
-            hook()
+        self._sync()
         return self._evicted
 
     def __len__(self) -> int:
-        hook = self._drain_hook
-        if hook is not None:
-            hook()
+        self._sync()
         return len(self._traces)
 
     def clear(self) -> None:
@@ -817,22 +741,14 @@ class Tracer:
         # Completion queue: finished traces land here as raw
         # (trace_id, records, mode-at-completion) tuples and the whole
         # retention pipeline — slow/error scan, sampling decision,
-        # counters, store insert, histogram batch — runs when something
+        # counters, store insert, span histograms — runs when something
         # *reads* (any stats/metrics scrape or store lookup drains the
         # queue first, via the store's drain hook), or inline once the
         # queue hits its bound.  A request thread therefore pays one
         # list append for trace completion.
         self._queue: list[tuple[str, list[list[Any]], str]] = []
-        # Histogram feeding is deferred: _finish appends (name, wall)
-        # pairs to this buffer under the lock it already holds, and
-        # flush_metrics() drains it when the metrics are actually read
-        # (stats(), the /metrics route) or when the buffer fills.  The
-        # registry's get-or-create re-freezes labels under its own lock
-        # per call — paying that per scrape instead of per span is most
-        # of the tracing overhead budget.
-        self._pending: list[tuple[str, float | None]] = []
-        self._pending_kept = 0
-        self._pending_lost = 0
+        # Metric handles by span name (and retained label), so a drain
+        # pays the registry's get-or-create once per name, not per span.
         self._metric_cache: dict[Any, Any] = {}
         self._cached_registry: Any = None
         self.store._drain_hook = self._drain
@@ -856,7 +772,7 @@ class Tracer:
         return self.mode != MODE_OFF
 
     def stats(self) -> dict[str, int]:
-        self.flush_metrics()
+        self._drain()
         return {
             "started": self._started,
             "retained": self._retained,
@@ -888,8 +804,6 @@ class Tracer:
         with self._lock:
             self._queue.clear()
             self._started = self._retained = self._dropped = 0
-            self._pending.clear()
-            self._pending_kept = self._pending_lost = 0
         self.store.clear()
 
     def _drain(self) -> None:
@@ -903,10 +817,14 @@ class Tracer:
             return
         self._queue = []
         slow_s = self.slow_ms * 1e-3
-        feed = self.registry is not None
-        pending = self._pending
+        registry = self.registry
+        if registry is not self._cached_registry:
+            self._metric_cache = {}
+            self._cached_registry = registry
+        cache = self._metric_cache
         store = self.store
         sample_every = self.sample_every
+        kept = lost = 0
         for trace_id, records, mode in queue:
             slow = errored = False
             for rec in records:
@@ -915,8 +833,14 @@ class Tracer:
                     slow = True
                 if rec[_R_STATUS] == "error":
                     errored = True
-                if feed:
-                    pending.append((rec[_R_NAME], wall))
+                if registry is not None:
+                    name = rec[_R_NAME]
+                    hist = cache.get(name)
+                    if hist is None:
+                        hist = cache[name] = registry.histogram(
+                            "carcs_span_seconds", span=name
+                        )
+                    hist.observe(wall if wall is not None else 0.0)
             self._started += 1
             # Retention uses the mode that was live when the trace
             # completed, so reconfiguring between completion and drain
@@ -932,51 +856,23 @@ class Tracer:
             else:
                 retained_by = ""
             if retained_by:
-                self._retained += 1
-                store.add_deferred(trace_id, records, slow, retained_by)
+                kept += 1
+                store.add(TraceRecord(
+                    trace_id, records, slow=slow, retained_by=retained_by,
+                ))
             else:
-                self._dropped += 1
-            if feed:
-                if retained_by:
-                    self._pending_kept += 1
-                else:
-                    self._pending_lost += 1
-
-    def flush_metrics(self) -> None:
-        """Drain buffered span timings into the attached registry.
-
-        Called by every metrics/stats read, so scrapes always see the
-        up-to-date histograms; traced requests only pay list appends.
-        """
-        registry = self.registry
-        with self._lock:
-            self._drain_locked()
-            if registry is None:
-                return
-            if not self._pending and not self._pending_kept \
-                    and not self._pending_lost:
-                return
-            pending, self._pending = self._pending, []
-            kept, self._pending_kept = self._pending_kept, 0
-            lost, self._pending_lost = self._pending_lost, 0
-            if registry is not self._cached_registry:
-                self._metric_cache = {}
-                self._cached_registry = registry
-            cache = self._metric_cache
-        for name, wall in pending:
-            hist = cache.get(name)
-            if hist is None:
-                hist = registry.histogram("carcs_span_seconds", span=name)
-                cache[name] = hist
-            hist.observe(wall if wall is not None else 0.0)
+                lost += 1
+        self._retained += kept
+        self._dropped += lost
+        if registry is None:
+            return
         for label, count in (("true", kept), ("false", lost)):
             if count:
                 counter = cache.get(("retained", label))
                 if counter is None:
-                    counter = registry.counter(
+                    counter = cache[("retained", label)] = registry.counter(
                         "carcs_traces_total", retained=label
                     )
-                    cache[("retained", label)] = counter
                 counter.inc(count)
 
     # -- root spans -------------------------------------------------------
@@ -1030,12 +926,8 @@ class Tracer:
         with self._lock:
             queue = self._queue
             queue.append((trace.trace_id, trace.records, self.mode))
-            if len(queue) < 1024:
-                return
-            self._drain_locked()
-            overflow = len(self._pending) >= 4096
-        if overflow:
-            self.flush_metrics()
+            if len(queue) >= 1024:
+                self._drain_locked()
 
 
 #: Process-wide default tracer (the CLI and any bare ``CarCsApi`` use
@@ -1058,32 +950,39 @@ def _format_attributes(attributes: dict[str, Any]) -> str:
     return f"  [{inner}]"
 
 
+def _emit(lines: list[str], node: dict[str, Any], depth: int,
+          hidden: str | None = None) -> None:
+    """Append one span node (``Span.as_dict`` shape) and its subtree,
+    indented by ``depth``; the attribute named ``hidden`` is left out."""
+    marker = " !" if node.get("status") == "error" else ""
+    process = node.get("process")
+    label = f" @{process}" if process else ""
+    attrs = {
+        k: v for k, v in (node.get("attributes") or {}).items() if k != hidden
+    }
+    lines.append(
+        f"{'  ' * depth}- {node.get('name', '?')}{marker}{label}  "
+        f"{node.get('wall_ms', 0.0):.3f}ms "
+        f"(self {node.get('self_ms', 0.0):.3f}ms, "
+        f"cpu {node.get('cpu_ms', 0.0):.3f}ms)"
+        f"{_format_attributes(attrs)}"
+    )
+    if node.get("error"):
+        lines.append(f"{'  ' * (depth + 1)}error: {node['error']}")
+    for child in node.get("children") or ():
+        _emit(lines, child, depth + 1, hidden)
+
+
 def render_text(record: TraceRecord) -> str:
     """Indented span tree with per-span wall/self/CPU time — the
-    ``carcs trace`` output."""
+    ``carcs trace`` output for one local segment."""
     lines = [
         f"trace {record.trace_id}  status={record.root.status}  "
         f"spans={record.span_count}  "
         f"duration={(record.root.wall_s or 0.0) * 1e3:.3f}ms"
         + ("  SLOW" if record.slow else "")
     ]
-
-    def emit(span_: Span, depth: int) -> None:
-        wall = (span_.wall_s or 0.0) * 1e3
-        cpu = (span_.cpu_s or 0.0) * 1e3
-        self_ms = span_.self_s * 1e3
-        marker = " !" if span_.status == "error" else ""
-        lines.append(
-            f"{'  ' * depth}- {span_.name}{marker}  "
-            f"{wall:.3f}ms (self {self_ms:.3f}ms, cpu {cpu:.3f}ms)"
-            f"{_format_attributes(span_.attributes)}"
-        )
-        if span_.error:
-            lines.append(f"{'  ' * (depth + 1)}error: {span_.error}")
-        for child in span_.children:
-            emit(child, depth + 1)
-
-    emit(record.root, 0)
+    _emit(lines, record.root.as_dict(), 0)
     return "\n".join(lines)
 
 
@@ -1171,31 +1070,10 @@ def render_tree(payload: dict[str, Any]) -> str:
         f"segments={payload.get('segments', 0)}  "
         f"processes={processes}"
     ]
-
-    def emit(node: dict[str, Any], depth: int) -> None:
-        marker = " !" if node.get("status") == "error" else ""
-        process = node.get("process")
-        label = f" @{process}" if process else ""
-        attrs = {
-            k: v for k, v in (node.get("attributes") or {}).items()
-            if k != REMOTE_PARENT_ATTR
-        }
-        lines.append(
-            f"{'  ' * depth}- {node.get('name', '?')}{marker}{label}  "
-            f"{node.get('wall_ms', 0.0):.3f}ms "
-            f"(self {node.get('self_ms', 0.0):.3f}ms, "
-            f"cpu {node.get('cpu_ms', 0.0):.3f}ms)"
-            f"{_format_attributes(attrs)}"
-        )
-        if node.get("error"):
-            lines.append(f"{'  ' * (depth + 1)}error: {node['error']}")
-        for child in node.get("children") or ():
-            emit(child, depth + 1)
-
     root = payload.get("root")
     if root:
-        emit(root, 0)
+        _emit(lines, root, 0, REMOTE_PARENT_ATTR)
     for tree in payload.get("unlinked") or ():
         lines.append("unlinked segment (caller's segment not retained):")
-        emit(tree, 1)
+        _emit(lines, tree, 1, REMOTE_PARENT_ATTR)
     return "\n".join(lines)

@@ -14,7 +14,7 @@ a ``Sunset`` header.  The operational endpoints
 (:data:`OPS_SUFFIXES`) answer identically on both prefixes.  All
 requests flow through the three-step middleware chain in
 :mod:`repro.web.middleware`: telemetry (request ids, the root span, the
-500 boundary, metrics and the request log), admission control, and the
+500 boundary and the ``http_*`` metrics), admission control, and the
 snapshot step (the MVCC pin for reads or the write lock for mutations,
 conditional GET, and the version stamp).
 """
@@ -28,7 +28,6 @@ from repro.core.repository import Repository
 from repro.jobs import JobQueue, WorkerPool, default_handlers
 from repro.obs import (
     MetricsRegistry,
-    RequestLog,
     SloMonitor,
     Tracer,
     collect_runtime_metrics,
@@ -181,7 +180,6 @@ class CarCsApi:
         repo: Repository,
         *,
         metrics: MetricsRegistry | None = None,
-        request_log: RequestLog | None = None,
         tracer: Tracer | None = None,
         replication: Any = None,
         read_only: bool = False,
@@ -210,18 +208,13 @@ class CarCsApi:
         )
         self.job_handlers = default_handlers(repo)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.request_log = (
-            request_log if request_log is not None else RequestLog()
-        )
         self.tracer = tracer if tracer is not None else get_tracer()
         self._search = repo.search_engine()
         # Index-size gauges, rebuild counters, the search latency
-        # histogram, per-span duration histograms and the request-log
-        # drop gauge all land in the same registry /api/v2/metrics
-        # exports.
+        # histogram and per-span duration histograms all land in the
+        # same registry /api/v2/metrics exports.
         self._search.metrics = self.metrics
         self.tracer.registry = self.metrics
-        self.request_log.metrics = self.metrics
         # SLO burn rates derive from the same http_* series the telemetry
         # middleware feeds; the monitor snapshots them on read.
         self.slo = SloMonitor(self.metrics)
@@ -237,7 +230,7 @@ class CarCsApi:
                 name="api",
             ).start()
         # Admission sits below telemetry (sheds get request ids,
-        # metrics, logs and trace spans) but above ReadOnly/Snapshot: a
+        # metrics and trace spans) but above ReadOnly/Snapshot: a
         # shed request must never queue on the database write lock.
         self.admission = AdmissionMiddleware(
             self.metrics,
@@ -247,7 +240,7 @@ class CarCsApi:
             exempt=ADMISSION_EXEMPT_PATHS,
         )
         self.middlewares = [
-            TelemetryMiddleware(self.tracer, self.metrics, self.request_log),
+            TelemetryMiddleware(self.tracer, self.metrics),
             self.admission,
             *([ReadOnlyMiddleware(primary_url)] if read_only else []),
             SnapshotMiddleware(repo.db, is_unconditional),
@@ -292,9 +285,6 @@ class CarCsApi:
                 self.metrics.gauge(f"carcs_{key}").set(value)
             self.metrics.gauge("carcs_uptime_seconds").set(
                 round(time.monotonic() - self._started, 3)
-            )
-            self.metrics.gauge("carcs_request_log_dropped").set(
-                self.request_log.dropped
             )
             for key, value in self.tracer.stats().items():
                 self.metrics.gauge(f"carcs_traces_{key}").set(value)

@@ -6,12 +6,12 @@ production chain, outermost first:
 
 1. :class:`TelemetryMiddleware` — the request id, the root span (under
    an inbound ``traceparent`` when a proxied hop carries one), the 500
-   boundary, and one record per request: the ``http_*`` metrics, one
-   request-log record, the renamed root span.
+   boundary, and the request's one telemetry record: the two ``http_*``
+   series and the renamed root span.
 2. :class:`AdmissionMiddleware` — request deadlines, per-client rate
    limits and the inflight cap.  It sits under the telemetry step, so
-   sheds are counted, logged and traced like any response, and above
-   the snapshot step, so a shed request never queues on the write lock.
+   sheds are counted and traced like any response, and above the
+   snapshot step, so a shed request never queues on the write lock.
 3. :class:`SnapshotMiddleware` — the database version a request sees:
    reads pin the current MVCC snapshot (no lock at all) and revalidate
    ETags inside the pin; writes take the exclusive write lock; every
@@ -24,6 +24,7 @@ the primary.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import threading
@@ -31,7 +32,7 @@ import time
 from collections import OrderedDict
 from typing import Callable, Iterable, Sequence
 
-from repro.obs import MetricsRegistry, RequestLog, Tracer, new_request_id
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs import trace as _trace
 
 from .http import (
@@ -50,6 +51,8 @@ Middleware = Callable[[Request, Handler], Response]
 #: bounded — unmatched paths are attacker-controlled strings).
 UNMATCHED = "<unmatched>"
 
+_log = logging.getLogger(__name__)
+
 
 def backpressure_response(
     status: int,
@@ -57,7 +60,7 @@ def backpressure_response(
     request_id: str = "",
     *,
     retry_after: int = 1,
-    metrics: MetricsRegistry | None = None,
+    metrics: MetricsRegistry,
     reason: str = "overload",
 ) -> Response:
     """The one way CAR-CS sheds load.
@@ -69,10 +72,9 @@ def backpressure_response(
     """
     response = error_response(status, message, request_id)
     response.headers["retry-after"] = str(retry_after)
-    if metrics is not None:
-        metrics.counter(
-            "carcs_shed_total", status=str(status), reason=reason,
-        ).inc()
+    metrics.counter(
+        "carcs_shed_total", status=str(status), reason=reason,
+    ).inc()
     return response
 
 
@@ -110,6 +112,15 @@ ENV_MAX_INFLIGHT = "CARCS_MAX_INFLIGHT"
 #: Distinct per-client buckets retained; a rotating-identity client
 #: cycles through the shared LRU instead of growing it without bound.
 MAX_TRACKED_CLIENTS = 10_000
+
+#: Admission shed kind (its :meth:`AdmissionMiddleware.stats` key) →
+#: the ``(status, reason)`` labels of the ``carcs_shed_total`` series
+#: that counts it.
+SHED_SERIES = {
+    "shed_deadline": (503, "deadline"),
+    "shed_rate": (429, "rate-limit"),
+    "shed_inflight": (503, "overload"),
+}
 
 
 def _env_float(name: str) -> float | None:
@@ -166,8 +177,8 @@ class TokenBucket:
 class AdmissionMiddleware:
     """The front door: rate limits, concurrency caps, request deadlines.
 
-    Runs *under* the telemetry step (sheds are counted, logged and
-    traced like any response) and *above* the snapshot middleware — a
+    Runs *under* the telemetry step (sheds are counted and traced like
+    any response) and *above* the snapshot middleware — a
     request this layer refuses never touches the storage engine and,
     crucially, never queues on the write lock.  Three independent
     checks, cheapest first:
@@ -191,12 +202,15 @@ class AdmissionMiddleware:
     Every refusal goes through :func:`backpressure_response` — one
     envelope, one ``Retry-After`` header, one ``carcs_shed_total``
     counter, exactly like the front tier's primary-outage 503s and the
-    job queue's saturation 429s.  Requests for an ``exempt`` path skip
+    job queue's saturation 429s; :meth:`stats` reads its shed counts
+    back from that counter (:data:`SHED_SERIES`), and the scrape-time
+    ``carcs_admission_*`` gauges export them with the inflight level.
+    Requests for an ``exempt`` path skip
     all three checks (the API exempts its health and metrics endpoints,
     :data:`repro.web.api.ADMISSION_EXEMPT_PATHS`).
     """
 
-    def __init__(self, metrics: MetricsRegistry | None = None, *,
+    def __init__(self, metrics: MetricsRegistry, *,
                  rate_limit: float | None = None,
                  rate_burst: float | None = None,
                  max_inflight: int | None = None,
@@ -216,9 +230,6 @@ class AdmissionMiddleware:
         self._lock = threading.Lock()
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
         self._inflight = 0
-        self.shed_deadline = 0
-        self.shed_rate = 0
-        self.shed_inflight = 0
 
     # -- helpers -----------------------------------------------------------
 
@@ -259,26 +270,25 @@ class AdmissionMiddleware:
                 self._buckets.popitem(last=False)
             return bucket.acquire()
 
-    def _shed(self, request: Request, status: int, message: str, *,
-              retry_after: int, reason: str) -> Response:
+    def _shed(self, request: Request, kind: str, message: str,
+              retry_after: int = 1) -> Response:
+        status, reason = SHED_SERIES[kind]
         return backpressure_response(
             status, message, request.request_id,
             retry_after=retry_after, metrics=self.metrics, reason=reason,
         )
 
-    def inflight(self) -> int:
-        with self._lock:
-            return self._inflight
-
     def stats(self) -> dict[str, int]:
         with self._lock:
-            return {
+            out = {
                 "inflight": self._inflight,
                 "tracked_clients": len(self._buckets),
-                "shed_deadline": self.shed_deadline,
-                "shed_rate": self.shed_rate,
-                "shed_inflight": self.shed_inflight,
             }
+        for key, (status, reason) in SHED_SERIES.items():
+            out[key] = self.metrics.value(
+                "carcs_shed_total", status=status, reason=reason,
+            )
+        return out
 
     # -- the middleware ----------------------------------------------------
 
@@ -288,39 +298,25 @@ class AdmissionMiddleware:
 
         budget = self.parse_deadline(request.header(DEADLINE_HEADER))
         if budget is not None and budget <= 0:
-            self.shed_deadline += 1
             return self._shed(
-                request, 503, "request deadline already expired",
-                retry_after=1, reason="deadline",
+                request, "shed_deadline", "request deadline already expired",
             )
 
         wait = self._over_rate(request)
         if wait > 0:
-            self.shed_rate += 1
             return self._shed(
-                request, 429, "client request rate exceeded",
-                retry_after=max(1, math.ceil(wait)), reason="rate-limit",
+                request, "shed_rate", "client request rate exceeded",
+                retry_after=max(1, math.ceil(wait)),
             )
 
-        if self.max_inflight is not None:
-            with self._lock:
-                if self._inflight >= self.max_inflight:
-                    self.shed_inflight += 1
-                    over = True
-                else:
-                    self._inflight += 1
-                    over = False
-            if over:
-                return self._shed(
-                    request, 503, "server is at its concurrency limit",
-                    retry_after=1, reason="overload",
-                )
-        else:
-            with self._lock:
+        cap = self.max_inflight
+        with self._lock:
+            over = cap is not None and self._inflight >= cap
+            if not over:
                 self._inflight += 1
-        if self.metrics is not None:
-            self.metrics.gauge("carcs_inflight_requests").set(
-                self.inflight()
+        if over:
+            return self._shed(
+                request, "shed_inflight", "server is at its concurrency limit",
             )
 
         token = _trace.set_deadline(budget) if budget is not None else None
@@ -329,19 +325,12 @@ class AdmissionMiddleware:
         except _trace.DeadlineExceeded as exc:
             # Work the deadline cancelled mid-flight: same shed shape as
             # a pre-expired deadline, so clients handle one contract.
-            self.shed_deadline += 1
-            return self._shed(
-                request, 503, str(exc), retry_after=1, reason="deadline",
-            )
+            return self._shed(request, "shed_deadline", str(exc))
         finally:
             if token is not None:
                 _trace.clear_deadline(token)
             with self._lock:
                 self._inflight -= 1
-            if self.metrics is not None:
-                self.metrics.gauge("carcs_inflight_requests").set(
-                    self.inflight()
-                )
 
 
 class TelemetryMiddleware:
@@ -352,17 +341,16 @@ class TelemetryMiddleware:
     request id unless an inbound ``traceparent`` names one) and is
     renamed to the matched route once the router has run.  Inside one
     ``perf_counter`` pair an :class:`HttpError` becomes its envelope and
-    any other exception a generic 500 whose detail goes only to the log.
-    Every request, sheds and 500s included, then feeds
-    ``http_requests_total``, ``http_request_seconds`` and one
-    :class:`RequestLog` record.
+    any other exception a generic 500: its detail is logged once with
+    the request id and set as the root span's ``exception`` attribute,
+    never sent to the client.  Every request, sheds and 500s included,
+    then feeds ``http_requests_total`` and ``http_request_seconds`` —
+    with the root span, the request's whole telemetry.
     """
 
-    def __init__(self, tracer: Tracer, registry: MetricsRegistry,
-                 log: RequestLog) -> None:
+    def __init__(self, tracer: Tracer, registry: MetricsRegistry) -> None:
         self.tracer = tracer
         self.registry = registry
-        self.log = log
 
     def _count(self, label: str, status: int, elapsed: float) -> None:
         self.registry.counter(
@@ -373,7 +361,7 @@ class TelemetryMiddleware:
         ).observe(elapsed)
 
     def __call__(self, request: Request, call_next: Handler) -> Response:
-        request_id = request.header("x-request-id") or new_request_id()
+        request_id = request.header("x-request-id") or _trace.new_trace_id()
         request.request_id = request_id
         tracer = self.tracer
         with tracer.adopt(
@@ -395,14 +383,11 @@ class TelemetryMiddleware:
                 self.registry.counter(
                     "http_exceptions_total", type=type(exc).__name__,
                 ).inc()
-                self.log.record(
-                    request_id=request_id,
-                    method=request.method,
-                    path=request.path,
-                    event="unhandled_exception",
-                    exception=type(exc).__name__,
-                    detail=str(exc),
+                _log.error(
+                    "unhandled exception in request %s (%s %s)",
+                    request_id, request.method, request.path, exc_info=exc,
                 )
+                root.set(exception=f"{type(exc).__name__}: {exc}")
                 response = error_response(
                     500, "internal server error", request_id
                 )
@@ -414,14 +399,6 @@ class TelemetryMiddleware:
             status = response.status
             label = route_label(request)
             self._count(label, status, elapsed)
-            self.log.record(
-                request_id=request_id,
-                method=request.method,
-                path=request.path,
-                route=request.route_pattern or UNMATCHED,
-                status=status,
-                duration_ms=round(elapsed * 1e3, 3),
-            )
             if root:
                 root.name = label
                 root.set(status=status)

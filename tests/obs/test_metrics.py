@@ -1,4 +1,4 @@
-"""The observability substrate: metrics math + structured request log."""
+"""The observability substrate: metrics math and exposition."""
 
 import threading
 
@@ -8,8 +8,6 @@ from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
-    RequestLog,
-    new_request_id,
 )
 
 
@@ -106,61 +104,6 @@ class TestHistogramBucketMath:
         hist = out["histograms"]['latency{route="GET /x"}']
         assert hist["count"] == 1
         assert hist["buckets"][-1]["le"] == "+inf"
-
-
-class TestRequestLog:
-    def test_records_are_structured_and_stamped(self):
-        log = RequestLog()
-        entry = log.record(request_id="abc", method="GET", status=200)
-        assert entry["request_id"] == "abc"
-        assert entry["ts"] > 0
-        assert log.find("abc")[0]["method"] == "GET"
-
-    def test_ring_bound_and_dropped_counter(self):
-        log = RequestLog(capacity=3)
-        for i in range(5):
-            log.record(request_id=str(i))
-        assert len(log) == 3
-        assert log.dropped == 2
-        assert [bool(log.find(str(i))) for i in range(5)] == [
-            False, False, True, True, True,
-        ]
-
-    def test_find_by_request_id(self):
-        log = RequestLog()
-        log.record(request_id="one", status=200)
-        log.record(request_id="two", status=500)
-        assert log.find("two")[0]["status"] == 500
-        assert log.find("nope") == []
-
-    def test_request_ids_are_unique(self):
-        ids = {new_request_id() for _ in range(1000)}
-        assert len(ids) == 1000
-
-    def test_drops_feed_the_registry_gauge(self):
-        log = RequestLog(capacity=2)
-        log.metrics = MetricsRegistry()
-        for i in range(5):
-            log.record(request_id=str(i))
-        gauge = log.metrics.gauge("carcs_request_log_dropped")
-        assert gauge.value == 3 == log.dropped
-
-    def test_snapshot_carries_loss_accounting(self):
-        log = RequestLog(capacity=2)
-        for i in range(3):
-            log.record(request_id=str(i))
-        snap = log.snapshot(n=1)
-        assert snap["capacity"] == 2
-        assert snap["size"] == 2
-        assert snap["dropped"] == 1
-        assert [r["request_id"] for r in snap["records"]] == ["2"]
-
-    def test_clear_resets_the_drop_counter(self):
-        log = RequestLog(capacity=1)
-        log.record(request_id="a")
-        log.record(request_id="b")
-        log.clear()
-        assert log.dropped == 0 and len(log) == 0
 
 
 class TestPrometheusExposition:

@@ -157,7 +157,7 @@ def test_health_and_metrics_are_never_shed_on_either_prefix(prefix):
 
 class TestInflightCap:
     def test_cap_sheds_the_overload_request(self):
-        admission = AdmissionMiddleware(max_inflight=1)
+        admission = AdmissionMiddleware(MetricsRegistry(), max_inflight=1)
         entered = threading.Event()
         release = threading.Event()
 
@@ -185,13 +185,6 @@ class TestInflightCap:
         stats = admission.stats()
         assert stats["shed_inflight"] == 1
         assert stats["inflight"] == 0
-
-    def test_metrics_gauge_tracks_inflight(self):
-        metrics = MetricsRegistry()
-        admission = AdmissionMiddleware(metrics, max_inflight=4)
-        admission(Request.build("GET", "/x"),
-                  lambda request: json_response(None))
-        assert metrics.gauge("carcs_inflight_requests").value == 0
 
 
 class TestFrontTierPropagation:
@@ -244,7 +237,56 @@ class TestFrontTierPropagation:
             assert front(Request.build("GET", "/api/v1/fleet")).ok
 
 
+def _hammer(app, threads=8, per_thread=5, clients=4):
+    """Statuses of ``threads`` x ``per_thread`` concurrent GETs spread
+    over ``clients`` client identities."""
+    statuses = []
+    lock = threading.Lock()
+    start = threading.Barrier(threads)
+
+    def work(index):
+        start.wait(timeout=10)
+        for _ in range(per_thread):
+            response = app(Request.build(
+                "GET", "/api/v2/stats",
+                headers={CLIENT_HEADER: f"client-{index % clients}"},
+            ))
+            with lock:
+                statuses.append(response.status)
+
+    pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join(timeout=30)
+    assert len(statuses) == threads * per_thread
+    return statuses
+
+
 class TestObservability:
+    def test_concurrent_sheds_are_tallied_once(self):
+        # One token per client and no refill to speak of: each of the 4
+        # clients is admitted once, every other request is a 429.
+        api = _api(rate_limit=0.001, rate_burst=1.0)
+        statuses = _hammer(api)
+        assert statuses.count(200) == 4
+        limited = statuses.count(429)
+        assert limited == len(statuses) - 4
+        assert api.admission.stats()["shed_rate"] == limited
+        assert api.metrics.counter(
+            "carcs_shed_total", status="429", reason="rate-limit",
+        ).value == limited
+
+    def test_front_tier_reports_its_own_sheds(self):
+        front = FrontTier(
+            LocalBackend("primary", lambda r: json_response({"ok": True})),
+            rate_limit=0.001, rate_burst=1.0,
+        )
+        statuses = _hammer(front)
+        admission = front.status()["admission"]
+        assert admission["shed_rate"] == statuses.count(429) == 36
+        assert admission["shed_deadline"] == admission["shed_inflight"] == 0
+
     def test_admission_stats_export_as_gauges(self):
         api = _api(rate_limit=1.0, rate_burst=1.0)
         client = Client(api, root="/api/v1")

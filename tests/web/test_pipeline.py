@@ -1,10 +1,12 @@
 """The instrumented request pipeline: middleware, envelopes, v1 surface."""
 
+import logging
+
 import pytest
 
 from repro.core.repository import Repository
 from repro.corpus.seed import seed_ontologies
-from repro.obs import MODE_ALL, MetricsRegistry, RequestLog, TraceStore, Tracer
+from repro.obs import MODE_ALL, MODE_OFF, MetricsRegistry, TraceStore, Tracer
 from repro.web import CarCsApi, Client
 from repro.web.http import HttpError, Request, json_response
 from repro.web.middleware import TelemetryMiddleware, compose
@@ -85,48 +87,63 @@ class TestRequestIds:
             "request_id": "rid-7",
         }
 
-    def test_request_is_logged_with_its_id(self, api, client):
-        r = client.get("/healthz", headers={"x-request-id": "logged-1"})
-        assert r.ok
-        (record,) = api.request_log.find("logged-1")
-        assert record["status"] == 200
-        assert record["route"] == "/api/v1/healthz"
-        assert record["duration_ms"] >= 0
-
 
 class TestErrorBoundary:
-    def test_uncaught_exception_becomes_clean_500(self):
+    def test_uncaught_exception_becomes_clean_500(self, caplog):
         registry = MetricsRegistry()
-        log = RequestLog()
 
         def explode(request):
             raise RuntimeError("wires crossed")
 
         handler = compose(
-            [TelemetryMiddleware(Tracer(mode="off"), registry, log)],
+            [TelemetryMiddleware(Tracer(mode="off"), registry)],
             explode,
         )
-        response = handler(Request.build("GET", "/x"))
+        with caplog.at_level(logging.ERROR, logger="repro.web.middleware"):
+            response = handler(Request.build("GET", "/x"))
         assert response.status == 500
         assert response.error["message"] == "internal server error"
-        assert response.error["request_id"]
-        # The internal detail is logged, not leaked to the client.
+        request_id = response.error["request_id"]
+        assert request_id
+        # The internal detail is logged once, naming the request id, and
+        # never leaked to the client.
         assert "wires crossed" not in str(response.payload)
-        # The exception record comes first, then the request record.
-        exception, request = log.find(response.error["request_id"])
-        assert exception["detail"] == "wires crossed"
-        assert request["status"] == 500
+        (record,) = caplog.records
+        assert request_id in record.getMessage()
+        assert record.exc_info[0] is RuntimeError
+        assert str(record.exc_info[1]) == "wires crossed"
         assert registry.counter(
             "http_exceptions_total", type="RuntimeError"
         ).value == 1
+
+    def test_exception_detail_lands_on_the_retained_root_span(self):
+        # Tracing on: the 500's trace is kept by the error rule, and its
+        # root carries the detail the client never sees.
+        tracer = Tracer(TraceStore(capacity=4), mode="sampled",
+                        sample_every=10**6, slow_ms=1e9)
+        with tracer.trace("warm-up"):
+            pass  # takes the head-sampled slot
+
+        def explode(request):
+            raise KeyError("no such shelf")
+
+        handler = compose(
+            [TelemetryMiddleware(tracer, MetricsRegistry())], explode,
+        )
+        response = handler(Request.build("GET", "/x"))
+        assert response.status == 500
+        record = tracer.store.get(response.headers["x-request-id"])
+        assert record.retained_by == "error"
+        assert record.root.attributes["exception"] == \
+            "KeyError: 'no such shelf'"
+        assert "no such shelf" not in str(response.payload)
 
     def test_http_error_from_middleware_keeps_its_status(self):
         def reject(request):
             raise HttpError(403, "nope")
 
         handler = compose(
-            [TelemetryMiddleware(Tracer(mode="off"), MetricsRegistry(),
-                                 RequestLog())],
+            [TelemetryMiddleware(Tracer(mode="off"), MetricsRegistry())],
             reject,
         )
         assert handler(Request.build("GET", "/x")).status == 403
@@ -225,29 +242,23 @@ class TestVersionedSurface:
 # One request, one telemetry event: each case drives a full CarCsApi and
 # pins what the node records about the measured request.  Columns:
 # case id, extra CarCsApi options, request headers, expected status,
-# metrics route label, response header order, request-log events (None
-# is the per-request record, which carries no ``event`` field).
+# metrics route label, response header order.
 _TELEMETRY_CASES = [
     ("200", {}, "/api/v2/stats", {}, 200, "GET /api/v2/stats",
      ["content-type", "etag", "x-carcs-version", "x-trace-id",
-      "x-request-id"],
-     [None]),
+      "x-request-id"]),
     # The validator check runs before routing, so a 304 carries no route.
     ("304", {}, "/api/v2/stats", {"if-none-match": '"carcs-v{version}"'},
      304, "GET <unmatched>",
-     ["etag", "x-carcs-version", "x-trace-id", "x-request-id"],
-     [None]),
+     ["etag", "x-carcs-version", "x-trace-id", "x-request-id"]),
     ("404", {}, "/api/v2/no/such/route", {}, 404, "GET <unmatched>",
-     ["content-type", "x-carcs-version", "x-trace-id", "x-request-id"],
-     [None]),
+     ["content-type", "x-carcs-version", "x-trace-id", "x-request-id"]),
     # Shed by admission: no route, and no snapshot version either.
     ("429", {"rate_limit": 0.001, "rate_burst": 1}, "/api/v2/stats", {},
      429, "GET <unmatched>",
-     ["content-type", "retry-after", "x-trace-id", "x-request-id"],
-     [None]),
+     ["content-type", "retry-after", "x-trace-id", "x-request-id"]),
     ("500", {}, "/api/v2/broken", {}, 500, "GET /api/v2/broken",
-     ["content-type", "x-trace-id", "x-request-id"],
-     ["unhandled_exception", None]),
+     ["content-type", "x-trace-id", "x-request-id"]),
 ]
 
 
@@ -263,14 +274,39 @@ def _http_series(api):
     return out
 
 
+class _CountingRegistry(MetricsRegistry):
+    """Records the series name of every get-or-create call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def _get_or_create(self, name, labels, factory, kind):
+        self.calls.append(name)
+        return super()._get_or_create(name, labels, factory, kind)
+
+
 class TestOneTelemetryEventPerRequest:
+    @pytest.mark.parametrize("mode", [MODE_OFF, MODE_ALL])
+    def test_a_request_touches_the_registry_for_http_series_only(self, mode):
+        registry = _CountingRegistry()
+        tracer = Tracer(TraceStore(capacity=16), mode=mode,
+                        sample_every=1, slow_ms=1e9)
+        api = CarCsApi(Repository(), metrics=registry, tracer=tracer)
+        registry.calls.clear()
+        response = api(Request.build("GET", "/api/v2/stats"))
+        assert response.status == 200
+        assert sorted(registry.calls) == [
+            "http_request_seconds", "http_requests_total",
+        ]
+
     @pytest.mark.parametrize(
-        "options,path,headers,status,route,header_order,events",
+        "options,path,headers,status,route,header_order",
         [case[1:] for case in _TELEMETRY_CASES],
         ids=[case[0] for case in _TELEMETRY_CASES],
     )
     def test_request_is_recorded_once(self, options, path, headers, status,
-                                      route, header_order, events):
+                                      route, header_order):
         repo = Repository()
         tracer = Tracer(TraceStore(capacity=16), mode=MODE_ALL,
                         sample_every=1, slow_ms=1e9)
@@ -283,7 +319,6 @@ class TestOneTelemetryEventPerRequest:
         # token, and every case measures deltas past it.
         api(Request.build("GET", "/api/v2/stats"))
         before = _http_series(api)
-        logged = len(api.request_log)
 
         headers = {k: v.format(version=repo.version)
                    for k, v in headers.items()}
@@ -302,11 +337,6 @@ class TestOneTelemetryEventPerRequest:
             ("http_requests_total", route, f"{status // 100}xx"): 1,
             ("http_request_seconds", route, None): 1,
         }
-
-        records = api.request_log.find(request_id)
-        assert [r.get("event") for r in records] == events
-        assert len(api.request_log) - logged == len(records)
-        assert records[-1]["status"] == status
 
         root = tracer.store.get(request_id).root
         assert root.name == route
