@@ -1000,7 +1000,8 @@ def stitch_trace(
     shape).  A segment whose root carries a ``remote_parent`` attribute
     is attached as a child of the span with that id, wherever it lives;
     segment roots are labelled with their ``process`` so the rendered
-    tree shows every hop.  Roots that name an unknown parent (their
+    tree shows every hop.  Children are ordered by ``start_ts`` under
+    every segment root and every span that received a segment.  Roots that name an unknown parent (their
     caller's segment was sampled out or evicted) surface under
     ``unlinked`` rather than vanishing.
     """
@@ -1034,6 +1035,8 @@ def stitch_trace(
         return False
 
     top: list[dict[str, Any]] = []
+    # Spans whose children gained a remote segment, and so need re-sorting.
+    grafted: dict[str, dict[str, Any]] = {}
     for index, tree in enumerate(roots):
         parent_id = (tree.get("attributes") or {}).get(REMOTE_PARENT_ATTR)
         parent = nodes.get(parent_id) if parent_id else None
@@ -1041,11 +1044,12 @@ def stitch_trace(
             parent.setdefault("children", []).append(tree)
             tree["parent_id"] = parent_id
             attached_to[index] = owner[parent_id]
+            grafted[parent_id] = parent
         else:
             top.append(tree)
     top.sort(key=lambda t: t.get("start_ts") or 0.0)
-    for tree in roots:
-        children = tree.get("children")
+    for node in (*roots, *grafted.values()):
+        children = node.get("children")
         if children:
             children.sort(key=lambda c: c.get("start_ts") or 0.0)
     return {

@@ -405,14 +405,14 @@ class TestRendererOracle:
             "  error: http 500",
             "  - core.repository.material  125.000ms "
             "(self 93.750ms, cpu 62.500ms)  [id=7]",
-            "    - db.select !  31.250ms (self 31.250ms, cpu 15.625ms)"
-            "  [table=materials]",
-            "      error: DeadlineExceeded: deadline exceeded before "
-            "db.select",
             "    - job.run @worker  250.000ms "
             "(self 62.500ms, cpu 125.000ms)  [kind=classify]",
             "      - jobs.classify  187.500ms "
             "(self 187.500ms, cpu 125.000ms)  [materials=3]",
+            "    - db.select !  31.250ms (self 31.250ms, cpu 15.625ms)"
+            "  [table=materials]",
+            "      error: DeadlineExceeded: deadline exceeded before "
+            "db.select",
             "  - search.query  62.500ms (self 62.500ms, cpu 62.500ms)",
             "unlinked segment (caller's segment not retained):",
             "  - front.read @replica-1  15.625ms "
