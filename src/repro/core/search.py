@@ -163,10 +163,14 @@ class SearchEngine:
         text: str = "",
         filters: SearchFilters | None = None,
         *,
-        limit: int = 20,
+        limit: int | None = 20,
     ) -> list[SearchHit]:
         """Ranked results; with empty ``text`` returns facet matches with
-        score 1.0 in repository (id) order."""
+        score 1.0 in repository (id) order.  ``limit=None`` returns every
+        hit.  The hits come from the index's version, which may be newer
+        than the caller's pin
+        (:meth:`~repro.core.view.MaterialView.catch_up`), so a count read
+        under the pin must not cap them."""
         started = time.perf_counter()
         with _trace.span("search.query", mode=MODE, limit=limit) as span_:
             with self.repo.db.pinned(), self.lock:
@@ -183,7 +187,7 @@ class SearchEngine:
         text: str = "",
         filters: SearchFilters | None = None,
         *,
-        limit: int = 20,
+        limit: int | None = 20,
     ) -> list[SearchHit]:
         self._ensure_index()
         self.searches += 1
@@ -199,7 +203,8 @@ class SearchEngine:
         scores = self._index.score(text_tokens(text), candidates)
         return self._ranked(scores, limit)
 
-    def _ranked(self, scores: dict[int, float], limit: int) -> list[SearchHit]:
+    def _ranked(self, scores: dict[int, float],
+                limit: int | None) -> list[SearchHit]:
         ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
         return [
             SearchHit(self._index.docs[i], s) for i, s in ranked if s > 0.0

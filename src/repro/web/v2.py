@@ -247,7 +247,7 @@ def register_v2(api: "CarCsApi") -> None:
     def list_materials(request: Request, page=cursor_page) -> Response:
         text, filters = _parse_search_request(request)
         hits = api._search.search(
-            text, filters, limit=max(repo.material_count(), 1),
+            text, filters, limit=None,
         )
         payload = page([
             {"id": h.material.id, "title": h.material.title,
@@ -457,7 +457,7 @@ def register_v2(api: "CarCsApi") -> None:
     def search(request: Request, page=cursor_page) -> Response:
         text, filters = _parse_search_request(request)
         hits = api._search.search(
-            text, filters, limit=max(repo.material_count(), 1),
+            text, filters, limit=None,
         )
         payload = page([
             {"id": h.material.id, "title": h.material.title,
