@@ -252,8 +252,9 @@ class Database:
         """Build and publish the next snapshot from one committed frame.
 
         Path-copying: untouched tables share their TableSnapshot with
-        the previous version; touched tables advance by (bounded) delta;
-        DDL-touched tables are recaptured wholesale."""
+        the previous version; touched tables advance by (bounded) delta
+        and inherit the hash indexes readers already built, patched by
+        the frame's ops; DDL-touched tables are recaptured wholesale."""
         prev = self._snapshot
         touched: dict[str, list[dict[str, Any]]] = {}
         ddl: set[str] = set()

@@ -9,6 +9,13 @@ attribute store — atomic under the interpreter — so readers pin the
 current snapshot with **no lock at all** and keep reading a consistent
 version while writers commit behind them.
 
+Hash indexes are built lazily on a column's first read and then passed
+down the chain: :meth:`TableSnapshot.advance` patches the predecessor's
+built buckets with the frame's ops (append a new pk, remove a deleted
+one, keep an unchanged value) and drops a column only when a pk would
+move inside its bucket, so that column rebuilds cold on its next read.
+Sorted indexes always build lazily per snapshot.
+
 The pin itself is a module-level :data:`~contextvars.ContextVar`
 (:func:`current_pin`): ``Database.pinned()`` sets it for a scope, and
 every pin-aware accessor (``Database.table`` / ``version`` /
@@ -72,34 +79,30 @@ class TableSnapshot:
     def __init__(self, schema: TableSchema, version: int,
                  base: dict[Any, dict], delta: dict[Any, Any],
                  indexed: frozenset[str],
-                 sorted_cols: frozenset[str] = frozenset()) -> None:
+                 sorted_cols: frozenset[str], *,
+                 size: int, lazy: dict[str, dict[Any, list]]) -> None:
         self.schema = schema
         self.version = version
         self._base = base
         self._delta = delta
         self._indexed = indexed
         self._sorted_cols = sorted_cols
-        # column -> {value: [pk, ...]}, built lazily on first indexed find.
-        self._lazy: dict[str, dict[Any, list]] = {}
+        # column -> {value: [pk, ...]}: inherited from the predecessor
+        # (see advance) or built on the first indexed read.
+        self._lazy = lazy
         # column -> SortedIndex, built lazily on first ordered access.
         self._lazy_sorted: dict[str, Any] = {}
-        size = len(base)
-        for pk, row in delta.items():
-            if row is _TOMBSTONE:
-                size -= pk in base
-            else:
-                size += pk not in base
         self._size = size
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def capture(cls, table: "Table") -> "TableSnapshot":
-        """Full snapshot of a live table (open/DDL/consolidation path).
+        """Full snapshot of a live table (open/restore/DDL path).
 
         A paged table freezes in O(overlay) — the immutable block tier
         is shared, not copied — so capturing a 10^6-row cold table costs
-        nothing."""
+        nothing.  Its hash indexes build cold on first read."""
         rows = table._rows
         if isinstance(rows, PagedRows):
             base: Any = rows.freeze()
@@ -107,37 +110,105 @@ class TableSnapshot:
             base = dict(rows)
         return cls(table.schema, table.version, base, {},
                    frozenset(table._indexes) | frozenset(table._lazy_hash),
-                   frozenset(table._sorted) | frozenset(table._lazy_sorted))
+                   frozenset(table._sorted) | frozenset(table._lazy_sorted),
+                   size=len(base), lazy={})
 
     def advance(self, table: "Table",
                 ops: Iterable[dict[str, Any]]) -> "TableSnapshot":
-        """The next version: this snapshot plus one committed frame's ops."""
+        """The next version: this snapshot plus one committed frame's ops.
+
+        One walk over the ops updates the delta, the row count and every
+        hash index this snapshot has built, so the successor starts with
+        them.  A patched index equals a cold build over the successor's
+        ``_items()``, bucket order included:
+
+        * a brand-new pk (in neither base nor delta) is last in
+          ``_items()``, so it is appended to its bucket;
+        * a delete removes the pk from its bucket;
+        * an update that keeps the column's value changes nothing;
+        * anything else — a changed value, or a re-insert of a pk the
+          base or delta already holds — would move the pk inside a
+          bucket, so that column's index is dropped and builds cold on
+          the next read.
+
+        Buckets and maps this snapshot can still hand out are never
+        mutated: touched buckets are new lists in a shallow copy of the
+        map (copy on write), so readers pinned here keep their answers.
+        """
+        base = self._base
         delta = dict(self._delta)
+        size = self._size
+        # One atomic copy: concurrent readers may be adding to _lazy.
+        lazy = dict(self._lazy)
+        copied: dict[str, set] = {}  # column -> values whose bucket is ours
+
+        def bucket(column: str, value: Any) -> list:
+            values = copied.get(column)
+            if values is None:
+                lazy[column] = dict(lazy[column])
+                values = copied[column] = set()
+            index = lazy[column]
+            if value not in values:
+                values.add(value)
+                index[value] = list(index.get(value, ()))
+            return index[value]
+
         for op in ops:
             kind = op["o"]
-            if kind == "insert" or kind == "update":
-                delta[op["pk"]] = op["r"]
-            elif kind == "delete":
-                delta[op["pk"]] = _TOMBSTONE
-        if len(delta) > max(_CONSOLIDATE_MIN, len(self._base) // 4):
-            if isinstance(self._base, PagedRows):
+            if kind == "create_index":
+                continue
+            pk = op["pk"]
+            old = delta.get(pk, _NO_DEFAULT)
+            if old is _NO_DEFAULT:
+                old = base.get(pk)
+                known = old is not None
+            else:
+                known = True
+                if old is _TOMBSTONE:
+                    old = None
+            new = _TOMBSTONE if kind == "delete" else op["r"]
+            delta[pk] = new
+            if new is _TOMBSTONE:
+                if old is not None:
+                    size -= 1
+                    for column in lazy:
+                        bucket(column, old[column]).remove(pk)
+            elif old is not None:
+                for column in list(lazy):
+                    if old[column] != new[column]:
+                        del lazy[column]
+                        copied.pop(column, None)
+            else:
+                size += 1
+                if known:
+                    lazy.clear()
+                    copied.clear()
+                for column in lazy:
+                    bucket(column, new[column]).append(pk)
+        for column, values in copied.items():
+            index = lazy[column]
+            for value in values:
+                if not index[value]:
+                    del index[value]
+        if len(delta) > max(_CONSOLIDATE_MIN, len(base) // 4):
+            # Both folds keep _items() order, so the indexes carry over.
+            if isinstance(base, PagedRows):
                 # Fold the delta into a fresh overlay copy — the block
                 # tier is shared, never materialized.
-                delta, base = {}, self._base.with_delta(delta, _TOMBSTONE)
+                delta, base = {}, base.with_delta(delta, _TOMBSTONE)
             else:
-                merged = dict(self._base)
+                merged = dict(base)
                 for pk, row in delta.items():
                     if row is _TOMBSTONE:
                         merged.pop(pk, None)
                     else:
                         merged[pk] = row
                 delta, base = {}, merged
-        else:
-            base = self._base
         return TableSnapshot(
             self.schema, table.version, base, delta,
             frozenset(table._indexes) | frozenset(table._lazy_hash),
-            frozenset(table._sorted) | frozenset(table._lazy_sorted))
+            frozenset(table._sorted) | frozenset(table._lazy_sorted),
+            size=size, lazy=lazy)
 
     # -- introspection -----------------------------------------------------
 
@@ -217,9 +288,11 @@ class TableSnapshot:
         return dict(row) if row is not None else None
 
     def _index_for(self, column: str) -> dict[Any, list]:
-        # Benign build race: concurrent readers may build the same mapping;
-        # the last assignment wins and both are correct (the snapshot is
-        # immutable, so there is nothing to keep in sync afterwards).
+        # A cold build happens on a column's first read since capture or
+        # since a write dropped it (see advance); otherwise the index was
+        # inherited.  Benign build race: concurrent readers may build the
+        # same mapping; the last assignment wins and both are correct
+        # (the snapshot is immutable, so nothing needs keeping in sync).
         index = self._lazy.get(column)
         if index is None:
             index = {}
