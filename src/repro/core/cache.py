@@ -71,8 +71,16 @@ def freeze(value: Any) -> Any:
     """Canonical hashable form of ``value`` (for cache keys).
 
     Lists/tuples become tuples, sets frozensets, dicts sorted item
-    tuples; everything else must already be hashable.
+    tuples; everything else must already be hashable.  A hashable tuple
+    or frozenset holds only hashable values, so it is already canonical
+    and comes back as is, hashed once in C rather than walked.
     """
+    if isinstance(value, (tuple, frozenset)):
+        try:
+            hash(value)
+            return value
+        except TypeError:
+            pass
     if isinstance(value, (list, tuple)):
         return tuple(freeze(v) for v in value)
     if isinstance(value, (set, frozenset)):

@@ -414,11 +414,12 @@ class Repository:
             ]
 
     def material_ids(self, collection: str) -> list[int]:
-        """Ids of a collection's materials in id order, found through the
-        ``collection`` index."""
-        return sorted(db_query(self.db, "materials").filter(
-            collection=collection
-        ).values("id"))
+        """Ids of a collection's materials in id order, read from the
+        ``collection`` hash index."""
+        with self.db.pinned():
+            return sorted(
+                self.db.table("materials").eq_pks("collection", collection)
+            )
 
     def material_count(self, collection: str | None = None) -> int:
         if collection is None:

@@ -344,6 +344,10 @@ class TableSnapshot:
     def count(self, **equals: Any) -> int:
         if not equals:
             return self._size
+        if len(equals) == 1:
+            [(column, value)] = equals.items()
+            if column in self._indexed:
+                return self.eq_count(column, value)
         return len(self.find(**equals))
 
 

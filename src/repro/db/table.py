@@ -553,4 +553,8 @@ class Table:
     def count(self, **equals: Any) -> int:
         if not equals:
             return len(self._rows)
+        if len(equals) == 1:
+            [(column, value)] = equals.items()
+            if self.has_index(column):
+                return self.eq_count(column, value)
         return len(self.find(**equals))

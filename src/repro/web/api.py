@@ -103,13 +103,17 @@ def _offset_pages(handler: Handler) -> Handler:
 def _offset_pages_without_kind(handler: Handler) -> Handler:
     """Offset pages whose items carry no ``kind`` (the v1 material list)."""
 
-    def adapted(request: Request) -> Response:
-        response = handler(request, page=paginated)
-        for item in response.payload["items"]:
-            del item["kind"]
-        return response
+    def page(items: list, request: Request, *, default_limit: int,
+             item: Callable[[Any], dict[str, Any]]) -> dict[str, Any]:
+        def without_kind(entry: Any) -> dict[str, Any]:
+            shaped = item(entry)
+            del shaped["kind"]
+            return shaped
 
-    return adapted
+        return paginated(items, request, default_limit=default_limit,
+                         item=without_kind)
+
+    return lambda request: handler(request, page=page)
 
 
 def _unpaged_ontologies(handler: Handler) -> Handler:

@@ -409,6 +409,8 @@ class TelemetryMiddleware:
         envelope = response.error
         if envelope is not None and not envelope.get("request_id"):
             envelope["request_id"] = request_id
+            # Re-assign so the body is encoded again, with the id.
+            response.payload = response.payload
         return response
 
 

@@ -55,6 +55,8 @@ from .http import (
 from .middleware import backpressure_response
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
+    from repro.core.search import SearchHit
+
     from .api import CarCsApi
 
 #: Advisory poll interval (seconds) stamped on 202s and unfinished jobs.
@@ -99,6 +101,14 @@ def _material_payload(repo: Repository, material: Material) -> dict[str, Any]:
             for item in cs.items()
         ],
     }
+
+
+def _hit_item(hit: SearchHit) -> dict[str, Any]:
+    """One ``/search`` or ``/materials`` list item."""
+    material = hit.material
+    return {"id": material.id, "title": material.title,
+            "kind": material.kind.value,
+            "collection": material.collection, "score": hit.score}
 
 
 def _material_or_404(repo: Repository, request: Request) -> Material:
@@ -246,16 +256,10 @@ def register_v2(api: "CarCsApi") -> None:
     @route("GET", "/materials")
     def list_materials(request: Request, page=cursor_page) -> Response:
         text, filters = _parse_search_request(request)
-        hits = api._search.search(
-            text, filters, limit=None,
+        hits = api._search.search(text, filters, limit=None)
+        return json_response(
+            page(hits, request, default_limit=100, item=_hit_item)
         )
-        payload = page([
-            {"id": h.material.id, "title": h.material.title,
-             "kind": h.material.kind.value,
-             "collection": h.material.collection, "score": h.score}
-            for h in hits
-        ], request, default_limit=100)
-        return json_response(payload)
 
     @route("POST", "/materials")
     def create_material(request: Request) -> Response:
@@ -456,15 +460,8 @@ def register_v2(api: "CarCsApi") -> None:
     @route("GET", "/search")
     def search(request: Request, page=cursor_page) -> Response:
         text, filters = _parse_search_request(request)
-        hits = api._search.search(
-            text, filters, limit=None,
-        )
-        payload = page([
-            {"id": h.material.id, "title": h.material.title,
-             "kind": h.material.kind.value,
-             "collection": h.material.collection, "score": h.score}
-            for h in hits
-        ], request, default_limit=20)
+        hits = api._search.search(text, filters, limit=None)
+        payload = page(hits, request, default_limit=20, item=_hit_item)
         payload["mode"] = api._search.mode
         return json_response(payload)
 

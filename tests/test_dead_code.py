@@ -35,6 +35,9 @@ ALLOWED = {
         "BaseHTTPRequestHandler calls it by name",
     ("repro/web/server.py", "_make_handler.Handler.log_message"):
         "BaseHTTPRequestHandler hook, overridden to keep the server quiet",
+    ("repro/web/server.py", "_make_handler.Handler.parse_request"):
+        "BaseHTTPRequestHandler hook, overridden to read the header block "
+        "with read_headers",
     ("repro/text/naive_bayes.py", "NaiveBayesClassifier.log_odds_matrix"):
         "the probe the sparse-kernel oracle compares with a dense reference",
     ("repro/db/query.py", "Query.where_in"):
