@@ -13,6 +13,10 @@ rm -f "$CARCS_BENCH_RESULTS"
 python -m compileall -q src
 # The suite includes the dead-code gate (tests/test_dead_code.py): every
 # function, method and class in src/ must be named by program code.
+# It also holds the lean response path: tests/web/test_response_path.py
+# counts one JSON encode and one sendall per response over a real
+# socket, and tests/web/test_header_parsing.py checks the server's
+# header reader against http.client.parse_headers, row by row.
 PYTHONPATH=src python -m pytest -x -q tests/
 
 # Paper stage: the benchmarks that reproduce the paper's figures, use
