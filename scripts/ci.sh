@@ -12,8 +12,12 @@ rm -f "$CARCS_BENCH_RESULTS"
 
 python -m compileall -q src
 # The suite includes the dead-code gate (tests/test_dead_code.py): every
-# function, method and class in src/ must be named by program code.
-# It also holds the lean response path: tests/web/test_response_path.py
+# function, method and class in src/ must be named by program code, and
+# a method counts as named only through an attribute, an import alias or
+# a string literal, never a bare local name.  tests/db/test_snapshot.py
+# holds the live/pinned read oracle: after every write, caught failure,
+# index creation, checkpoint and reopen, each read of the live table
+# equals the same read on a pin taken at that state.  It also holds the lean response path: tests/web/test_response_path.py
 # counts one JSON encode and one sendall per response over a real
 # socket, and tests/web/test_header_parsing.py checks the server's
 # header reader against http.client.parse_headers, row by row.

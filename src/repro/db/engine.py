@@ -559,9 +559,9 @@ class Database:
     def table(self, name: str) -> Table | TableSnapshot:
         """The live table — or, inside :meth:`pinned`, its snapshot.
 
-        Both expose the same read API; only the live table accepts
-        writes (write paths always run under the write lock, where the
-        pin is bypassed)."""
+        Both inherit one read API, :class:`repro.db.table.TableReads`;
+        only the live table accepts writes (write paths always run under
+        the write lock, where the pin is bypassed)."""
         pin = self._pin()
         if pin is not None:
             return pin.table(name)

@@ -7,7 +7,8 @@ Every committed write frame builds a new :class:`Snapshot` by
 mapping.  The database then publishes the snapshot with a single
 attribute store — atomic under the interpreter — so readers pin the
 current snapshot with **no lock at all** and keep reading a consistent
-version while writers commit behind them.
+version while writers commit behind them.  A :class:`TableSnapshot`
+reads through :class:`repro.db.table.TableReads`, as the live table does.
 
 Hash indexes are built lazily on a column's first read and then passed
 down the chain: :meth:`TableSnapshot.advance` patches the predecessor's
@@ -38,10 +39,10 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 from .errors import SchemaError
 from .pager import PagedRows
 from .schema import _NO_DEFAULT, Column, ForeignKey, TableSchema
+from .table import SortedIndex, Table, TableReads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Database
-    from .table import Table
 
 #: Marks a pk deleted in a snapshot delta without copying the base map.
 _TOMBSTONE = object()
@@ -62,15 +63,13 @@ def current_pin() -> "Snapshot | None":
     return _PIN.get()
 
 
-class TableSnapshot:
+class TableSnapshot(TableReads):
     """A frozen, lock-free view of one table at one version.
 
-    Mirrors the read API of :class:`repro.db.table.Table` (``get``,
-    ``find``, ``count``, iteration, …) so repository analytics work
-    unchanged against either.  Row dicts are shared with the live table
-    (rows are never mutated in place — updates store a fresh dict), and
-    every accessor hands out copies, preserving the caller-may-mutate
-    contract of the live read API.
+    Supplies the storage primitives over the shared base and the delta;
+    the read API is :class:`repro.db.table.TableReads`, the live table's
+    own.  Row dicts are shared with the live table (rows are never
+    mutated in place — updates store a fresh dict).
     """
 
     __slots__ = ("schema", "version", "_base", "_delta", "_indexed",
@@ -97,7 +96,7 @@ class TableSnapshot:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def capture(cls, table: "Table") -> "TableSnapshot":
+    def capture(cls, table: Table) -> "TableSnapshot":
         """Full snapshot of a live table (open/restore/DDL path).
 
         A paged table freezes in O(overlay) — the immutable block tier
@@ -113,7 +112,7 @@ class TableSnapshot:
                    frozenset(table._sorted) | frozenset(table._lazy_sorted),
                    size=len(base), lazy={})
 
-    def advance(self, table: "Table",
+    def advance(self, table: Table,
                 ops: Iterable[dict[str, Any]]) -> "TableSnapshot":
         """The next version: this snapshot plus one committed frame's ops.
 
@@ -210,17 +209,10 @@ class TableSnapshot:
             frozenset(table._sorted) | frozenset(table._lazy_sorted),
             size=size, lazy=lazy)
 
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.schema.name
+    # -- read primitives (see TableReads) ----------------------------------
 
     def __len__(self) -> int:
         return self._size
-
-    def __contains__(self, pk: Any) -> bool:
-        return self._lookup(pk) is not None
 
     def has_index(self, column: str) -> bool:
         return column in self._indexed
@@ -228,33 +220,23 @@ class TableSnapshot:
     def has_sorted_index(self, column: str) -> bool:
         return column in self._sorted_cols
 
-    def sorted_index(self, column: str):
+    def index_columns(self) -> list[str]:
+        return sorted(self._indexed)
+
+    def sorted_index_columns(self) -> list[str]:
+        return sorted(self._sorted_cols)
+
+    def sorted_index(self, column: str) -> SortedIndex:
         """Lazily-built :class:`repro.db.table.SortedIndex` over this
-        snapshot's rows (same benign build race as :meth:`_index_for`)."""
+        snapshot's rows (same benign build race as :meth:`_hash`)."""
         sindex = self._lazy_sorted.get(column)
         if sindex is None:
-            from .table import SortedIndex
-
-            sindex = SortedIndex()
-            for pk, row in self._items():
-                sindex.add(row[column], pk)
+            sindex = SortedIndex.build(column, self._items())
             self._lazy_sorted[column] = sindex
         return sindex
 
-    def indexes(self) -> dict[str, str]:
-        """Declared secondary indexes: column -> "hash" | "sorted" |
-        "hash+sorted" (introspection for EXPLAIN and the docs)."""
-        out = {c: "hash" for c in self._indexed}
-        for c in self._sorted_cols:
-            out[c] = "hash+sorted" if c in out else "sorted"
-        return out
-
-    def pks(self) -> list[Any]:
-        return [pk for pk, _ in self._items()]
-
-    # -- reads -------------------------------------------------------------
-
-    def _lookup(self, pk: Any) -> dict[str, Any] | None:
+    def row(self, pk: Any) -> dict[str, Any] | None:
+        """The raw stored row (no copy), or ``None``."""
         row = self._delta.get(pk, _NO_DEFAULT)
         if row is not _NO_DEFAULT:
             return None if row is _TOMBSTONE else row
@@ -272,27 +254,15 @@ class TableSnapshot:
             if pk not in base and row is not _TOMBSTONE:
                 yield pk, row
 
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        return (dict(row) for _, row in self._items())
+    def iter_rows(self) -> Iterator[dict[str, Any]]:
+        """Raw stored rows (no copies) in ``_items()`` order."""
+        return (row for _, row in self._items())
 
-    def get(self, pk: Any) -> dict[str, Any]:
-        row = self._lookup(pk)
-        if row is None:
-            from .errors import RowNotFound
-
-            raise RowNotFound(f"{self.name!r} has no row with pk {pk!r}")
-        return dict(row)
-
-    def get_or_none(self, pk: Any) -> dict[str, Any] | None:
-        row = self._lookup(pk)
-        return dict(row) if row is not None else None
-
-    def _index_for(self, column: str) -> dict[Any, list]:
-        # A cold build happens on a column's first read since capture or
-        # since a write dropped it (see advance); otherwise the index was
-        # inherited.  Benign build race: concurrent readers may build the
-        # same mapping; the last assignment wins and both are correct
-        # (the snapshot is immutable, so nothing needs keeping in sync).
+    def _hash(self, column: str) -> dict[Any, list]:
+        """``value -> [pk, ...]`` in ``_items()`` order: inherited (see
+        advance), or built cold on the column's first read.  Benign build
+        race: concurrent readers may each build it; the last assignment
+        wins and both are correct, as the snapshot is immutable."""
         index = self._lazy.get(column)
         if index is None:
             index = {}
@@ -300,55 +270,6 @@ class TableSnapshot:
                 index.setdefault(row[column], []).append(pk)
             self._lazy[column] = index
         return index
-
-    # -- planner accessors (shared duck-type with Table) -------------------
-
-    def eq_pks(self, column: str, value: Any) -> list[Any]:
-        """Pks matching ``column == value`` via the lazy hash index (the
-        column must be hash-indexed)."""
-        return self._index_for(column).get(value, [])
-
-    def eq_count(self, column: str, value: Any) -> int:
-        return len(self._index_for(column).get(value, ()))
-
-    def row(self, pk: Any) -> dict[str, Any] | None:
-        """The raw stored row (no copy) — planner-internal."""
-        return self._lookup(pk)
-
-    def iter_rows(self) -> Iterator[dict[str, Any]]:
-        """Raw stored rows (no copies) — planner-internal."""
-        return (row for _, row in self._items())
-
-    def find(self, **equals: Any) -> list[dict[str, Any]]:
-        if not equals:
-            return [dict(row) for _, row in self._items()]
-        for name in equals:
-            self.schema.column(name)
-        indexed = [c for c in equals if c in self._indexed]
-        if indexed:
-            seed = indexed[0]
-            pks = self._index_for(seed).get(equals[seed], ())
-            candidates = (self._lookup(pk) for pk in pks)
-        else:
-            candidates = (row for _, row in self._items())
-        out = []
-        for row in candidates:
-            if row is not None and all(row[c] == v for c, v in equals.items()):
-                out.append(dict(row))
-        return out
-
-    def find_one(self, **equals: Any) -> dict[str, Any] | None:
-        rows = self.find(**equals)
-        return rows[0] if rows else None
-
-    def count(self, **equals: Any) -> int:
-        if not equals:
-            return self._size
-        if len(equals) == 1:
-            [(column, value)] = equals.items()
-            if column in self._indexed:
-                return self.eq_count(column, value)
-        return len(self.find(**equals))
 
 
 class Snapshot:
@@ -486,8 +407,6 @@ def load_tables(db: "Database", data: dict[str, Any]) -> None:
     rows, id sequences, per-table version counters and secondary indexes
     restore exactly.  Does **not** publish a snapshot — callers do.
     """
-    from .table import Table
-
     if data.get("format") != 1:
         raise ValueError(
             f"unsupported database snapshot format {data.get('format')!r}"
@@ -503,19 +422,10 @@ def load_tables(db: "Database", data: dict[str, Any]) -> None:
         table._next_id = entry.get("next_id", 1)
         table._version = entry.get("version", 0)
         for column in entry.get("indexes", ()):
-            if column not in table._indexes:
-                index: dict[Any, set] = {}
-                for pk, row in table._rows.items():
-                    index.setdefault(row[column], set()).add(pk)
-                table._indexes[column] = index
+            table._hash(column)
         for column in entry.get("sorted_indexes", ()):
-            if column not in table._sorted:
-                from .table import SortedIndex
-
-                sindex = SortedIndex()
-                for pk, row in table._rows.items():
-                    sindex.add(row[column], pk)
-                table._sorted[column] = sindex
+            table._sorted[column] = SortedIndex.build(
+                column, table._rows.items())
         tables[schema.name] = table
     db._tables = tables
     db._version = data.get("version", 0)

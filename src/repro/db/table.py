@@ -69,6 +69,15 @@ class SortedIndex:
         self.entries: list[tuple[Any, Any]] = []
         self.nones: list[Any] = []
 
+    @classmethod
+    def build(cls, column: str,
+              items: Iterable[tuple[Any, dict[str, Any]]]) -> "SortedIndex":
+        """The index on ``column`` over ``(pk, row)`` pairs."""
+        index = cls()
+        for pk, row in items:
+            index.add(row[column], pk)
+        return index
+
     def __len__(self) -> int:
         return len(self.entries) + len(self.nones)
 
@@ -151,7 +160,89 @@ class SortedIndex:
                 yield from self.nones
 
 
-class Table:
+class TableReads:
+    """The read API of the live :class:`Table` and of a pinned
+    :class:`repro.db.snapshot.TableSnapshot`, written once over the
+    primitives each provides: ``schema``, ``row(pk)`` (stored row or
+    ``None``), ``iter_rows()``, ``_hash(column)`` (``value -> pks``),
+    ``has_index``, ``index_columns``, ``sorted_index_columns`` and
+    ``__len__``.  Every row handed out is a copy the caller may mutate.
+    """
+
+    __slots__ = ()
+
+    @property
+    def name(self) -> str:
+        return self.schema.name
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return (dict(row) for row in self.iter_rows())
+
+    def __contains__(self, pk: Any) -> bool:
+        return self.row(pk) is not None
+
+    def indexes(self) -> dict[str, str]:
+        """Declared secondary indexes: column -> "hash" | "sorted" |
+        "hash+sorted" (introspection for EXPLAIN and the docs)."""
+        out = {c: "hash" for c in self.index_columns()}
+        for c in self.sorted_index_columns():
+            out[c] = "hash+sorted" if c in out else "sorted"
+        return out
+
+    def eq_pks(self, column: str, value: Any) -> Iterable[Any]:
+        """Pks matching ``column == value`` via the hash index (the
+        column must be hash-indexed)."""
+        return self._hash(column).get(value, ())
+
+    def eq_count(self, column: str, value: Any) -> int:
+        return len(self._hash(column).get(value, ()))
+
+    # -- reads -------------------------------------------------------------
+
+    def get(self, pk: Any) -> dict[str, Any]:
+        row = self.row(pk)
+        if row is None:
+            raise RowNotFound(f"{self.name!r} has no row with pk {pk!r}")
+        return dict(row)
+
+    def get_or_none(self, pk: Any) -> dict[str, Any] | None:
+        row = self.row(pk)
+        return dict(row) if row is not None else None
+
+    def find(self, **equals: Any) -> list[dict[str, Any]]:
+        """All rows matching the conjunction of column=value equalities,
+        seeded from the smallest hash-index bucket among them (ranges and
+        sorted columns go through :class:`repro.db.query.Query`)."""
+        if not equals:
+            return [dict(row) for row in self.iter_rows()]
+        for name in equals:
+            self.schema.column(name)
+        seed = None
+        for column, value in equals.items():
+            if self.has_index(column):
+                bucket = self._hash(column).get(value, ())
+                if seed is None or len(bucket) < len(seed):
+                    seed = bucket
+        candidates = self.iter_rows() if seed is None else map(self.row, seed)
+        items = equals.items()
+        return [dict(row) for row in candidates
+                if all(row[c] == v for c, v in items)]
+
+    def find_one(self, **equals: Any) -> dict[str, Any] | None:
+        rows = self.find(**equals)
+        return rows[0] if rows else None
+
+    def count(self, **equals: Any) -> int:
+        if not equals:
+            return len(self)
+        if len(equals) == 1:
+            [(column, value)] = equals.items()
+            if self.has_index(column):
+                return self.eq_count(column, value)
+        return len(self.find(**equals))
+
+
+class Table(TableReads):
     """One table: schema + rows + indexes + mutation version.
 
     Not constructed directly in application code — use
@@ -187,10 +278,6 @@ class Table:
     # -- introspection ----------------------------------------------------
 
     @property
-    def name(self) -> str:
-        return self.schema.name
-
-    @property
     def version(self) -> int:
         """Mutation counter: bumped once per committed insert/update/delete."""
         return self._version
@@ -198,26 +285,14 @@ class Table:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        return self.iter_rows()
-
-    def __contains__(self, pk: Any) -> bool:
-        return pk in self._rows
-
-    def pks(self) -> list[Any]:
-        return list(self._rows.keys())
-
     # -- indexes ----------------------------------------------------------
 
     def create_index(self, column: str) -> None:
         """Build (idempotently) a hash index on ``column``."""
-        if column in self._indexes or column in self._lazy_hash:
+        if self.has_index(column):
             return
         self.schema.column(column)  # validates existence
-        index: dict[Any, set] = {}
-        for pk, row in self._rows.items():
-            index.setdefault(row[column], set()).add(pk)
-        self._indexes[column] = index
+        self._hash(column)
         # DDL is transactional (as in PostgreSQL): an index created inside
         # an aborted transaction vanishes.
         self._journal(lambda: self._indexes.pop(column, None))
@@ -236,13 +311,10 @@ class Table:
         Like hash indexes they are transactional DDL, journaled through
         the WAL and rebuilt on recovery and replica apply.
         """
-        if column in self._sorted or column in self._lazy_sorted:
+        if self.has_sorted_index(column):
             return
         self.schema.column(column)  # validates existence
-        index = SortedIndex()
-        for pk, row in self._rows.items():
-            index.add(row[column], pk)
-        self._sorted[column] = index
+        self._sorted[column] = SortedIndex.build(column, self._rows.items())
         self._journal(lambda: self._sorted.pop(column, None))
         if self._db is not None:
             self._db._log_index(self.name, column, kind="sorted")
@@ -253,9 +325,10 @@ class Table:
     def has_sorted_index(self, column: str) -> bool:
         return column in self._sorted or column in self._lazy_sorted
 
-    def _hash_index(self, column: str) -> dict[Any, set]:
-        """The hash index on ``column``, building a lazily-declared one
-        on first probe (one streaming scan through the block cache)."""
+    def _hash(self, column: str) -> dict[Any, set]:
+        """The hash index on ``column``, built by :meth:`create_index`
+        or, for a lazily-declared one, on first probe (one streaming
+        scan through the block cache)."""
         index = self._indexes.get(column)
         if index is None:
             self._lazy_hash.discard(column)
@@ -267,14 +340,12 @@ class Table:
 
     def sorted_index(self, column: str) -> SortedIndex:
         sindex = self._sorted.get(column)
-        if sindex is None and column in self._lazy_sorted:
-            self._lazy_sorted.discard(column)
-            sindex = SortedIndex()
-            for pk, row in self._rows.items():
-                sindex.add(row[column], pk)
-            self._sorted[column] = sindex
         if sindex is None:
-            raise KeyError(column)
+            if column not in self._lazy_sorted:
+                raise KeyError(column)
+            self._lazy_sorted.discard(column)
+            sindex = self._sorted[column] = SortedIndex.build(
+                column, self._rows.items())
         return sindex
 
     def _ensure_unique(self) -> None:
@@ -296,23 +367,7 @@ class Table:
         """Declared sorted-indexed columns (built or lazy), sorted."""
         return sorted(set(self._sorted) | self._lazy_sorted)
 
-    def indexes(self) -> dict[str, str]:
-        """Declared secondary indexes: column -> "hash" | "sorted" |
-        "hash+sorted" (introspection for EXPLAIN and the docs)."""
-        out = {c: "hash" for c in self.index_columns()}
-        for c in self.sorted_index_columns():
-            out[c] = "hash+sorted" if c in out else "sorted"
-        return out
-
-    # -- planner accessors (shared duck-type with TableSnapshot) -----------
-
-    def eq_pks(self, column: str, value: Any) -> Iterable[Any]:
-        """Pks matching ``column == value`` via the hash index (the
-        column must be hash-indexed)."""
-        return self._hash_index(column).get(value, ())
-
-    def eq_count(self, column: str, value: Any) -> int:
-        return len(self._hash_index(column).get(value, ()))
+    # -- read primitives (see TableReads) ---------------------------------
 
     def row(self, pk: Any) -> dict[str, Any] | None:
         """The raw stored row (no copy) — planner-internal."""
@@ -496,65 +551,3 @@ class Table:
             lambda: self._raw_put(pk, saved), op="delete", pk=pk, row=saved,
         )
         return row
-
-    # -- reads ------------------------------------------------------------
-
-    def get(self, pk: Any) -> dict[str, Any]:
-        try:
-            return dict(self._rows[pk])
-        except KeyError:
-            raise RowNotFound(f"{self.name!r} has no row with pk {pk!r}") from None
-
-    def get_or_none(self, pk: Any) -> dict[str, Any] | None:
-        row = self._rows.get(pk)
-        return dict(row) if row is not None else None
-
-    def find(self, **equals: Any) -> list[dict[str, Any]]:
-        """All rows matching the conjunction of column=value equalities.
-
-        Uses a hash index for the most selective indexed column when one
-        exists, then filters the remainder.
-        """
-        if not equals:
-            return [dict(r) for r in self._rows.values()]
-        for name in equals:
-            self.schema.column(name)
-        indexed = [c for c in equals if self.has_index(c)]
-        if indexed:
-            # Seed from the smallest index bucket (building any
-            # lazily-declared index on first probe).
-            seed_col = min(
-                indexed,
-                key=lambda c: len(self._hash_index(c).get(equals[c], ())),
-            )
-            pks: Iterable[Any] = self._hash_index(seed_col).get(
-                equals[seed_col], set()
-            )
-            candidates = (self._rows[pk] for pk in pks)
-        elif any(self.has_sorted_index(c) for c in equals):
-            seed_col = min(
-                (c for c in equals if self.has_sorted_index(c)),
-                key=lambda c: self.sorted_index(c).eq_count(equals[c]),
-            )
-            pks = self.sorted_index(seed_col).eq_pks(equals[seed_col])
-            candidates = (self._rows[pk] for pk in pks)
-        else:
-            candidates = iter(self._rows.values())
-        out = []
-        for row in candidates:
-            if all(row[c] == v for c, v in equals.items()):
-                out.append(dict(row))
-        return out
-
-    def find_one(self, **equals: Any) -> dict[str, Any] | None:
-        rows = self.find(**equals)
-        return rows[0] if rows else None
-
-    def count(self, **equals: Any) -> int:
-        if not equals:
-            return len(self._rows)
-        if len(equals) == 1:
-            [(column, value)] = equals.items()
-            if self.has_index(column):
-                return self.eq_count(column, value)
-        return len(self.find(**equals))

@@ -100,6 +100,12 @@ class LocalBackend:
             raise BackendError(f"{self.name}: {exc}") from exc
 
 
+#: Framing headers the router's own server writes: dropped from a
+#: proxied answer, which keeps the backend's other headers and bytes.
+_HOP_HEADERS = frozenset({"content-length", "date", "server", "connection",
+                          "keep-alive", "transfer-encoding"})
+
+
 class HttpBackend:
     """A real node reached over HTTP (``carcs serve`` processes)."""
 
@@ -136,24 +142,16 @@ class HttpBackend:
         )
         try:
             with urllib.request.urlopen(req, timeout=self._hop_timeout()) as resp:
-                return self._to_response(resp.status, resp.headers, resp.read())
+                status, headers, raw = resp.status, resp.headers, resp.read()
         except urllib.error.HTTPError as exc:
             # An HTTP status is a real answer from a live node, not a
             # transport failure — pass it through.
-            return self._to_response(exc.code, exc.headers, exc.read())
+            status, headers, raw = exc.code, exc.headers, exc.read()
         except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
             raise BackendError(f"{self.name}: {exc}") from exc
-
-    @staticmethod
-    def _to_response(status: int, headers: Any, raw: bytes) -> Response:
-        try:
-            payload = json.loads(raw.decode("utf-8")) if raw else None
-        except ValueError:
-            payload = raw.decode("utf-8", errors="replace")
-        return Response(
-            status=status, payload=payload,
-            headers={k.lower(): v for k, v in headers.items()},
-        )
+        return Response(status, body=raw, headers={
+            k.lower(): v for k, v in headers.items()
+            if k.lower() not in _HOP_HEADERS})
 
 
 class _ReplicaSlot:

@@ -134,8 +134,18 @@ class Response:
 
     @property
     def payload(self) -> Any:
+        """Decoded from the body, as :attr:`body` encodes it: ``None``
+        for no bytes, text under a non-JSON content type, JSON
+        otherwise."""
         if self._payload is _UNDECODED:
-            self._payload = json.loads(self._body)
+            body = self._body
+            content_type = self.headers.get("content-type", "")
+            if not body:
+                self._payload = None
+            elif content_type and "application/json" not in content_type:
+                self._payload = body.decode("utf-8")
+            else:
+                self._payload = json.loads(body)
         return self._payload
 
     @payload.setter

@@ -187,6 +187,15 @@ class TestFindAndIndexes:
         row["name"] = "mutated"
         assert t.get(row["id"])["name"] == "x"
 
+    def test_iterated_rows_are_copies(self):
+        t = make_table()
+        t.create_index("group")
+        t.insert(name="x", group="a")
+        for row in t:
+            row["group"] = "zzz"
+        assert t.get(1)["group"] == "a"
+        assert [r["id"] for r in t.find(group="a")] == [1]
+
     def test_iteration_and_contains(self):
         t = make_table()
         r = t.insert(name="x")

@@ -4,8 +4,10 @@ A definition is used when its name appears, outside its own definition,
 in the code under ``src/``, ``benchmarks/``, ``examples/``,
 ``perfbench/`` or ``scripts/``: as a name, an attribute, an imported
 name, or a string literal that spells it (``__all__`` entries, span and
-attribute tables).  Docstrings, comments and ``tests/`` do not count: a
-helper that only tests reach is deleted, not kept.
+attribute tables).  A method is reached only through an attribute, an
+import alias or a string literal: a bare name (a local variable, say)
+that spells it does not count.  Docstrings, comments and ``tests/`` do
+not count: a helper that only tests reach is deleted, not kept.
 
 Dunder methods and route handlers (registered by ``@route(...)``) are
 skipped by rule.  :data:`ALLOWED` lists the other exceptions, each with
@@ -66,52 +68,56 @@ def _docstrings(tree: ast.Module) -> set[int]:
     return found
 
 
-def _references(tree: ast.Module) -> list[tuple[str, int]]:
-    """(name, line) for every identifier the module's code spells."""
+def _references(tree: ast.Module) -> list[tuple[str, int, bool]]:
+    """(name, line, bare) for every identifier the module's code spells;
+    ``bare`` marks a plain name, which cannot reach a method."""
     docstrings = _docstrings(tree)
     refs = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs.append((node.id, node.lineno))
+            refs.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute):
-            refs.append((node.attr, node.end_lineno))
+            refs.append((node.attr, node.end_lineno, False))
         elif isinstance(node, ast.alias):
-            refs.append((node.name.rpartition(".")[2], node.lineno))
+            refs.append((node.name.rpartition(".")[2], node.lineno, False))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings
               and _IDENTIFIERS.fullmatch(node.value)):
-            refs += [(part, node.lineno) for part in node.value.split(".")]
+            refs += [(part, node.lineno, False)
+                     for part in node.value.split(".")]
     return refs
 
 
-def _definitions(tree: ast.AST, prefix: str = ""):
-    """(qualified name, node) for every def/class, nested ones too."""
+def _definitions(tree: ast.AST, prefix: str = "", in_class: bool = False):
+    """(qualified name, node, is a method) for every def/class, nested
+    ones too."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, _DEFS):
             qualname = prefix + node.name
-            yield qualname, node
-            yield from _definitions(node, qualname + ".")
+            is_class = isinstance(node, ast.ClassDef)
+            yield qualname, node, in_class and not is_class
+            yield from _definitions(node, qualname + ".", is_class)
         else:
-            yield from _definitions(node, prefix)
+            yield from _definitions(node, prefix, in_class)
 
 
 @functools.cache
 def _unreferenced() -> dict[tuple[str, str], int]:
     """(file, qualified name) -> line of each definition nothing names."""
-    refs: dict[Path, list[tuple[str, int]]] = {}
+    refs: dict[Path, list[tuple[str, int, bool]]] = {}
     defs = []
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
             refs[path] = _references(tree)
             if top == "src":
-                defs += [(path, q, n) for q, n in _definitions(tree)]
-    by_name: dict[str, list[tuple[Path, int]]] = {}
+                defs += [(path, *d) for d in _definitions(tree)]
+    by_name: dict[str, list[tuple[Path, int, bool]]] = {}
     for path, names in refs.items():
-        for name, line in names:
-            by_name.setdefault(name, []).append((path, line))
+        for name, line, bare in names:
+            by_name.setdefault(name, []).append((path, line, bare))
     dead = {}
-    for path, qualname, node in defs:
+    for path, qualname, node, method in defs:
         name = node.name
         if name.startswith("__") and name.endswith("__"):
             continue
@@ -119,8 +125,9 @@ def _unreferenced() -> dict[tuple[str, str], int]:
             continue
         first = min([node.lineno] + [d.lineno for d in node.decorator_list])
         if not any(
-            ref_path != path or not first <= line <= node.end_lineno
-            for ref_path, line in by_name.get(name, ())
+            (ref_path != path or not first <= line <= node.end_lineno)
+            and not (method and bare)
+            for ref_path, line, bare in by_name.get(name, ())
         ):
             dead[str(path.relative_to(SRC)), qualname] = node.lineno
     return dead

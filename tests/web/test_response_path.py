@@ -5,7 +5,8 @@ Each request below runs over a real keep-alive connection while
 response is encoded once (by ``json_response``, whose bytes the server
 writes as they are), and status line, headers and body leave the server
 in a single ``sendall``.  A 304 and the Prometheus text export encode
-no JSON at all.
+no JSON at all.  A router in front of a node passes the node's bytes
+through: no decode and no second encode.
 """
 
 import http.client
@@ -15,6 +16,7 @@ import socket
 import pytest
 
 from repro.web import CarCsApi
+from repro.web.front import FrontTier, HttpBackend
 from repro.web.server import ApiServer
 
 
@@ -117,3 +119,53 @@ def test_prometheus_text_is_one_write_without_an_encode(server, counted):
     assert response.getheader("content-type").startswith("text/plain")
     assert b"http_requests_total" in body
     assert (encodes, writes) == (0, 1)
+
+
+@pytest.fixture(scope="module")
+def router(server):
+    """A router on its own socket, proxying to ``server`` over HTTP."""
+    front = FrontTier(HttpBackend("primary", server.url), [], name="router")
+    with ApiServer(front, port=0) as srv:
+        yield srv
+
+
+def test_router_passes_the_backend_bytes_through(server, router, monkeypatch):
+    """A proxied JSON 200 carries one of each framing header and the
+    body bytes the backend wrote; the backend's encode is the only JSON
+    work, so the router encodes and decodes nothing."""
+    counts = {"encodes": 0, "decodes": 0}
+    sent = []
+    dumps, loads = json.dumps, json.loads
+    sendall = socket.socket.sendall
+
+    def counting_dumps(*args, **kwargs):
+        counts["encodes"] += 1
+        return dumps(*args, **kwargs)
+
+    def counting_loads(*args, **kwargs):
+        counts["decodes"] += 1
+        return loads(*args, **kwargs)
+
+    def recording_sendall(sock, data, *args):
+        if sock.getsockname()[1] == server.port:
+            sent.append(bytes(data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    monkeypatch.setattr(json, "loads", counting_loads)
+    monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+    conn = http.client.HTTPConnection("127.0.0.1", router.port, timeout=5)
+    try:
+        conn.request("GET", "/api/v2/materials/1")
+        response = conn.getresponse()
+        body = response.read()
+    finally:
+        conn.close()
+    work = dict(counts)
+    assert response.status == 200
+    for name in ("server", "date", "content-length", "content-type"):
+        assert len(response.msg.get_all(name)) == 1, name
+    assert int(response.getheader("content-length")) == len(body)
+    [wire] = sent
+    assert body == wire.partition(b"\r\n\r\n")[2]
+    assert work == {"encodes": 1, "decodes": 0}
