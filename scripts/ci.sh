@@ -99,7 +99,8 @@ PYTHONPATH=src python -m pytest -q benchmarks/bench_replication.py
 
 # Tiered-storage gate: a 10^5-material blocked checkpoint (synthesized
 # out of process by `carcs synth`) must open lazily with RSS growth
-# bounded by the block-cache budget + fixed overhead, and sustained
+# bounded by the block-cache budget + fixed overhead, its striding cold
+# point reads must decode about one row each, not a block, and sustained
 # overload must be absorbed as 429s while served p99 stays in budget
 # (docs/capacity.md).
 PYTHONPATH=src python -m pytest -q benchmarks/bench_tiered.py

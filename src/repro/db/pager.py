@@ -14,10 +14,12 @@ demands.  This module is the cold tier that fixes it:
   is, so ``Database.open`` returns in O(tables), not O(rows).
 
 * A :class:`PagedRows` mapping stands in for a table's in-memory row
-  dict.  Point reads bisect the block directory and page in exactly one
-  block; scans stream blocks through a shared :class:`BlockCache` whose
+  dict.  Point reads bisect the block directory, page in exactly one
+  block and decode only the probed row (a block is written one row per
+  line, so its rows split apart without a parse); scans decode whole
+  blocks.  Blocks stream through a shared :class:`BlockCache` whose
   resident bytes are bounded by a ``CARCS_CACHE_BYTES`` budget (LRU
-  eviction, hit/miss/eviction counters).  Writes land in a small
+  eviction, hit/miss/eviction/rows-decoded counters).  Writes land in a small
   *overlay* (plus a tombstone set for deletes) exactly like the MVCC
   delta model one layer up — the block tier is immutable between
   checkpoints, which is what makes lock-free readers safe.
@@ -52,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Database
 
 #: Block-cache budget in bytes (cost model: the *encoded* size of each
-#: resident block, which tracks decoded size closely for JSON rows).
+#: resident block, whether it holds row texts or decoded rows).
 ENV_CACHE_BYTES = "CARCS_CACHE_BYTES"
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
@@ -69,6 +71,19 @@ DEFAULT_INLINE_ROWS = 10_000
 
 #: Prefix of rows files inside a database directory.
 ROWS_PREFIX = "rows-"
+
+#: A cached block decodes whole once ``1/PROMOTE_FRACTION`` of its rows
+#: (at least one) have been decoded one at a time: a hot block would
+#: otherwise keep paying one ``json.loads`` per probed row.
+PROMOTE_FRACTION = 16
+
+#: Row separator inside a block.  Compact JSON escapes every control
+#: character inside strings, so the encoded rows never contain a raw
+#: newline and a block splits into exactly one text per row.
+ROW_SEPARATOR = ",\n"
+
+#: The one compact encoder every written row goes through.
+_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def env_cache_bytes() -> int:
@@ -95,26 +110,28 @@ def env_inline_rows() -> int:
 
 
 class BlockCache:
-    """Byte-budgeted LRU over decoded row blocks, shared database-wide.
+    """Byte-budgeted LRU over cached row blocks, shared database-wide.
 
     Keys are ``(tier generation, table, block index)`` so re-pointing a
     table at a freshly checkpointed tier can never alias a stale block.
-    All accounting is under one lock; the critical sections are tiny
-    (dict moves), so lock-free readers paging concurrently contend only
-    for nanoseconds, not for I/O.
+    Each block is charged its encoded size, whether it holds row texts
+    or decoded rows.  All accounting is under one lock; the critical
+    sections are tiny (dict moves), so lock-free readers paging
+    concurrently contend only for nanoseconds, not for I/O.
     """
 
     def __init__(self, budget_bytes: int | None = None) -> None:
         self.budget = budget_bytes if budget_bytes else env_cache_bytes()
         self._lock = threading.Lock()
-        self._blocks: OrderedDict[tuple, tuple[dict, int]] = OrderedDict()
+        self._blocks: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
         self.resident_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.loaded_bytes = 0
+        self.rows_decoded = 0
 
-    def get(self, key: tuple) -> dict | None:
+    def get(self, key: tuple) -> Any:
         with self._lock:
             entry = self._blocks.get(key)
             if entry is None:
@@ -124,7 +141,7 @@ class BlockCache:
             self.hits += 1
             return entry[0]
 
-    def put(self, key: tuple, block: dict, cost: int) -> None:
+    def put(self, key: tuple, block: Any, cost: int) -> None:
         with self._lock:
             old = self._blocks.pop(key, None)
             if old is not None:
@@ -136,6 +153,10 @@ class BlockCache:
                 _, (_, evicted_cost) = self._blocks.popitem(last=False)
                 self.resident_bytes -= evicted_cost
                 self.evictions += 1
+
+    def count_decoded(self, rows: int) -> None:
+        with self._lock:
+            self.rows_decoded += rows
 
     def drop_generation(self, generation: int) -> None:
         """Free every block of a superseded tier immediately."""
@@ -155,11 +176,35 @@ class BlockCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "loaded_bytes": self.loaded_bytes,
+                "rows_decoded": self.rows_decoded,
             }
 
 
+class _Block:
+    """One cached block of the tier.
+
+    ``state`` is the whole ``pk -> row`` dict once the block is decoded
+    whole, and until then a ``(texts, memo)`` pair: one compact JSON
+    text per row in pk order, and the rows decoded so far by position.
+    Readers share a block without a lock, so ``state`` is replaced in
+    one store and never emptied: a reader that loaded the pair keeps
+    probing it while another promotes the block.
+    """
+
+    __slots__ = ("state", "lo", "left")
+
+    def __init__(self, state: Any, meta: dict[str, Any]) -> None:
+        self.state = state
+        lo, n = meta["lo"], meta["n"]
+        # Dense int pks put row pk at position pk - lo; otherwise bisect.
+        dense = type(lo) is int and meta["hi"] - lo + 1 == n
+        self.lo = lo if dense else None
+        #: Single-row decodes left before the block decodes whole.
+        self.left = max(1, n // PROMOTE_FRACTION)
+
+
 class BlockStore:
-    """One open rows file: reads, CRC-checks and caches blocks.
+    """One open rows file: reads, CRC-checks, caches and decodes blocks.
 
     Unlinking the file while the store is open is safe on POSIX (the
     open descriptor keeps the data readable), which is what lets a
@@ -179,17 +224,32 @@ class BlockStore:
             BlockStore._generations += 1
             self.generation = BlockStore._generations
 
-    def read_block(self, table: str, index: int,
-                   meta: dict[str, Any], pk_col: str) -> dict[Any, dict]:
-        """The decoded ``pk -> row`` mapping of one block (cache-aware).
+    def read_block(self, table: str, index: int, meta: dict[str, Any],
+                   pk_col: str, pk: Any = None) -> Any:
+        """One block's rows, paged in through the cache.
 
-        A past-deadline request aborts here instead of paying for cold
-        I/O it can no longer use (see :mod:`repro.obs.trace`).
+        Without ``pk``: the decoded ``pk -> row`` mapping of the whole
+        block.  With ``pk``: that one row, or ``None`` if the block
+        lacks it; a block not yet decoded whole decodes just the rows
+        the probe needs.  Every decode of the tier happens under this
+        call.  A past-deadline request aborts here instead of paying
+        for cold I/O it can no longer use (see :mod:`repro.obs.trace`).
         """
         key = (self.generation, table, index)
         block = self.cache.get(key)
-        if block is not None:
-            return block
+        if block is None:
+            block = self._page_in(table, index, meta, pk_col, pk is None)
+            self.cache.put(key, block, meta["l"])
+        state = block.state
+        if type(state) is dict:
+            return state if pk is None else state.get(pk)
+        if pk is None or block.left <= 0:
+            whole = self._decode_whole(block, state[0], pk_col)
+            return whole if pk is None else whole.get(pk)
+        return self._probe(block, state, pk, pk_col)
+
+    def _page_in(self, table: str, index: int, meta: dict[str, Any],
+                 pk_col: str, whole: bool) -> _Block:
         from repro.obs import trace as _trace
 
         _trace.check_deadline(f"page-in {table}[{index}]")
@@ -201,10 +261,52 @@ class BlockStore:
                 f"rows file {self.path.name}: block {index} of table "
                 f"{table!r} is corrupt (crc mismatch)"
             )
-        rows = json.loads(payload.decode("utf-8"))
-        block = {row[pk_col]: row for row in rows}
-        self.cache.put(key, block, meta["l"])
-        return block
+        text = payload.decode("utf-8")
+        if not whole:
+            texts = text[1:-1].split(ROW_SEPARATOR)
+            # A block written on one line (an older writer) splits into
+            # fewer texts than rows; it decodes whole.
+            if len(texts) == meta["n"]:
+                return _Block((texts, {}), meta)
+        rows = json.loads(text)
+        self.cache.count_decoded(len(rows))
+        return _Block({row[pk_col]: row for row in rows}, meta)
+
+    def _decode_whole(self, block: _Block, texts: list[str],
+                      pk_col: str) -> dict[Any, dict]:
+        rows = json.loads("[" + ",".join(texts) + "]")
+        self.cache.count_decoded(len(rows))
+        whole = {row[pk_col]: row for row in rows}
+        block.state = whole
+        return whole
+
+    def _probe(self, block: _Block, state: tuple, pk: Any,
+               pk_col: str) -> dict | None:
+        texts, memo = state
+
+        def decode(i: int) -> dict:
+            row = memo.get(i)
+            if row is None:
+                row = memo[i] = json.loads(texts[i])
+                block.left -= 1
+                self.cache.count_decoded(1)
+            return row
+
+        if block.lo is not None and type(pk) is int:
+            return decode(pk - block.lo)
+        # Rows are pk-sorted within a block.
+        lo, hi = 0, len(texts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if decode(mid)[pk_col] < pk:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < len(texts):
+            row = decode(lo)
+            if row[pk_col] == pk:
+                return row
+        return None
 
     def close(self) -> None:
         if not self._fh.closed:
@@ -273,7 +375,7 @@ class PagedRows:
         meta = self.blocks[index]
         if pk > meta["hi"]:
             return None
-        return self._block(index).get(pk)
+        return self.store.read_block(self.name, index, meta, self.pk_col, pk)
 
     # -- mapping protocol --------------------------------------------------
 
@@ -460,9 +562,8 @@ class BlockFileWriter:
             nonlocal chunk, lo, hi
             if not chunk:
                 return
-            payload = json.dumps(
-                chunk, separators=(",", ":")
-            ).encode("utf-8")
+            payload = ("[" + ROW_SEPARATOR.join(
+                map(_ROW_ENCODER.encode, chunk)) + "]").encode("utf-8")
             self._fh.write(payload)
             blocks.append({
                 "o": self._offset, "l": len(payload),

@@ -9,6 +9,9 @@ rows live in a cold block tier and page in lazily.
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import zlib
 
 import pytest
 
@@ -307,3 +310,230 @@ class TestPagedRowsUnit:
         assert stats["resident_blocks"] == 1
         assert stats["evictions"] == 1
         assert stats["resident_bytes"] == 60
+
+
+# -- lazy blocks: one row per line, per-row decode --------------------------
+
+
+LAZY_BLOCK_ROWS = 64
+
+
+@pytest.fixture()
+def lazy_env(monkeypatch):
+    """Format 2 with 64-row blocks: a block decodes up to 4 rows one at
+    a time (``1/PROMOTE_FRACTION``) before it decodes whole."""
+    monkeypatch.setenv(ENV_INLINE_ROWS, "1")
+    monkeypatch.setenv(ENV_BLOCK_ROWS, str(LAZY_BLOCK_ROWS))
+
+
+def _cached_blocks(db):
+    return [block for block, _ in db._block_cache._blocks.values()]
+
+
+def _rewrite_single_line(directory):
+    """Re-encode every block of the store on one line, the layout of
+    rows files written before blocks put one row per line."""
+    manifest_path = directory / "snapshot.json"
+    manifest = json.loads(manifest_path.read_text())
+    rows_path = directory / manifest["rows_file"]
+    old = rows_path.read_bytes()
+    out = bytearray()
+    for entry in manifest["tables"]:
+        for meta in entry["blocks"]:
+            rows = json.loads(old[meta["o"]:meta["o"] + meta["l"]])
+            payload = json.dumps(rows, separators=(",", ":")).encode()
+            assert b"\n" not in payload
+            meta.update(o=len(out), l=len(payload), c=zlib.crc32(payload))
+            out += payload
+    rows_path.write_bytes(bytes(out))
+    manifest_path.write_text(json.dumps(manifest, separators=(",", ":")))
+
+
+class TestLazyBlocks:
+    def test_blocks_hold_one_row_per_line(self, tmp_path, lazy_env):
+        directory = _build(tmp_path)
+        data = json.loads((directory / "snapshot.json").read_text())
+        blob = _rows_file(directory).read_bytes()
+        entry = {t["schema"]["name"]: t for t in data["tables"]}["items"]
+        for meta in entry["blocks"]:
+            payload = blob[meta["o"]:meta["o"] + meta["l"]]
+            assert payload.count(b"\n") == meta["n"] - 1
+            assert len(json.loads(payload)) == meta["n"]
+
+    def test_cold_point_read_decodes_one_row(self, tmp_path, lazy_env):
+        directory = _build(tmp_path)
+        db = Database.open(directory)
+        items = db.table("items")
+        assert items.get(42)["name"] == "item-0041"
+        stats = db.storage_stats()
+        assert stats["block_cache_misses"] == 1
+        assert stats["block_cache_rows_decoded"] == 1
+        assert items.get(42)["name"] == "item-0041"  # memoized
+        assert db.storage_stats()["block_cache_rows_decoded"] == 1
+        # Four single-row decodes (64 / PROMOTE_FRACTION), then the next
+        # new row decodes the block whole.
+        for pk in (43, 44, 45):
+            items.get(pk)
+        assert db.storage_stats()["block_cache_rows_decoded"] == 4
+        assert items.get(46)["name"] == "item-0045"
+        assert db.storage_stats()["block_cache_rows_decoded"] == (
+            4 + LAZY_BLOCK_ROWS)
+        assert isinstance(_cached_blocks(db)[0].state, dict)
+        # Reads of a whole-decoded block decode nothing more.
+        assert [r["id"] for r in items][:LAZY_BLOCK_ROWS] == list(
+            range(1, LAZY_BLOCK_ROWS + 1))
+        db.close()
+
+    def test_scan_decodes_blocks_whole(self, tmp_path, lazy_env):
+        directory = _build(tmp_path)
+        db = Database.open(directory)
+        assert len(list(db.table("items"))) == N_ROWS
+        assert db.storage_stats()["block_cache_rows_decoded"] == N_ROWS
+        db.close()
+
+    def test_separator_look_alikes_round_trip(self, tmp_path, lazy_env):
+        tricky = ["line\nbreak", '",\n"', '"},{"', "},{", ",\n", "\r\n\t",
+                  "café ☃", "\\", '"', "]", "[", ""]
+        db = Database.open(tmp_path / "store")
+        db.create_table(_schema())
+        for i in range(N_ROWS):
+            db.insert("items", name=f"{tricky[i % len(tricky)]}#{i}",
+                      group=tricky[(i + 1) % len(tricky)], score=i)
+        expected = {row["id"]: row for row in db.table("items")}
+        db.checkpoint()
+        db.close()
+        db = Database.open(tmp_path / "store")
+        items = db.table("items")
+        for pk in sorted(expected, reverse=True):  # cold probes first
+            assert items.get(pk) == expected[pk]
+        assert {row["id"]: row for row in items} == expected
+        db.close()
+        db = Database.open(tmp_path / "store")
+        assert {row["id"]: row for row in db.table("items")} == expected
+        db.close()
+
+    def test_sparse_pk_blocks_bisect(self, tmp_path, lazy_env):
+        directory = _build(tmp_path)
+        db = Database.open(directory)
+        for pk in range(1, N_ROWS + 1, 3):
+            db.delete("items", pk)
+        db.checkpoint()
+        db.close()
+        db = Database.open(directory)
+        items = db.table("items")
+        assert items.get(41)["name"] == "item-0040"
+        (block,) = _cached_blocks(db)
+        assert block.lo is None  # not dense: the probe bisected
+        decoded = db.storage_stats()["block_cache_rows_decoded"]
+        assert 1 < decoded < LAZY_BLOCK_ROWS
+        db.close()
+        db = Database.open(directory)
+        items = db.table("items")
+        for pk in range(N_ROWS + 2):
+            row = items.get_or_none(pk)
+            if 1 <= pk <= N_ROWS and pk % 3 != 1:
+                assert row["name"] == f"item-{pk - 1:04d}"
+            else:
+                assert row is None
+        db.close()
+
+    def test_str_pk_table_bisects(self, tmp_path, lazy_env):
+        schema = TableSchema(
+            "words",
+            columns=(Column("word", str), Column("n", int)),
+            primary_key="word", auto_increment=False,
+        )
+        words = [f"w{i:05d}" for i in range(0, 2 * N_ROWS, 2)]
+        db = Database.open(tmp_path / "store")
+        db.create_table(schema)
+        for i, word in enumerate(words):
+            db.insert("words", word=word, n=i)
+        db.checkpoint()
+        db.close()
+        db = Database.open(tmp_path / "store")
+        table = db.table("words")
+        assert table.get("w00084")["n"] == 42
+        (block,) = _cached_blocks(db)
+        assert block.lo is None
+        assert 1 < db.storage_stats()["block_cache_rows_decoded"] < (
+            LAZY_BLOCK_ROWS)
+        db.close()
+        db = Database.open(tmp_path / "store")
+        table = db.table("words")
+        for i, word in enumerate(words):
+            assert table.get(word)["n"] == i
+            assert table.get_or_none(word + "x") is None
+        assert table.get_or_none("a") is None
+        assert table.get_or_none("z") is None
+        assert [row["word"] for row in table] == words
+        db.close()
+
+    def test_single_line_rows_file_reads_identically(
+        self, tmp_path, lazy_env
+    ):
+        directory = _build(tmp_path)
+        db = Database.open(directory)
+        expected = list(db.table("items"))
+        db.close()
+        _rewrite_single_line(directory)
+        db = Database.open(directory)
+        items = db.table("items")
+        assert items.get(42) == expected[41]
+        # A one-line block cannot be split by row: it decodes whole.
+        assert db.storage_stats()["block_cache_rows_decoded"] == (
+            LAZY_BLOCK_ROWS)
+        for row in expected:
+            assert items.get(row["id"]) == row
+        assert list(items) == expected
+        assert items.find(group="x") == [r for r in expected
+                                         if r["group"] == "x"]
+        db.close()
+
+    def test_concurrent_probes_and_scans_of_one_cold_block(
+        self, tmp_path, lazy_env, monkeypatch
+    ):
+        monkeypatch.setenv(ENV_BLOCK_ROWS, "512")
+        n = 512
+        directory = _build(tmp_path, n=n)
+        db = Database.open(directory)
+        rows = db.table("items")._rows
+        assert isinstance(rows, PagedRows) and len(rows.blocks) == 1
+        cache, store = db._block_cache, db._pager
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(100):
+                cache.drop_generation(store.generation)  # cold again
+                barrier = threading.Barrier(4)
+
+                def prober(seed):
+                    barrier.wait()
+                    for k in range(200):
+                        pk = (seed * 131 + k * 37) % n + 1
+                        row = rows.get(pk)
+                        if row is None or row["id"] != pk:
+                            failures.append(("probe", round_, pk, row))
+
+                def scanner(sorted_stream):
+                    barrier.wait()
+                    stream = (rows.iter_sorted_items() if sorted_stream
+                              else rows.items())
+                    pks = [pk for pk, _ in stream]
+                    if pks != list(range(1, n + 1)):
+                        failures.append(("scan", round_, len(pks)))
+
+                threads = [
+                    threading.Thread(target=prober, args=(1,)),
+                    threading.Thread(target=prober, args=(2 + round_,)),
+                    threading.Thread(target=scanner, args=(True,)),
+                    threading.Thread(target=scanner, args=(False,)),
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[:5]
+        db.close()
