@@ -14,7 +14,9 @@ node            strategy
 ``filter``      residual predicates the access path did not consume
 ``sort``        explicit materializing sort (elided when the access path
                 already yields the requested order)
-``slice``       limit/offset, applied lazily so ordered scans stop early
+``slice``       limit/offset, applied lazily so ordered scans stop early;
+                directly over an ``index_range`` the offset moves into the
+                scan, which skips index entries without fetching their rows
 ``semi_join``   ``join_via`` without materializing either side: probe the
                 link table's FK hash index per local pk, or scan the link
                 once — whichever the cost model says is cheaper
@@ -260,7 +262,12 @@ class IndexRange(PlanNode):
     """Ordered scan of a sorted index: a range, a prefix, or the whole
     index (``order-only``), ascending or descending.  Output is in the
     canonical sort order of the column, so a matching ``order_by`` needs
-    no explicit sort and limit/offset apply streaming."""
+    no explicit sort and limit/offset apply streaming.
+
+    ``skip`` is an offset pushed down from a :class:`Slice` directly
+    above: sorted indexes are exact (maintained per write on live
+    tables, built from the rows on pins), so skipping that many entries
+    equals fetching their rows and discarding them."""
 
     kind = "index_range"
 
@@ -274,11 +281,17 @@ class IndexRange(PlanNode):
         self.descending = descending
         self.with_nones = with_nones
         self.label = label
+        self.skip = 0
         sindex = source.sorted_index(column)
         lo, hi = bounds
         self.est_rows = float(
             (hi - lo) + (len(sindex.nones) if with_nones else 0)
         )
+
+    def skip_first(self, n: int) -> None:
+        """Leave out the first ``n`` entries of the scan."""
+        self.skip = n
+        self.est_rows = max(0.0, self.est_rows - n)
 
     def _produce(self) -> Iterator[dict[str, Any]]:
         source = self.source
@@ -287,7 +300,7 @@ class IndexRange(PlanNode):
         check = _trace.check_deadline
         countdown = _DEADLINE_STRIDE
         for pk in sindex.scan(lo, hi, descending=self.descending,
-                              with_nones=self.with_nones):
+                              with_nones=self.with_nones, skip=self.skip):
             countdown -= 1
             if not countdown:
                 check("index_range")
@@ -298,7 +311,8 @@ class IndexRange(PlanNode):
 
     def detail(self) -> str:
         direction = "desc" if self.descending else "asc"
-        return f"{self.source.name}.{self.column} {self.label} {direction}"
+        detail = f"{self.source.name}.{self.column} {self.label} {direction}"
+        return f"{detail} skip={self.skip}" if self.skip else detail
 
 
 class Filter(PlanNode):
@@ -650,8 +664,15 @@ def build_plan(source: Any, spec: QuerySpec) -> PlanNode:
     if order is not None and not satisfies:
         node = Sort(node, order[0], order[1], pk_col)
 
-    if spec.offset or spec.limit is not None:
-        node = Slice(node, spec.offset, spec.limit)
+    offset = spec.offset
+    if offset and isinstance(node, IndexRange):
+        # The slice sits directly on the scan: push the offset into it,
+        # so the skipped entries' rows are never fetched.
+        node.skip_first(offset)
+        offset = 0
+
+    if offset or spec.limit is not None:
+        node = Slice(node, offset, spec.limit)
 
     return node
 

@@ -33,6 +33,7 @@ pre-transaction state in O(ops) rather than O(table size).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
@@ -144,20 +145,22 @@ class SortedIndex:
         return lo, max(lo, hi)
 
     def scan(self, lo: int, hi: int, *, descending: bool = False,
-             with_nones: bool = False) -> Iterator[Any]:
+             with_nones: bool = False, skip: int = 0) -> Iterator[Any]:
         """Pks of ``entries[lo:hi]`` in index order.  ``with_nones``
         appends the ``None``-valued pks where the canonical sort puts
-        them: last ascending, first descending."""
+        them: last ascending, first descending.  The first ``skip`` pks
+        of that order are left out without being visited."""
         if descending:
             if with_nones:
-                yield from reversed(self.nones)
-            for i in range(hi - 1, lo - 1, -1):
+                yield from islice(reversed(self.nones), skip, None)
+                skip = max(0, skip - len(self.nones))
+            for i in range(hi - 1 - skip, lo - 1, -1):
                 yield self.entries[i][1]
         else:
-            for i in range(lo, hi):
+            for i in range(lo + skip, hi):
                 yield self.entries[i][1]
             if with_nones:
-                yield from self.nones
+                yield from islice(self.nones, max(0, skip - (hi - lo)), None)
 
 
 class TableReads:

@@ -4,6 +4,8 @@ Covers the deterministic half of the planner contract; the randomized
 planned-vs-naive equivalence lives in ``test_planner_property.py``.
 """
 
+import contextlib
+
 import pytest
 
 from repro.db import (
@@ -28,6 +30,7 @@ from repro.db.plan import (
     Slice,
     Sort,
 )
+from repro.db.snapshot import TableSnapshot
 from repro.db.table import Table
 from repro.obs import MODE_ALL, TraceStore, Tracer
 
@@ -215,6 +218,50 @@ class TestPushdowns:
         rows = list(node.rows())
         assert [r["name"] for r in rows] == ["grape", "kiwi"]
         assert node.actual_rows == 2
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["live", "pinned"])
+    @pytest.mark.parametrize("descending", [False, True], ids=["asc", "desc"])
+    @pytest.mark.parametrize("shape", ["order-only", "range"])
+    @pytest.mark.parametrize("offset", [1, 2, 5, 6, 8, 11])
+    def test_offset_pushdown_skips_without_fetching(
+        self, monkeypatch, pinned, descending, shape, offset
+    ):
+        db = make_db()
+        source_cls = TableSnapshot if pinned else Table
+        fetched = []
+        real_row = source_cls.row
+
+        def counting_row(self, pk):
+            fetched.append(pk)
+            return real_row(self, pk)
+
+        monkeypatch.setattr(source_cls, "row", counting_row)
+        with db.pinned() if pinned else contextlib.nullcontext():
+            q = query(db, "items")
+            if shape == "range":
+                q = q.where_range("score", 15, 75)
+            q = q.order_by("score", descending=descending).offset(offset)
+            node = q.limit(3).plan()
+            scan = unwrap(node)
+            assert isinstance(scan, IndexRange)
+            assert isinstance(scan.source, source_cls)
+            assert scan.with_nones is (shape == "order-only")
+            assert node.children() == [scan]
+            assert scan.skip == offset and node.offset == 0
+            assert f"skip={offset}" in node.summary()
+            assert scan.est_rows == max(0, (10 if scan.with_nones else 4)
+                                        - offset)
+            got = [row["id"] for row in node.rows()]
+            assert len(fetched) == len(got) == scan.actual_rows
+
+            unskipped = Slice(IndexRange(
+                scan.source, "score", bounds=scan.bounds,
+                descending=descending, with_nones=scan.with_nones,
+            ), offset, 3)
+            assert got == [row["id"] for row in unskipped.rows()]
+            assert got == [row["id"] for row in q.limit(3)._run_naive()]
+            unbounded = [row["id"] for row in q.all()]
+            assert unbounded == [row["id"] for row in q._run_naive()]
 
     def test_actual_rows_recorded_on_full_consumption(self):
         db = make_db()
