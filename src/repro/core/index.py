@@ -72,6 +72,10 @@ class MaterialIndex:
         self._with_datasets: set[int] = set()
         self._year_of: dict[int, int | None] = {}
         self.keys_of: dict[int, frozenset[str]] = {}
+        # Exact sizes of the text and facet postings, kept by every set
+        # insertion and removal so stats() never walks the index.
+        self._n_postings = 0
+        self._n_facet_postings = 0
 
     # -- introspection ----------------------------------------------------
 
@@ -86,32 +90,30 @@ class MaterialIndex:
         return list(self._doc_terms[doc_id])
 
     def stats(self) -> dict[str, int]:
-        """Size gauges: documents, distinct terms, text/facet postings."""
+        """Size gauges: documents, distinct terms, text/facet postings
+        (maintained counts; O(1))."""
         return {
             "docs": len(self.docs),
             "terms": len(self._postings),
-            "postings": sum(len(p) for p in self._postings.values()),
-            "facet_postings": sum(
-                len(s)
-                for index in (
-                    self._by_kind, self._by_level, self._by_language,
-                    self._by_collection, self._by_tag, self._by_key,
-                )
-                for s in index.values()
-            ) + len(self._with_datasets),
+            "postings": self._n_postings,
+            "facet_postings": self._n_facet_postings,
         }
 
     # -- maintenance ------------------------------------------------------
 
-    @staticmethod
-    def _facet_add(index: dict[str, set[int]], value: str, doc_id: int) -> None:
-        index.setdefault(value, set()).add(doc_id)
+    def _facet_add(self, index: dict[str, set[int]], value: str,
+                   doc_id: int) -> None:
+        bucket = index.setdefault(value, set())
+        if doc_id not in bucket:  # a repeated tag posts once
+            bucket.add(doc_id)
+            self._n_facet_postings += 1
 
-    @staticmethod
-    def _facet_remove(index: dict[str, set[int]], value: str, doc_id: int) -> None:
+    def _facet_remove(self, index: dict[str, set[int]], value: str,
+                      doc_id: int) -> None:
         bucket = index.get(value)
-        if bucket is not None:
-            bucket.discard(doc_id)
+        if bucket is not None and doc_id in bucket:
+            bucket.remove(doc_id)
+            self._n_facet_postings -= 1
             if not bucket:
                 del index[value]
 
@@ -127,6 +129,7 @@ class MaterialIndex:
         length = sum(terms.values())
         for token, tf in terms.items():
             self._postings.setdefault(token, {})[doc_id] = tf
+        self._n_postings += len(terms)
         self._doc_terms[doc_id] = terms
         self._doc_lengths[doc_id] = length
         self._total_length += length
@@ -145,6 +148,7 @@ class MaterialIndex:
             self._facet_add(self._by_key, key, doc_id)
         if material.datasets:
             self._with_datasets.add(doc_id)
+            self._n_facet_postings += 1
         self._year_of[doc_id] = material.year
         self.keys_of[doc_id] = keys
 
@@ -155,6 +159,7 @@ class MaterialIndex:
             return False
         terms = self._doc_terms.pop(doc_id)
         self._total_length -= self._doc_lengths.pop(doc_id)
+        self._n_postings -= len(terms)
         for token in terms:
             plist = self._postings[token]
             del plist[doc_id]
@@ -172,7 +177,9 @@ class MaterialIndex:
             self._facet_remove(self._by_tag, tag, doc_id)
         for key in self.keys_of.pop(doc_id):
             self._facet_remove(self._by_key, key, doc_id)
-        self._with_datasets.discard(doc_id)
+        if doc_id in self._with_datasets:
+            self._with_datasets.remove(doc_id)
+            self._n_facet_postings -= 1
         del self._year_of[doc_id]
         return True
 
@@ -188,9 +195,10 @@ class MaterialIndex:
         self,
         filters: "SearchFilters",
         subtree_sets: Sequence[frozenset[str]] = (),
-    ) -> set[int]:
+    ) -> set[int] | None:
         """Doc ids satisfying every facet constraint, via posting-set
-        intersection (no per-material scan)."""
+        intersection (no per-material scan); ``None`` when nothing
+        narrows, meaning every document."""
         cand: set[int] | None = None
 
         def narrow(matching: set[int]) -> None:
@@ -216,17 +224,15 @@ class MaterialIndex:
         if filters.datasets_required is True:
             narrow(self._with_datasets)
         elif filters.datasets_required is False:
-            narrow(set(self.docs) - self._with_datasets)
+            narrow(self.docs.keys() - self._with_datasets)
         for subtree in subtree_sets:
             # Conjunctive across subtrees, disjunctive within one: the
             # material must touch every requested subtree somewhere.
             narrow(union(self._by_key, subtree))
-        if cand is None:
-            cand = set(self.docs)
         if filters.years is not None:
             lo, hi = filters.years
             cand = {
-                i for i in cand
+                i for i in (self.docs if cand is None else cand)
                 if self._year_of[i] is not None and lo <= self._year_of[i] <= hi
             }
         return cand
@@ -234,10 +240,11 @@ class MaterialIndex:
     # -- BM25 scoring ------------------------------------------------------
 
     def score(
-        self, tokens: Iterable[str], candidates: set[int]
+        self, tokens: Iterable[str], candidates: set[int] | None
     ) -> dict[int, float]:
-        """BM25 scores of ``candidates`` against the (deduplicated) query
-        tokens; documents matching no token are absent from the result.
+        """BM25 scores of ``candidates`` (``None``: every document)
+        against the (deduplicated) query tokens; documents matching no
+        token are absent from the result.
 
         All inputs to the float arithmetic (tf, df, N, document lengths,
         their running total) are exact integers maintained identically by
@@ -246,7 +253,7 @@ class MaterialIndex:
         reproducible bit-for-bit across build histories.
         """
         n_docs = len(self.docs)
-        if n_docs == 0 or not candidates:
+        if n_docs == 0 or candidates is not None and not candidates:
             return {}
         avgdl = self._total_length / n_docs
         scores: dict[int, float] = {}
@@ -261,7 +268,9 @@ class MaterialIndex:
             df = len(plist)
             idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
             # Iterate the smaller side of the (postings, candidates) pair.
-            if len(candidates) < len(plist):
+            if candidates is None:
+                pairs = plist.items()
+            elif len(candidates) < len(plist):
                 pairs = ((d, plist[d]) for d in candidates if d in plist)
             else:
                 pairs = ((d, tf) for d, tf in plist.items() if d in candidates)

@@ -20,9 +20,11 @@ version numbers for different content.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from dataclasses import dataclass
+from typing import Collection, Iterable
 
 from repro.obs import trace as _trace
 
@@ -52,6 +54,15 @@ class SearchFilters:
 class SearchHit:
     material: Material
     score: float
+
+
+class SearchHits(list):
+    """A window of ranked hits; ``total`` counts every hit of the
+    query, inside the window or not."""
+
+    def __init__(self, hits: Iterable[SearchHit], total: int) -> None:
+        super().__init__(hits)
+        self.total = total
 
 
 class SearchEngine:
@@ -163,18 +174,39 @@ class SearchEngine:
         text: str = "",
         filters: SearchFilters | None = None,
         *,
+        offset: int = 0,
         limit: int | None = 20,
-    ) -> list[SearchHit]:
-        """Ranked results; with empty ``text`` returns facet matches with
-        score 1.0 in repository (id) order.  ``limit=None`` returns every
-        hit.  The hits come from the index's version, which may be newer
-        than the caller's pin
-        (:meth:`~repro.core.view.MaterialView.catch_up`), so a count read
-        under the pin must not cap them."""
+    ) -> SearchHits:
+        """Ranked hits ``offset`` to ``offset + limit`` (``limit=None``:
+        all the rest); their ``total`` counts every hit.  With empty
+        ``text`` the hits are the facet matches with score 1.0 in
+        repository (id) order.  Only the window's hits are built;
+        ranking heap-selects ``offset + limit`` keys.  The hits come
+        from the index's version, which may be newer than the caller's
+        pin (:meth:`~repro.core.view.MaterialView.catch_up`), so a count
+        read under the pin must not cap them."""
         started = time.perf_counter()
         with _trace.span("search.query", mode=MODE, limit=limit) as span_:
             with self.repo.db.pinned(), self.lock:
-                hits = self._search_locked(text, filters, limit=limit)
+                self._ensure_index()
+                self.searches += 1
+                filters = filters or SearchFilters()
+                candidates = self._index.candidates(
+                    filters, self._subtree_sets(filters)
+                )
+                if text.strip():
+                    hits = self._scored_hits(
+                        self._index.score(text_tokens(text), candidates),
+                        offset, limit,
+                    )
+                else:
+                    docs = self._index.docs
+                    ids = docs.keys() if candidates is None else candidates
+                    hits = SearchHits(
+                        (SearchHit(docs[i], 1.0)
+                         for i in _top(ids, offset, limit)),
+                        len(ids),
+                    )
             span_.set(hits=len(hits))
         if self.metrics is not None:
             self.metrics.histogram(
@@ -182,52 +214,40 @@ class SearchEngine:
             ).observe(time.perf_counter() - started)
         return hits
 
-    def _search_locked(
-        self,
-        text: str = "",
-        filters: SearchFilters | None = None,
-        *,
-        limit: int | None = 20,
-    ) -> list[SearchHit]:
-        self._ensure_index()
-        self.searches += 1
-        filters = filters or SearchFilters()
-        candidates = self._index.candidates(
-            filters, self._subtree_sets(filters)
+    def _scored_hits(self, scores: dict[int, float], offset: int,
+                     limit: int | None) -> SearchHits:
+        """The window of the positive-score hits ranked by
+        ``(-score, id)``."""
+        ranked = [(-s, i) for i, s in scores.items() if s > 0.0]
+        docs = self._index.docs
+        return SearchHits(
+            (SearchHit(docs[i], -neg) for neg, i in _top(ranked, offset, limit)),
+            len(ranked),
         )
-        if not text.strip():
-            return [
-                SearchHit(self._index.docs[i], 1.0)
-                for i in sorted(candidates)[:limit]
-            ]
-        scores = self._index.score(text_tokens(text), candidates)
-        return self._ranked(scores, limit)
-
-    def _ranked(self, scores: dict[int, float],
-                limit: int | None) -> list[SearchHit]:
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [
-            SearchHit(self._index.docs[i], s) for i, s in ranked if s > 0.0
-        ][:limit]
 
     # --------------------------------------------------------- similar-to
 
     def similar_to(
         self, material_id: int, *, limit: int = 10
-    ) -> list[SearchHit]:
+    ) -> SearchHits:
         """Text-level nearest neighbours of a material (complements the
         classification-level similarity of :mod:`repro.core.similarity`)."""
         with _trace.span("search.similar", material_id=material_id):
             with self.repo.db.pinned(), self.lock:
-                return self._similar_to_locked(material_id, limit=limit)
+                self._ensure_index()
+                if material_id not in self._index:
+                    raise KeyError(f"no material with id {material_id}")
+                scores = self._index.score(
+                    self._index.doc_tokens(material_id), None
+                )
+                scores.pop(material_id, None)
+                return self._scored_hits(scores, 0, limit)
 
-    def _similar_to_locked(
-        self, material_id: int, *, limit: int = 10
-    ) -> list[SearchHit]:
-        self._ensure_index()
-        if material_id not in self._index:
-            raise KeyError(f"no material with id {material_id}")
-        tokens = self._index.doc_tokens(material_id)
-        candidates = set(self._index.docs)
-        candidates.discard(material_id)
-        return self._ranked(self._index.score(tokens, candidates), limit)
+
+def _top(keys: Collection, offset: int, limit: int | None) -> list:
+    """``sorted(keys)[offset:offset + limit]``, heap-selecting only the
+    first ``offset + limit`` keys (``heapq.nsmallest`` is documented
+    equal to ``sorted(...)[:n]``); ``limit=None`` sorts them all."""
+    if limit is None:
+        return sorted(keys)[offset:]
+    return heapq.nsmallest(offset + limit, keys)[offset:]

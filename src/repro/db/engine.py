@@ -78,10 +78,10 @@ from .snapshot import (
     Snapshot,
     TableSnapshot,
     current_pin,
-    database_to_dict,
     load_tables,
     restore_database,
     schema_to_dict,
+    write_database_json,
 )
 from .table import Table
 from .wal import WalReader, WalWriter, truncate_wal
@@ -389,9 +389,16 @@ class Database:
                 if not self._changes or self._changes[0].version > version + 1:
                     # Journal truncated past the requested point.
                     return None
-                changes = [
-                    c for c in self._changes if version < c.version <= target
-                ]
+                # Read from the tail: the journal is contiguous and
+                # ascending in version, so the wanted records are a
+                # suffix (less any newer than ``target``).
+                changes = []
+                for change in reversed(self._changes):
+                    if change.version <= version:
+                        break
+                    if change.version <= target:
+                        changes.append(change)
+                changes.reverse()
                 if span_:
                     span_.set(since=version, changes=len(changes))
                 return changes
@@ -819,11 +826,10 @@ class Database:
                     # snapshots may still page from it; GC closes it.
                     target = write_blocked_checkpoint(self, self._dir)
                 else:
-                    data = database_to_dict(self)
                     target = self._dir / SNAPSHOT_FILE
                     tmp = self._dir / (SNAPSHOT_FILE + ".tmp")
                     with tmp.open("w", encoding="utf-8") as fh:
-                        json.dump(data, fh, separators=(",", ":"))
+                        write_database_json(self, fh)
                         fh.flush()
                         os.fsync(fh.fileno())
                     os.replace(tmp, target)

@@ -107,10 +107,11 @@ class ManyToMany:
         )
 
     def right_of(self, left_id: int) -> list[int]:
-        return [
-            row[self.right_column]
-            for row in self.table.find(**{self.left_column: left_id})
-        ]
+        """Right ids linked to ``left_id``, in the order ``find`` yields
+        their rows, read straight off the left-column index."""
+        table, right = self.table, self.right_column
+        return [table.row(pk)[right]
+                for pk in table.eq_pks(self.left_column, left_id)]
 
     def links_of(self, left_id: int) -> list[dict[str, Any]]:
         """Full link rows (including extra columns) for ``left_id``."""

@@ -33,8 +33,10 @@ indexes) through plain JSON-serializable dicts.
 
 from __future__ import annotations
 
+import json
 from contextvars import ContextVar
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, TextIO
 
 from .errors import SchemaError
 from .pager import PagedRows
@@ -373,6 +375,19 @@ def schema_from_dict(data: dict[str, Any]) -> TableSchema:
     )
 
 
+def _table_entry(table: Table, rows: list[dict[str, Any]]) -> dict[str, Any]:
+    """One table of :func:`database_to_dict`; ``schema`` and ``rows``
+    stay its first two keys (:func:`write_database_json` relies on it)."""
+    return {
+        "schema": schema_to_dict(table.schema),
+        "rows": rows,
+        "next_id": table._next_id,
+        "version": table._version,
+        "indexes": table.index_columns(),
+        "sorted_indexes": table.sorted_index_columns(),
+    }
+
+
 def database_to_dict(db: "Database") -> dict[str, Any]:
     """The whole engine state as one JSON-serializable dict.
 
@@ -381,22 +396,46 @@ def database_to_dict(db: "Database") -> dict[str, Any]:
     Tables serialize in creation order, which is FK-dependency order.
     """
     with db.lock.write():
-        tables = []
-        for table in db._tables.values():
-            tables.append({
-                "schema": schema_to_dict(table.schema),
-                "rows": [dict(row) for row in table._rows.values()],
-                "next_id": table._next_id,
-                "version": table._version,
-                "indexes": table.index_columns(),
-                "sorted_indexes": table.sorted_index_columns(),
-            })
         return {
             "format": 1,
             "name": db.name,
             "version": db._version,
-            "tables": tables,
+            "tables": [
+                _table_entry(table, [dict(row) for row in table._rows.values()])
+                for table in db._tables.values()
+            ],
         }
+
+
+#: Rows per C-encoded slice in :func:`write_database_json`.
+CHECKPOINT_CHUNK_ROWS = 256
+
+
+def write_database_json(db: "Database", fh: TextIO) -> None:
+    """Write ``json.dumps(database_to_dict(db), separators=(",", ":"))``
+    to ``fh``, encoding each table's rows a slice at a time.
+
+    ``json.dump`` always runs the pure-Python encoder (only one-shot
+    encodes use the C one), and one ``dumps`` of the whole state would
+    hold the full document in memory; a slice of
+    :data:`CHECKPOINT_CHUNK_ROWS` rows is one C-encoded ``dumps``.
+    """
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    with db.lock.write():
+        head = encode({"format": 1, "name": db.name, "version": db._version})
+        fh.write(head[:-1] + ',"tables":[')
+        for n, table in enumerate(db._tables.values()):
+            entry = _table_entry(table, [])
+            schema = encode(entry.pop("schema"))
+            del entry["rows"]
+            fh.write(("," if n else "") + '{"schema":' + schema + ',"rows":[')
+            rows = iter(table._rows.values())
+            sep = ""
+            while chunk := list(islice(rows, CHECKPOINT_CHUNK_ROWS)):
+                fh.write(sep + encode(chunk)[1:-1])
+                sep = ","
+            fh.write("]," + encode(entry)[1:])
+        fh.write("]}")
 
 
 def load_tables(db: "Database", data: dict[str, Any]) -> None:

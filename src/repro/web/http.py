@@ -234,20 +234,33 @@ def non_negative(value: int, what: str) -> int:
     return value
 
 
-def _window(items: list, start: int, stop: int,
-            item: Callable[[Any], Any] | None) -> list:
-    window = items[start:stop]
-    return list(window) if item is None else [item(x) for x in window]
+#: A list endpoint's rows: the whole list, or ``fetch(offset=, limit=)``
+#: answering only the window, as a list whose ``total`` counts every row
+#: (:class:`~repro.core.search.SearchHits`; ``/search``, ``/materials``).
+#: The page parses and checks its parameters before it fetches, so a
+#: rejected page reads nothing.
+Rows = list | Callable[..., list]
 
 
-def paginated(items: list, request: Request, *, default_limit: int,
+def _window(items: Rows, start: int, stop: int,
+            item: Callable[[Any], Any] | None) -> tuple[int, list]:
+    if callable(items):
+        window = items(offset=start, limit=stop - start)
+        total = window.total
+    else:
+        total, window = len(items), items[start:stop]
+    return total, list(window) if item is None else [item(x) for x in window]
+
+
+def paginated(items: Rows, request: Request, *, default_limit: int,
               item: Callable[[Any], Any] | None = None) -> dict[str, Any]:
     """Slice ``items`` by ``limit``/``offset`` query params into the
     uniform list envelope ``{"items", "total", "limit", "offset"}``.
 
     ``total`` counts the full result set before windowing, so clients can
     page without a separate count request.  ``item`` shapes each entry
-    of the window (and only those) into its JSON form."""
+    of the window (and only those) into its JSON form; ``items`` is as
+    for :data:`Rows`."""
     limit = request.query_int("limit", default_limit)
     offset = request.query_int("offset", 0)
     assert limit is not None and offset is not None
@@ -255,9 +268,10 @@ def paginated(items: list, request: Request, *, default_limit: int,
         raise HttpError(400, "query parameter 'limit' must be >= 0")
     if offset < 0:
         raise HttpError(400, "query parameter 'offset' must be >= 0")
+    total, window = _window(items, offset, offset + limit, item)
     return {
-        "items": _window(items, offset, offset + limit, item),
-        "total": len(items),
+        "items": window,
+        "total": total,
         "limit": limit,
         "offset": offset,
     }
@@ -291,7 +305,7 @@ def decode_cursor(token: str) -> int:
         ) from exc
 
 
-def cursor_page(items: list, request: Request, *, default_limit: int,
+def cursor_page(items: Rows, request: Request, *, default_limit: int,
                 item: Callable[[Any], Any] | None = None) -> dict[str, Any]:
     """Window ``items`` into the v2 list envelope ``{"items", "total",
     "limit", "next_cursor"}``.
@@ -305,10 +319,11 @@ def cursor_page(items: list, request: Request, *, default_limit: int,
     token = request.query_one("cursor")
     offset = decode_cursor(token) if token else 0
     next_offset = offset + limit
-    has_more = limit > 0 and next_offset < len(items)
+    total, window = _window(items, offset, next_offset, item)
+    has_more = limit > 0 and next_offset < total
     return {
-        "items": _window(items, offset, next_offset, item),
-        "total": len(items),
+        "items": window,
+        "total": total,
         "limit": limit,
         "next_cursor": encode_cursor(next_offset) if has_more else None,
     }

@@ -34,6 +34,7 @@ table.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.core.classification import ClassificationSet
@@ -256,7 +257,8 @@ def register_v2(api: "CarCsApi") -> None:
     @route("GET", "/materials")
     def list_materials(request: Request, page=cursor_page) -> Response:
         text, filters = _parse_search_request(request)
-        hits = api._search.search(text, filters, limit=None)
+        # The page ranks and builds only its own window of hits.
+        hits = partial(api._search.search, text, filters)
         return json_response(
             page(hits, request, default_limit=100, item=_hit_item)
         )
@@ -460,7 +462,7 @@ def register_v2(api: "CarCsApi") -> None:
     @route("GET", "/search")
     def search(request: Request, page=cursor_page) -> Response:
         text, filters = _parse_search_request(request)
-        hits = api._search.search(text, filters, limit=None)
+        hits = partial(api._search.search, text, filters)
         payload = page(hits, request, default_limit=20, item=_hit_item)
         payload["mode"] = api._search.mode
         return json_response(payload)

@@ -15,6 +15,7 @@ The load-bearing properties:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Sequence
 
 import pytest
@@ -369,3 +370,142 @@ def test_drawn_hit_sets_equal_linear_scan(ontology_repo, corpus, text, facets):
                     }
                     assert got == _scan_hits(repo, query, filters)
             raise _Rollback
+
+
+# -- search windows and the maintained gauges ----------------------------
+
+_page_windows = st.lists(
+    st.tuples(st.integers(0, 12), st.one_of(st.none(), st.integers(0, 6))),
+    min_size=1, max_size=4,
+)
+_mutations = st.lists(
+    st.tuples(st.sampled_from(("add", "update", "classify", "delete")),
+              st.integers(0, 99), _words),
+    max_size=6,
+)
+
+
+@settings(max_examples=40, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(
+    corpus=st.lists(
+        st.tuples(_materials, _subset(KEYS)), min_size=1, max_size=10
+    ),
+    mutations=_mutations,
+    text=st.one_of(st.just(""), _words),
+    facets=st.fixed_dictionaries({}, optional=_FACETS),
+    windows=_page_windows,
+)
+def test_page_equals_sliced_full_ranking(corpus, mutations, text, facets,
+                                         windows):
+    """After drawn writes absorbed by delta catch-up, every drawn
+    ``offset``/``limit`` window of :meth:`SearchEngine.search` is the
+    same slice of the full ranking (``limit=None``), and ``total`` is
+    its length; the full ranking is the linear-scan hit set in
+    ``(-score, id)`` order."""
+    repo = Repository()
+    seed_ontologies(repo)
+    engine = SearchEngine(repo)
+    ids = [repo.add_material(m, _classification(k)).id for m, k in corpus]
+    engine.search("parallel")
+    for op, n, words in mutations:
+        if op == "add" or not ids:
+            ids.append(repo.add_material(
+                Material(title=words, description=words)
+            ).id)
+            continue
+        mid = ids[n % len(ids)]
+        if op == "update":
+            repo.update_material(mid, title=words)
+        elif op == "classify":
+            key = KEYS[n % len(KEYS)]
+            repo.classify(mid, key.split("/", 1)[0], key)
+        else:
+            repo.delete_material(mid)
+            ids.remove(mid)
+    filters = SearchFilters(**facets)
+    everything = engine.search(text, filters, limit=None)
+    assert engine.full_rebuilds == 1
+    assert {h.material.id for h in everything} == _scan_hits(
+        repo, text, filters
+    )
+    keys = [(-h.score, h.material.id) for h in everything]
+    assert keys == sorted(keys)
+    assert everything.total == len(everything)
+    for offset, limit in windows:
+        hits = engine.search(text, filters, offset=offset, limit=limit)
+        stop = None if limit is None else offset + limit
+        assert hits.total == len(everything)
+        assert [(h.material.id, h.score) for h in hits] == [
+            (h.material.id, h.score) for h in everything[offset:stop]
+        ]
+
+
+def _recount(index: MaterialIndex) -> dict[str, int]:
+    """The index gauges, counted from scratch."""
+    facets = (index._by_kind, index._by_level, index._by_language,
+              index._by_collection, index._by_tag, index._by_key)
+    return {
+        "docs": len(index.docs),
+        "terms": len(index._postings),
+        "postings": sum(len(p) for p in index._postings.values()),
+        "facet_postings": sum(
+            len(bucket) for facet in facets for bucket in facet.values()
+        ) + len(index._with_datasets),
+    }
+
+
+#: Materials whose tags and languages may repeat (``"hpc", "hpc"``,
+#: ``"Python", "python"``): a repeated facet value posts once.
+_repeating_materials = st.builds(
+    Material,
+    title=_words,
+    description=_words,
+    kind=st.sampled_from(list(MaterialKind)),
+    course_level=st.sampled_from(list(CourseLevel) + [None]),
+    languages=st.lists(st.sampled_from(("Python", "python", "C")),
+                       max_size=3).map(tuple),
+    datasets=st.sampled_from(((), ("numbers",))),
+    tags=st.lists(st.sampled_from(("intro", "hpc")), max_size=3).map(tuple),
+    collection=st.sampled_from(("alpha", "beta", "")),
+    year=st.sampled_from((None, 2010)),
+)
+
+
+@settings(max_examples=80, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(steps=st.lists(
+    st.tuples(st.sampled_from(("add", "remove", "reindex")),
+              st.integers(1, 5), _repeating_materials,
+              st.lists(st.sampled_from(KEYS), max_size=3).map(frozenset)),
+    max_size=30,
+))
+def test_stats_equal_recount(steps):
+    index = MaterialIndex()
+    for op, doc_id, material, keys in steps:
+        material = material.with_id(doc_id)
+        if op == "add" and doc_id not in index:
+            index.add(material, keys)
+        elif op == "remove":
+            index.remove(doc_id)
+        elif op == "reindex":
+            index.reindex(material, keys)
+        assert index.stats() == _recount(index)
+
+
+def test_stats_count_a_repeated_tag_once_and_follow_datasets():
+    index = MaterialIndex()
+    plain = Material(title="a", description="", tags=("hpc", "hpc"),
+                     languages=("C", "c"), id=1)
+    index.add(plain, frozenset())
+    assert index.stats() == _recount(index)
+    # kind + one tag + one language
+    assert index.stats()["facet_postings"] == 3
+    index.reindex(replace(plain, datasets=("d",)), frozenset({"CS13/AL"}))
+    assert index.stats()["facet_postings"] == 5 == _recount(index)[
+        "facet_postings"]
+    index.reindex(plain, frozenset())
+    assert index.stats() == _recount(index)
+    index.remove(1)
+    assert index.stats() == {"docs": 0, "terms": 0, "postings": 0,
+                             "facet_postings": 0}

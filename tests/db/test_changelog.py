@@ -1,6 +1,8 @@
 """The bounded change journal behind incremental index maintenance."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import Column, Database, TableSchema
 
@@ -129,3 +131,92 @@ class TestTransactions:
         changes = db.changes_since(base)
         assert [c.row["name"] for c in changes] == ["real"]
         assert changes[0].version == base + 1
+
+
+def _journal_filter(db, since, upto=None):
+    """``changes_since`` as it read before the tail walk: the same
+    guards, then a filter over the whole journal."""
+    with db._changes_lock:
+        target = db._version if upto is None else min(upto, db._version)
+        if since == target:
+            return []
+        if since > target:
+            return None
+        if not db._changes or db._changes[0].version > since + 1:
+            return None
+        return [c for c in db._changes if since < c.version <= target]
+
+
+def _check_tail_read(db):
+    """The journal is contiguous and ascending in version, ending at the
+    current version, and the tail read equals the whole-journal filter
+    for every ``since`` and several ``upto``."""
+    versions = [c.version for c in db._changes]
+    assert versions == list(
+        range(db.version - len(versions) + 1, db.version + 1)
+    )
+    for since in range(-1, db.version + 2):
+        for upto in (None, since, since + 1, db.version - 1, db.version + 3):
+            assert db.changes_since(since, upto=upto) == _journal_filter(
+                db, since, upto
+            )
+
+
+class _Abort(Exception):
+    pass
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(1, 3)),
+        st.tuples(st.just("update"), st.integers(0, 50)),
+        st.tuples(st.just("delete"), st.integers(0, 50)),
+        st.tuples(st.just("rollback"), st.integers(1, 3)),
+        st.tuples(st.just("savepoint"), st.integers(1, 3)),
+        st.tuples(st.just("ddl"), st.just(0)),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_OPS, bound=st.sampled_from((3, 8, 1024)))
+def test_tail_read_equals_journal_filter(ops, bound):
+    """Drawn writes, aborted transactions, savepoints rolled back inside
+    committed transactions, DDL, and journal bounds small enough to
+    truncate."""
+    db = Database("tail", changelog_size=bound)
+    db.create_table(TableSchema(
+        "things", columns=(Column("id", int), Column("name", str)),
+    ))
+
+    def insert(n):
+        for i in range(n):
+            db.insert("things", name=f"n{i}")
+
+    for op, arg in ops:
+        ids = sorted(row["id"] for row in db.table("things"))
+        if op == "insert":
+            insert(arg)
+        elif op == "update" and ids:
+            db.update("things", ids[arg % len(ids)], name=f"u{arg}")
+        elif op == "delete" and ids:
+            db.delete("things", ids[arg % len(ids)])
+        elif op == "rollback":
+            with pytest.raises(_Abort):
+                with db.transaction():
+                    insert(arg)
+                    _check_tail_read(db)
+                    raise _Abort
+        elif op == "savepoint":
+            with db.transaction():
+                insert(1)
+                with pytest.raises(_Abort):
+                    with db.transaction():
+                        insert(arg)
+                        raise _Abort
+                insert(1)
+        elif op == "ddl":
+            db.create_table(TableSchema("extra", columns=(Column("id", int),)))
+            db.drop_table("extra")
+        _check_tail_read(db)

@@ -85,3 +85,52 @@ class TestExtras:
         links.add(pid, tid)
         links.add(pid2, tid)
         assert sorted(links.pairs()) == [(pid, tid), (pid2, tid)]
+
+
+def _right_of_by_find(links, left_id):
+    """``right_of`` as it read before: one column of each ``find`` row."""
+    return [
+        row[links.right_column]
+        for row in links.table.find(**{links.left_column: left_id})
+    ]
+
+
+class TestRightOf:
+    """``right_of`` reads the left-column index and the stored rows; it
+    must list exactly what the ``find``-based read lists, in its order,
+    on live tables and on pins."""
+
+    def _check(self, db, links, left_ids):
+        for pid in left_ids:
+            assert links.right_of(pid) == _right_of_by_find(links, pid)
+            with db.pinned():
+                assert links.right_of(pid) == _right_of_by_find(links, pid)
+
+    def test_matches_find_live_and_pinned(self, db, links):
+        posts = [db.insert("posts")["id"] for _ in range(3)]
+        tags = [db.insert("tags")["id"] for _ in range(8)]
+        for i, tid in enumerate(tags):
+            links.add(posts[i % 3], tid)
+            links.add(posts[0], tid)
+        left_ids = posts + [999]
+        self._check(db, links, left_ids)
+        assert sorted(links.right_of(posts[0])) == tags
+        assert links.right_of(999) == []
+
+        links.remove(posts[0], tags[2])
+        db.delete("tags", tags[4])          # cascades to its links
+        db.delete("posts", posts[2])
+        self._check(db, links, left_ids)
+        assert tags[4] not in links.right_of(posts[1])
+
+        before = {pid: links.right_of(pid) for pid in left_ids}
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                db.delete("tags", tags[0])
+                links.remove(posts[1], tags[1])
+                self._check(db, links, left_ids)
+                raise RuntimeError("abort")
+        self._check(db, links, left_ids)
+        assert {pid: sorted(links.right_of(pid)) for pid in left_ids} == {
+            pid: sorted(ids) for pid, ids in before.items()
+        }

@@ -14,6 +14,7 @@ from repro.db import (
     read_wal,
     truncate_wal,
 )
+from repro.db.snapshot import CHECKPOINT_CHUNK_ROWS, database_to_dict
 from repro.db.wal import (
     DEFAULT_BATCH_EVERY,
     MAGIC,
@@ -254,6 +255,30 @@ class TestCheckpoint:
         again = open_db(tmp_path)
         assert len(again.table("items")) == 1
         assert again.version == db2.version
+        again.close()
+
+    def test_snapshot_bytes_equal_one_compact_dumps(self, tmp_path):
+        """The chunked writer emits exactly the compact ``json.dumps``
+        of the whole state: tables of 0, 1, one chunk and one chunk plus
+        one rows, strings holding newlines, quotes and non-ASCII text."""
+        db = open_db(tmp_path)
+        sizes = (0, 1, CHECKPOINT_CHUNK_ROWS, CHECKPOINT_CHUNK_ROWS + 1)
+        for n in sizes:
+            db.create_table(TableSchema(
+                f"t{n}", columns=(Column("id", int), Column("s", str),
+                                  Column("x", float, nullable=True)),
+            ))
+            db.table(f"t{n}").create_index("s")
+            for i in range(n):
+                db.insert(f"t{n}", s=f'row {i}\n"q" \\ é ☃ {{"rows":[]}}',
+                          x=i / 3 if i % 2 else None)
+        target = db.checkpoint()
+        expected = json.dumps(database_to_dict(db), separators=(",", ":"))
+        assert target.read_bytes() == expected.encode("utf-8")
+        db.close()
+        again = open_db(tmp_path)
+        assert [len(again.table(f"t{n}")) for n in sizes] == list(sizes)
+        assert database_to_dict(again) == json.loads(expected)
         again.close()
 
 
