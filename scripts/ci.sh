@@ -100,8 +100,10 @@ PYTHONPATH=src python -m pytest -q benchmarks/bench_replication.py
 # Tiered-storage gate: a 10^5-material blocked checkpoint (synthesized
 # out of process by `carcs synth`) must open lazily with RSS growth
 # bounded by the block-cache budget + fixed overhead, its striding cold
-# point reads must decode about one row each, not a block, and sustained
-# overload must be absorbed as 429s while served p99 stays in budget
+# point reads must decode about one row each, not a block, a sorted
+# index over 10^5 rows must build in at most 30x the 10^4-row time
+# (gate D: one sort, not one insert per row), and sustained overload
+# must be absorbed as 429s while served p99 stays in budget
 # (docs/capacity.md).
 PYTHONPATH=src python -m pytest -q benchmarks/bench_tiered.py
 

@@ -732,6 +732,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _limit(raw: str) -> int:
+    """A ``--limit``: negative is a usage error (exit 2), as in the API."""
+    if int(raw) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {raw}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carcs",
@@ -764,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("--collection", default=None)
     p.add_argument("--under", default=None, help="ontology subtree key")
-    p.add_argument("--limit", type=int, default=10)
+    p.add_argument("--limit", type=_limit, default=10)
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("gaps", help="community gap analysis")
@@ -846,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ontology", default="PDC12")
     p.add_argument("--left", default="nifty")
     p.add_argument("--right", default="peachy")
-    p.add_argument("--limit", type=int, default=10)
+    p.add_argument("--limit", type=_limit, default=10)
     p.add_argument("--slow-ms", type=float, default=100.0,
                    help="slow-span threshold for the SLOW marker")
     p.set_defaults(fn=cmd_trace, needs_repo=False)

@@ -524,13 +524,12 @@ class Repository:
         through the link table's index, in link-id order; only ``None``
         walks the whole table."""
         links = self.material_classifications
+        table = links.table
         pairs = links.pairs() if material_ids is None else [
             (row["materials_id"], row["ontology_entries_id"])
-            for row in sorted(
-                (row for mid in set(material_ids)
-                 for row in links.links_of(mid)),
-                key=lambda row: row["id"],
-            )
+            for row in map(table.row, sorted(
+                pk for mid in set(material_ids)
+                for pk in table.eq_pks("materials_id", mid)))
         ]
         entries = self.db.table("ontology_entries")
         return [(mid, entries.get(eid)["key"]) for mid, eid in pairs]

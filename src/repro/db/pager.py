@@ -78,12 +78,13 @@ ROWS_PREFIX = "rows-"
 PROMOTE_FRACTION = 16
 
 #: Row separator inside a block.  Compact JSON escapes every control
-#: character inside strings, so the encoded rows never contain a raw
-#: newline and a block splits into exactly one text per row.
+#: character inside strings, so a block splits on ``"\n"`` into exactly
+#: one text per row (each but the last ends in the separator's comma).
 ROW_SEPARATOR = ",\n"
 
 #: The one compact encoder every written row goes through.
 _ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_ROW_DECODE = json.JSONDecoder().raw_decode  # leaves a trailing comma
 
 
 def env_cache_bytes() -> int:
@@ -263,7 +264,7 @@ class BlockStore:
             )
         text = payload.decode("utf-8")
         if not whole:
-            texts = text[1:-1].split(ROW_SEPARATOR)
+            texts = text[1:-1].split("\n")
             # A block written on one line (an older writer) splits into
             # fewer texts than rows; it decodes whole.
             if len(texts) == meta["n"]:
@@ -274,7 +275,7 @@ class BlockStore:
 
     def _decode_whole(self, block: _Block, texts: list[str],
                       pk_col: str) -> dict[Any, dict]:
-        rows = json.loads("[" + ",".join(texts) + "]")
+        rows = json.loads("[" + "\n".join(texts) + "]")
         self.cache.count_decoded(len(rows))
         whole = {row[pk_col]: row for row in rows}
         block.state = whole
@@ -287,7 +288,7 @@ class BlockStore:
         def decode(i: int) -> dict:
             row = memo.get(i)
             if row is None:
-                row = memo[i] = json.loads(texts[i])
+                row = memo[i] = _ROW_DECODE(texts[i])[0]
                 block.left -= 1
                 self.cache.count_decoded(1)
             return row

@@ -73,10 +73,17 @@ class SortedIndex:
     @classmethod
     def build(cls, column: str,
               items: Iterable[tuple[Any, dict[str, Any]]]) -> "SortedIndex":
-        """The index on ``column`` over ``(pk, row)`` pairs."""
+        """The index on ``column`` over ``(pk, row)`` pairs, by one sort
+        per list: the pairs are unique, so per-row :meth:`add` agrees."""
         index = cls()
         for pk, row in items:
-            index.add(row[column], pk)
+            value = row[column]
+            if value is None:
+                index.nones.append(pk)
+            else:
+                index.entries.append((value, pk))
+        index.entries.sort()
+        index.nones.sort()
         return index
 
     def __len__(self) -> int:

@@ -292,3 +292,59 @@ class TestEnsureUser:
         assert self._rows(fresh_repo, "carcs-ml") == []
         uid = fresh_repo.ensure_user("carcs-ml", Role.USER)
         assert [r["id"] for r in self._rows(fresh_repo, "carcs-ml")] == [uid]
+
+
+def _pairs_by_copy(repo, material_ids):
+    """The scoped ``classification_pairs_of`` as it read before: whole
+    link rows copied through ``links_of``, sorted by link id."""
+    entries = repo.db.table("ontology_entries")
+    rows = sorted(
+        (row for mid in set(material_ids)
+         for row in repo.material_classifications.links_of(mid)),
+        key=lambda row: row["id"],
+    )
+    return [(row["materials_id"], entries.get(row["ontology_entries_id"])["key"])
+            for row in rows]
+
+
+class TestClassificationPairsOf:
+    """The scoped read goes through the link index and the stored rows;
+    it must list what the row-copying read lists, in link-id order, on
+    live tables and on pins."""
+
+    def _check(self, repo, scopes):
+        for ids in scopes:
+            assert repo.classification_pairs_of(ids) == _pairs_by_copy(repo, ids)
+            with repo.db.pinned():
+                assert repo.classification_pairs_of(ids) == _pairs_by_copy(
+                    repo, ids)
+
+    def test_matches_row_copies_live_and_pinned(self, fresh_repo):
+        repo = fresh_repo
+        entries = list(repo.db.table("ontology_entries"))[:9]
+        mids = [repo.add_material(simple_material(title=f"M{i}")).id
+                for i in range(4)]
+        # Interleave materials so link ids do not follow material ids.
+        for i, entry in enumerate(entries):
+            for mid in (mids[i % 4], mids[(i + 1) % 4]):
+                repo.classify(mid, entry["ontology"], entry["key"])
+        scopes = [mids, mids[::-1], [mids[2], mids[0], mids[2]], [999], []]
+        self._check(repo, scopes)
+        assert len(repo.classification_pairs_of(mids)) == 2 * len(entries)
+        ids = [mid for mid, _ in repo.classification_pairs_of([mids[1]])]
+        assert ids and set(ids) == {mids[1]}
+
+        repo.declassify(mids[0], entries[0]["key"])
+        repo.delete_material(mids[3])
+        self._check(repo, scopes)
+        assert not repo.classification_pairs_of([mids[3]])
+
+        before = repo.classification_pairs_of(mids)
+        with pytest.raises(RuntimeError):
+            with repo.db.transaction():
+                repo.delete_material(mids[1])
+                repo.declassify(mids[2], entries[2]["key"])
+                self._check(repo, scopes)
+                raise RuntimeError("abort")
+        self._check(repo, scopes)
+        assert repo.classification_pairs_of(mids) == before

@@ -412,6 +412,42 @@ class TestLazyBlocks:
         assert {row["id"]: row for row in db.table("items")} == expected
         db.close()
 
+    def test_look_alike_rows_probe_one_text_each(self, tmp_path, lazy_env):
+        # Every row, the last of each block included, decodes alone from
+        # its line; rows that escape "\n", '",\n"' and '"},{"' too.
+        tricky = ["line\nbreak", '",\n"', '"},{"', "\n", ",\n", "},{"]
+        db = Database.open(tmp_path / "store")
+        db.create_table(_schema())
+        for i in range(N_ROWS):
+            db.insert("items", name=f"{tricky[i % len(tricky)]}#{i}",
+                      group=tricky[(i + 1) % len(tricky)], score=i)
+        expected = {row["id"]: row for row in db.table("items")}
+        db.checkpoint()
+        db.close()
+        for pk in expected:
+            db = Database.open(tmp_path / "store")
+            assert db.table("items").get(pk) == expected[pk]
+            assert db.storage_stats()["block_cache_rows_decoded"] == 1
+            (block,) = _cached_blocks(db)
+            texts, memo = block.state
+            n = LAZY_BLOCK_ROWS if pk <= LAZY_BLOCK_ROWS else (
+                N_ROWS - LAZY_BLOCK_ROWS)
+            assert len(texts) == n and list(memo) == [
+                (pk - 1) % LAZY_BLOCK_ROWS]
+            assert all(text.endswith(",") for text in texts[:-1])
+            assert not texts[-1].endswith(",")
+            db.close()
+        # Probes past 1/PROMOTE_FRACTION promote: the texts rejoin whole.
+        db = Database.open(tmp_path / "store")
+        items = db.table("items")
+        for pk in (LAZY_BLOCK_ROWS, 1, 2, 3, 4):
+            assert items.get(pk) == expected[pk]
+        (block,) = _cached_blocks(db)
+        assert isinstance(block.state, dict)
+        assert block.state == {pk: expected[pk]
+                               for pk in range(1, LAZY_BLOCK_ROWS + 1)}
+        db.close()
+
     def test_sparse_pk_blocks_bisect(self, tmp_path, lazy_env):
         directory = _build(tmp_path)
         db = Database.open(directory)

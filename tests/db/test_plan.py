@@ -7,6 +7,7 @@ planned-vs-naive equivalence lives in ``test_planner_property.py``.
 import contextlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.db import (
     Column,
@@ -74,6 +75,29 @@ def unwrap(node):
 
 
 class TestSortedIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pk_values=st.sampled_from([st.integers(-50, 50),
+                                   st.text("abc", max_size=3)]),
+        values=st.sampled_from([st.integers(0, 9),
+                                st.text("xyz", max_size=2)]),
+        data=st.data(),
+    )
+    def test_build_equals_per_row_add(self, pk_values, values, data):
+        # One sort per list reaches the layout per-row bisect inserts do.
+        # Rows come in any pk order, with Nones and repeated values.
+        pairs = data.draw(st.lists(
+            st.tuples(pk_values, st.one_of(st.none(), values)),
+            unique_by=lambda pair: pair[0], max_size=60,
+        ))
+        items = [(pk, {"c": value, "other": pk}) for pk, value in pairs]
+        added = SortedIndex()
+        for pk, row in items:
+            added.add(row["c"], pk)
+        built = SortedIndex.build("c", iter(items))
+        assert built.entries == added.entries
+        assert built.nones == added.nones
+
     def test_eq_and_nones(self):
         s = SortedIndex()
         for pk, value in [(1, "b"), (2, "a"), (3, None), (4, "a")]:

@@ -57,6 +57,18 @@ class TestSearch:
     def test_miss_returns_nonzero(self, capsys):
         assert main(["search", "xylophone zebra", "--limit", "3"]) == 1
 
+    def test_negative_limit_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--limit", "-1", "parallel"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--limit: must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
+    def test_zero_limit_is_accepted(self, capsys):
+        assert main(["search", "parallel", "--limit", "0"]) == 1
+        assert capsys.readouterr().out == "no results\n"
+
     def test_subtree_filter(self, capsys):
         assert main(
             ["search", "", "--under", "PDC12/PROG", "--collection", "peachy"]
