@@ -1,8 +1,11 @@
 """Database-level behaviour: DDL, foreign keys, transactions."""
 
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.db import Column, Database, ForeignKey, TableSchema
 from repro.db.table import Table
@@ -37,8 +40,9 @@ def make_db() -> Database:
 
 
 def _durable_db(path) -> Database:
-    """Parent 1 with cascading kids 1 and 2; a RESTRICT pin holds kid 2."""
-    db = Database.open(path)
+    """Parent 1 with cascading kids 1 and 2, a toy on each kid, and a
+    RESTRICT pin on kid 2."""
+    db = Database.open(path, wal_sync="off")
     db.create_table(TableSchema(
         "parents", columns=(Column("id", int), Column("name", str)),
         unique=(("name",),),
@@ -48,25 +52,69 @@ def _durable_db(path) -> Database:
         foreign_keys=(ForeignKey("parent_id", "parents", on_delete="cascade"),),
     ))
     db.create_table(TableSchema(
+        "toys", columns=(Column("id", int), Column("kid_id", int)),
+        foreign_keys=(ForeignKey("kid_id", "kids", on_delete="cascade"),),
+    ))
+    db.create_table(TableSchema(
         "pins", columns=(Column("id", int), Column("kid_id", int)),
         foreign_keys=(ForeignKey("kid_id", "kids"),),
     ))
     parent = db.insert("parents", name="p")["id"]
     db.insert_many("kids", [{"parent_id": parent}, {"parent_id": parent}])
+    db.insert_many("toys", [{"kid_id": 1}, {"kid_id": 2}])
     db.insert("pins", kid_id=2)
     return db
 
 
-#: Case -> (op that fails on a fresh ``_durable_db``, its error).  The
-#: delete cascades to kid 1, then meets the pin on kid 2.
+#: Case -> (op that fails on a ``_durable_db`` after any run of
+#: :data:`_GOOD_STEPS`, its error).  Good steps keep parent 1 named
+#: ``p``, parent 2 named ``taken`` and kid 2 pinned, so the delete
+#: cascades to parent 1's other kids and their toys, then meets the pin
+#: on kid 2.
 FAILING_OPS = {
     "cascade-hits-restrict": (lambda db: db.delete("parents", 1),
                               ForeignKeyError),
     "unique-insert": (lambda db: db.insert("parents", name="p"),
                       UniqueViolation),
-    "fk-update": (lambda db: db.update("kids", 1, parent_id=99),
+    "fk-update": (lambda db: db.update("kids", 2, parent_id=99),
                   ForeignKeyError),
+    "fk-insert": (lambda db: db.insert("toys", kid_id=99), ForeignKeyError),
+    "unique-update": (lambda db: db.update("parents", 1, name="taken"),
+                      UniqueViolation),
+    "insert-many-unique": (
+        lambda db: db.insert_many("parents", [{"name": "fresh"},
+                                              {"name": "p"}]),
+        UniqueViolation),
 }
+
+_pick = st.integers(0, 10**6)
+_GOOD_STEPS = st.lists(st.tuples(
+    st.sampled_from(("parent", "kid", "toy", "rename", "drop-parent",
+                     "drop-kid")), _pick), max_size=6)
+
+
+def _good_step(db: Database, step: tuple, names: list) -> None:
+    """One write that succeeds in any state the good steps reach."""
+    kind, pick = step
+
+    def choose(table: str, keep: tuple = ()) -> int | None:
+        pks = sorted(row["id"] for row in db.table(table)
+                     if row["id"] not in keep)
+        return pks[pick % len(pks)] if pks else None
+
+    names.append(f"n{len(names)}")
+    if kind == "parent":
+        db.insert("parents", name=names[-1])
+    elif kind == "kid":
+        db.insert("kids", parent_id=choose("parents"))
+    elif kind == "toy":
+        db.insert("toys", kid_id=choose("kids"))
+    elif kind == "rename" and (pk := choose("parents", (1, 2))) is not None:
+        db.update("parents", pk, name=names[-1])
+    elif kind == "drop-parent" and (pk := choose("parents", (1, 2))) is not None:
+        db.delete("parents", pk)
+    elif kind == "drop-kid" and (pk := choose("kids", (2,))) is not None:
+        db.delete("kids", pk)
 
 
 class TestDdl:
@@ -253,28 +301,38 @@ class TestTransactions:
         assert "temp" not in db
 
     @pytest.mark.parametrize("case", sorted(FAILING_OPS))
+    @given(before=_GOOD_STEPS, after=_GOOD_STEPS)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
     def test_caught_failure_inside_transaction_leaves_no_trace(
-        self, tmp_path, case,
+        self, case, before, after,
     ):
         """A failing op inside ``transaction()`` that the caller catches
-        before committing changes no table, journal entry or WAL byte."""
+        before committing changes no table, journal entry or WAL byte:
+        drawn writes run before and after it in the same transaction."""
         op, error = FAILING_OPS[case]
 
         def run(path, fail):
             db = _durable_db(path)
+            names = ["taken"]
+            db.insert("parents", name="taken")
             with db.transaction():
-                db.insert("parents", name="before")
+                for step in before:
+                    _good_step(db, step, names)
                 if fail:
                     with pytest.raises(error):
                         op(db)
-                db.insert("parents", name="after")
+                for step in after:
+                    _good_step(db, step, names)
             tables = {name: {row["id"]: row for row in db.table(name)}
                       for name in db.stats()}
             changes = db.changes_since(0)
             db.close()
             return tables, changes, (path / "wal.log").read_bytes()
 
-        assert run(tmp_path / "failed", True) == run(tmp_path / "clean", False)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            assert run(tmp / "failed", True) == run(tmp / "clean", False)
 
 
 class TestInsert:
