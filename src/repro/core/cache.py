@@ -156,13 +156,13 @@ class AnalyticsCache:
         Pin-aware: inside a pinned snapshot scope the versions come from
         the snapshot, so a cached entry computed from pinned state is
         stamped with (and validated against) that same state."""
-        pin = self.db._pin()
-        source: Any = pin.tables if pin is not None else self.db._tables
-        out = []
-        for name in tables:
-            table = source.get(name)
-            out.append(table.version if table is not None else -1)
-        return tuple(out)
+        snap = self.db._read_tables()
+        if snap is None:  # the writer: its own uncommitted versions
+            versions = self.db.table_versions()
+            return tuple(versions.get(name, -1) for name in tables)
+        source = snap.tables
+        return tuple(source[name].version if name in source else -1
+                     for name in tables)
 
     def get_or_compute(
         self,

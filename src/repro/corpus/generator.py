@@ -303,14 +303,13 @@ def synthesize_database(
                 elif table.name == "material_classifications":
                     items = link_rows()
                 else:
-                    items = iter(sorted(table._rows.items()))
                     writer.add_table(
-                        schema_to_dict(table.schema), items,
-                        next_id=table._next_id, version=table._version,
+                        schema_to_dict(table.schema), table._items(),
+                        next_id=table.next_id, version=table.version,
                         indexes=table.index_columns(),
                         sorted_indexes=table.sorted_index_columns(),
                     )
-                    counts[table.name] = len(table._rows)
+                    counts[table.name] = len(table)
                     continue
                 counts[table.name] = writer.add_table(
                     schema_to_dict(table.schema), items,

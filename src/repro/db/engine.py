@@ -7,10 +7,14 @@ all-or-nothing rollback — sufficient for the editorial workflows CAR-CS
 describes (editors fixing classifications, rejecting submissions, bulk
 seeding).
 
-Rollback is implemented with an **undo journal**: ``_begin`` is O(1), each
-mutation appends its inverse operation to the active frame, and rollback
-replays the frame in reverse, so transaction cost is proportional to the
-work done inside the transaction.
+There is one store: the latest published snapshot of each table.  The
+writer keeps its uncommitted rows in a private **overlay** on top of it
+(:class:`repro.db.table.Overlay`), one draft per open savepoint.  A
+savepoint also saves the few counters it may have to restore (versions,
+the table registry, the change-journal and frame-op positions); rollback
+drops its drafts and restores them, so it costs nothing per discarded
+op.  Commit publishes through :meth:`TableSnapshot.advance`, the only
+place indexes are maintained.
 
 Concurrency follows PostgreSQL's reader/writer split (MVCC):
 
@@ -58,9 +62,12 @@ from repro.obs import trace as _trace
 
 from .errors import (
     ForeignKeyError,
+    IntegrityError,
     RecoveryError,
+    RowNotFound,
     SchemaError,
     TransactionError,
+    UniqueViolation,
 )
 from .locks import WriterLock
 from .pager import (
@@ -83,7 +90,7 @@ from .snapshot import (
     schema_to_dict,
     write_database_json,
 )
-from .table import Table
+from .table import TOMBSTONE, Draft, Overlay, Table, TableReads
 from .wal import WalReader, WalWriter, truncate_wal
 
 #: Default bound of the change journal.  Large enough that a read-heavy
@@ -130,6 +137,20 @@ class Change:
     row: dict[str, Any] | None = None
 
 
+class _Savepoint:
+    """One open savepoint: the drafts written inside it, and the
+    counters a rollback restores."""
+
+    __slots__ = ("drafts", "version", "tables", "ops")
+
+    def __init__(self, version: int, tables: dict[str, TableSnapshot],
+                 ops: int) -> None:
+        self.drafts: dict[str, Draft] = {}
+        self.version = version
+        self.tables = tables
+        self.ops = ops
+
+
 class Database:
     """A named collection of tables with cross-table integrity.
 
@@ -142,20 +163,22 @@ class Database:
                  changelog_size: int | None = None) -> None:
         self.name = name
         self.lock = WriterLock()
-        self._tables: dict[str, Table] = {}
-        self._tx_depth = 0
-        # Stack of transaction frames; each frame is a list of undo
-        # closures appended by Table mutations and DDL, replayed in
-        # reverse on rollback.
-        self._tx_journal: list[list[Callable[[], None]]] = []
+        # The writer's table registry: the published tables plus the
+        # current frame's DDL.  Replaced, never mutated in place, so a
+        # savepoint saves it by reference and a snapshot may share it.
+        self._tables: dict[str, TableSnapshot] = {}
+        self._handles: dict[str, Table] = {}
+        # Open savepoints, outermost first (the write frame itself is
+        # the first); only touched under the write lock.
+        self._savepoints: list[_Savepoint] = []
         # Database-wide mutation counter: bumped once per committed
         # insert/update/delete on any table (and on DDL), rolled back with
         # aborted transactions.  The cheap freshness token for caches.
         self._version = 0
         # Bounded journal of Change records, newest on the right; evicts
         # oldest-first, so the retained suffix is always contiguous in
-        # `version`.  Mutations inside an aborted transaction pop their
-        # own records, keeping the journal committed-history-only.
+        # `version`.  A rollback pops the records of the ops it
+        # discards, keeping the journal committed-history-only.
         # Guarded by its own mutex: lock-free readers must never
         # iterate the deque while a writer appends.
         self._changes: deque[Change] = deque(
@@ -164,10 +187,9 @@ class Database:
         )
         self._changes_lock = Lock()
         self._changes_truncated = 0
-        # Write-frame state (only touched under the write lock): the
-        # operation list of the frame being committed, appended as one
-        # WAL record and folded into the next published snapshot.
-        self._frame_active = False
+        # The operation list of the frame being written (only touched
+        # under the write lock), appended as one WAL record and folded
+        # into the next published snapshot.
         self._frame_ops: list[dict[str, Any]] = []
         # MVCC read side: the currently published snapshot.  Replaced
         # wholesale on every commit (single attribute store = atomic
@@ -178,7 +200,6 @@ class Database:
         self._wal: WalWriter | None = None
         self._compact_bytes = env_compact_bytes()
         self._checkpoints = 0
-        self._replaying = False
         self._recovery: dict[str, Any] | None = None
         # Commit listeners (replication shippers): called after every
         # published frame with its durable form ({"v": ..., "ops": [...]}),
@@ -215,11 +236,11 @@ class Database:
         return self._snapshot
 
     def _pin(self) -> Snapshot | None:
-        """The snapshot this context reads from, or ``None`` for live.
+        """The snapshot pinned in this context, or ``None``.
 
-        Threads holding the write lock always read live state (a writer
-        must see its own uncommitted work), so a pin set further up the
-        stack is ignored for the duration of the write."""
+        Threads holding the write lock always read their own view (a
+        writer must see its own uncommitted work), so a pin set further
+        up the stack is ignored for the duration of the write."""
         pin = current_pin()
         if pin is not None and pin.db is self and not self.lock.write_held:
             return pin
@@ -248,39 +269,45 @@ class Database:
         finally:
             _PIN.reset(token)
 
-    def _publish(self, ops: list[dict[str, Any]]) -> None:
-        """Build and publish the next snapshot from one committed frame.
+    def _publish(self) -> None:
+        """Publish the registry as the next snapshot (one attribute
+        store)."""
+        self._snapshot = Snapshot(self, self._version, self._tables)
 
-        Path-copying: untouched tables share their TableSnapshot with
-        the previous version; touched tables advance by (bounded) delta
-        and inherit the hash indexes readers already built, patched by
-        the frame's ops; DDL-touched tables are recaptured wholesale."""
-        prev = self._snapshot
+    def _advance(self, ops: list[dict[str, Any]]) -> dict[str, TableSnapshot]:
+        """The registry after one committed frame.
+
+        Path-copying: untouched tables keep their snapshot; each touched
+        table advances by the ops written since it was last created (a
+        table created in the frame starts from its empty snapshot), and
+        inherits every index its predecessor built."""
         touched: dict[str, list[dict[str, Any]]] = {}
-        ddl: set[str] = set()
         for op in ops:
-            name = op["t"]
             if op["o"] in ("create_table", "drop_table"):
-                ddl.add(name)
-            touched.setdefault(name, []).append(op)
-        tables = dict(prev.tables)
-        for name, table_ops in touched.items():
-            live = self._tables.get(name)
-            if live is None:
-                tables.pop(name, None)
-                continue
-            previous = tables.get(name)
-            if previous is None or name in ddl:
-                tables[name] = TableSnapshot.capture(live)
+                touched[op["t"]] = []
             else:
-                tables[name] = previous.advance(live, table_ops)
-        self._snapshot = Snapshot(self, self._version, tables)
+                touched.setdefault(op["t"], []).append(op)
+        tables = dict(self._tables)
+        for name, table_ops in touched.items():
+            if name in tables and table_ops:
+                tables[name] = tables[name].advance(table_ops)
+        return tables
 
-    def _publish_full(self) -> None:
-        """Publish a from-scratch snapshot of every table (open/restore)."""
-        self._snapshot = Snapshot(self, self._version, {
-            name: TableSnapshot.capture(t) for name, t in self._tables.items()
-        })
+    def _writer_view(self, name: str) -> TableSnapshot | Overlay:
+        """What the writer reads of ``name``: the snapshot its frame
+        builds on, under the drafts of every open savepoint."""
+        try:
+            base = self._tables[name]
+        except KeyError:
+            raise SchemaError(f"no table {name!r}") from None
+        drafts = []
+        for savepoint in reversed(self._savepoints):
+            draft = savepoint.drafts.get(name)
+            if draft is not None:
+                drafts.append(draft)
+                if draft.fresh:
+                    break
+        return Overlay(base, drafts) if drafts else base
 
     # -- versions -------------------------------------------------------------
 
@@ -290,32 +317,33 @@ class Database:
 
         Pin-aware: inside :meth:`pinned` this is the pinned snapshot's
         version, so ETags and cache keys derived from it are consistent
-        with the data the pin serves."""
+        with the data the pin serves; other readers see the published
+        version, and the writer its own."""
         pin = self._pin()
-        return pin.version if pin is not None else self._version
+        if pin is not None:
+            return pin.version
+        return self._version if self.lock.write_held else self._snapshot.version
+
+    def _read_tables(self) -> Snapshot | None:
+        """The snapshot this thread reads, or ``None`` for the writer."""
+        if self.lock.write_held:
+            return None
+        return self._pin() or self._snapshot
 
     def table_versions(self) -> dict[str, int]:
         """Per-table mutation counters, sorted by table name."""
-        pin = self._pin()
-        if pin is not None:
-            return pin.table_versions()
-        return {name: t.version for name, t in sorted(self._tables.items())}
-
-    def _record(self, undo: Callable[[], None]) -> None:
-        if self._tx_journal:
-            self._tx_journal[-1].append(undo)
+        snap = self._read_tables()
+        if snap is not None:
+            return snap.table_versions()
+        return {name: self._writer_view(name).version
+                for name in sorted(self._tables)}
 
     def _log_change(self, table: str, op: str, pk: Any = None,
                     row: dict[str, Any] | None = None, *,
                     wal_extra: dict[str, Any] | None = None) -> None:
         """Append one :class:`Change` at the current version and collect
-        the matching frame op for the WAL/snapshot publish.
-
-        Inside a transaction the undo closure pops both again —
-        identity-checked, so a record already evicted by the ``maxlen``
-        bound is simply skipped (its successors were popped first, which
-        keeps the retained suffix contiguous either way).
-        """
+        the matching frame op for the WAL/snapshot publish (a rollback
+        pops both again)."""
         change = Change(self._version, table, op, pk, row)
         with self._changes_lock:
             if (self._changes.maxlen is not None
@@ -325,44 +353,7 @@ class Database:
         frame_op: dict[str, Any] = {"t": table, "o": op, "pk": pk, "r": row}
         if wal_extra:
             frame_op.update(wal_extra)
-        if self._frame_active:
-            self._frame_ops.append(frame_op)
-
-        def undo() -> None:
-            with self._changes_lock:
-                if self._changes and self._changes[-1] is change:
-                    self._changes.pop()
-            if self._frame_ops and self._frame_ops[-1] is frame_op:
-                self._frame_ops.pop()
-
-        self._record(undo)
-        if not self._frame_active and not self._replaying:
-            # Direct table mutation outside any engine entry point
-            # (legacy tests drive Table.insert with a _db attached):
-            # commit the single op immediately so snapshot and WAL
-            # never drift from live state.
-            self._commit_ops([frame_op])
-
-    def _log_index(self, table: str, column: str, *,
-                   kind: str = "hash") -> None:
-        """Record a ``create_index`` in the frame/WAL (version-neutral).
-
-        ``kind`` distinguishes sorted from hash indexes; hash frames
-        omit the field so logs written before sorted indexes existed
-        replay unchanged."""
-        frame_op = {"t": table, "o": "create_index", "c": column}
-        if kind != "hash":
-            frame_op["k"] = kind
-        if self._frame_active:
-            self._frame_ops.append(frame_op)
-
-            def undo() -> None:
-                if self._frame_ops and self._frame_ops[-1] is frame_op:
-                    self._frame_ops.pop()
-
-            self._record(undo)
-        elif not self._replaying:
-            self._commit_ops([frame_op])
+        self._frame_ops.append(frame_op)
 
     def changes_since(self, version: int, *,
                       upto: int | None = None) -> list[Change] | None:
@@ -414,10 +405,24 @@ class Database:
 
     def _bump_ddl(self, table: str, op: str,
                   wal_extra: dict[str, Any] | None = None) -> None:
-        prev = self._version
         self._version += 1
-        self._record(lambda: setattr(self, "_version", prev))
         self._log_change(table, op, wal_extra=wal_extra)
+
+    def _put(self, name: str, op: str, pk: Any, row: dict[str, Any]) -> None:
+        """Write one row into the innermost savepoint's draft, bump the
+        versions and log it.  ``row`` is the new row, or for a delete the
+        removed one."""
+        drafts = self._savepoints[-1].drafts
+        draft = drafts.get(name)
+        if draft is None:
+            view = self._writer_view(name)
+            draft = drafts[name] = Draft(view.version, view.next_id)
+        draft.put(pk, TOMBSTONE if op == "delete" else row)
+        draft.version += 1
+        if op == "insert" and isinstance(pk, int) and pk >= draft.next_id:
+            draft.next_id = pk + 1
+        self._version += 1
+        self._log_change(name, op, pk, dict(row))
 
     # -- write frames ---------------------------------------------------------
 
@@ -426,7 +431,7 @@ class Database:
         """One atomic unit around every write entry point, traced as
         ``db.<op>``.
 
-        Acquires the write lock, opens an implicit transaction (so an op
+        Acquires the write lock, opens the frame's savepoint (so an op
         that fails midway — e.g. a cascade delete hitting a RESTRICT —
         rolls back instead of partially applying), and on success
         appends the collected ops as one WAL record and publishes the
@@ -436,32 +441,21 @@ class Database:
         commits once.
         """
         with self._traced_op(op, table), self.lock.write():
-            if self._frame_active:
+            if self._savepoints:
                 with self._savepoint():
                     yield
                 return
-            self._frame_active = True
             self._frame_ops = []
-            committed = False
-            self._begin()
-            try:
+            with self._savepoint():
                 yield
-            except BaseException:
-                self._rollback()
-                raise
-            else:
-                self._commit()
-                committed = True
-            finally:
-                self._frame_active = False
-                ops = self._frame_ops
-                self._frame_ops = []
-                if committed and ops:
-                    self._commit_ops(ops)
+            ops, self._frame_ops = self._frame_ops, []
+            if ops:
+                self._commit_ops(ops)
 
     def _commit_ops(self, ops: list[dict[str, Any]]) -> None:
-        if self._replaying:
-            return
+        # The registry advances before the WAL append: an auto-checkpoint
+        # inside the append must already serialize this frame.
+        self._tables = self._advance(ops)
         frame: dict[str, Any] | None = None
         if self._wal is not None or self._commit_listeners:
             frame = {
@@ -471,7 +465,7 @@ class Database:
         if self._wal is not None:
             assert frame is not None
             self._wal_append(frame)
-        self._publish(ops)
+        self._publish()
         # Listeners run after the publish so a subscriber that turns
         # around and reads the database observes at least this frame's
         # version.  A listener failure must never poison the write path.
@@ -529,19 +523,37 @@ class Database:
                     f"foreign key in {schema.name!r} references unknown table "
                     f"{fk.ref_table!r} (create referenced tables first)"
                 )
-        table = Table(schema)
-        table._db = self
-        self._tables[schema.name] = table
-        # Tables created inside an aborted transaction vanish on rollback.
-        self._record(lambda: self._tables.pop(schema.name, None))
+        self._tables = {**self._tables,
+                        schema.name: TableSnapshot.capture(schema, ())}
+        self._savepoints[-1].drafts[schema.name] = Draft(0, 1, fresh=True)
         # The schema object rides along unserialized; it is rendered to
         # its durable dict form only if/when a WAL is attached.
         self._bump_ddl(schema.name, "create_table", wal_extra={"s": schema})
         # Index FK columns automatically: reverse lookups (who references
         # this row?) dominate delete checks and join traversals.
         for fk in schema.foreign_keys:
-            table.create_index(fk.column)
-        return table
+            self._create_index(schema.name, fk.column, "hash")
+        return self.table(schema.name)
+
+    def _create_index(self, name: str, column: str, kind: str) -> None:
+        """Declare a ``"hash"`` or ``"sorted"`` index (idempotent); it
+        builds on first read.  DDL is transactional (as in PostgreSQL)
+        and, though version-neutral, logged so that recovery and
+        replicas declare it too.  Hash frames omit the kind, so logs
+        written before sorted indexes existed replay unchanged."""
+        with self._write_frame("create_index", name):
+            table = self._writer_view(name)
+            declared = (table.has_sorted_index if kind == "sorted"
+                        else table.has_index)
+            if declared(column):
+                return
+            table.schema.column(column)  # validates existence
+            self._tables = {**self._tables,
+                            name: self._tables[name].declare(column, kind)}
+            frame_op = {"t": name, "o": "create_index", "c": column}
+            if kind != "hash":
+                frame_op["k"] = kind
+            self._frame_ops.append(frame_op)
 
     def drop_table(self, name: str) -> None:
         with self._write_frame("drop_table", name):
@@ -558,66 +570,114 @@ class Database:
                     raise SchemaError(
                         f"cannot drop {name!r}: referenced by {other.name!r}"
                     )
-        table = self._tables.pop(name)
-        # A table dropped inside an aborted transaction comes back intact.
-        self._record(lambda: self._tables.__setitem__(name, table))
+        self._tables = {n: t for n, t in self._tables.items() if n != name}
         self._bump_ddl(name, "drop_table")
 
     def table(self, name: str) -> Table | TableSnapshot:
-        """The live table — or, inside :meth:`pinned`, its snapshot.
+        """The table's handle — or, inside :meth:`pinned`, its snapshot.
 
-        Both inherit one read API, :class:`repro.db.table.TableReads`;
-        only the live table accepts writes (write paths always run under
-        the write lock, where the pin is bypassed)."""
+        Both inherit one read API, :class:`repro.db.table.TableReads`.
+        The handle reads the writer's own view under the write lock and
+        the latest published snapshot elsewhere."""
         pin = self._pin()
         if pin is not None:
             return pin.table(name)
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise SchemaError(f"no table {name!r}") from None
+        if name not in self:
+            raise SchemaError(f"no table {name!r}")
+        handle = self._handles.get(name)
+        if handle is None:
+            handle = self._handles.setdefault(name, Table(self, name))
+        return handle
 
     def __contains__(self, name: str) -> bool:
-        pin = self._pin()
-        return name in pin if pin is not None else name in self._tables
+        snap = self._read_tables()
+        return name in (snap if snap is not None else self._tables)
 
     # -- DML with FK enforcement ---------------------------------------------
 
-    def _ref_exists(self, ref: Table, column: str, value: Any) -> bool:
+    def _ref_exists(self, name: str, column: str, value: Any) -> bool:
+        ref = self._writer_view(name)
         # FKs overwhelmingly target the primary key: O(1) containment
         # beats a table scan (the 10⁴-material seeding path).
         if column == ref.schema.primary_key:
-            return value in ref._rows
+            return ref.row(value) is not None
         return ref.find_one(**{column: value}) is not None
 
-    def _check_fks_outbound(self, table: Table, row: dict[str, Any]) -> None:
+    def _check_fks_outbound(self, table: TableReads,
+                            row: dict[str, Any]) -> None:
         for fk in table.schema.foreign_keys:
             value = row.get(fk.column)
             if value is None:
                 continue
-            ref = self._tables[fk.ref_table]
-            if not self._ref_exists(ref, fk.ref_column, value):
+            if not self._ref_exists(fk.ref_table, fk.ref_column, value):
                 raise ForeignKeyError(
                     f"{table.name}.{fk.column}={value!r} references missing "
                     f"{fk.ref_table}.{fk.ref_column}"
                 )
 
-    def _live_table(self, name: str) -> Table:
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise SchemaError(f"no table {name!r}") from None
+    @staticmethod
+    def _complete_row(table: TableSnapshot | Overlay,
+                      values: Mapping[str, Any]) -> dict[str, Any]:
+        """The stored form of an inserted row: validated values,
+        defaults, and the next id for an omitted auto-increment pk."""
+        schema = table.schema
+        unknown = set(values) - set(schema.column_names())
+        if unknown:
+            raise SchemaError(
+                f"unknown column(s) {sorted(unknown)} for table {table.name!r}"
+            )
+        row: dict[str, Any] = {}
+        for col in schema.columns:
+            if col.name in values:
+                row[col.name] = col.validate(values[col.name])
+            elif col.name == schema.primary_key and schema.auto_increment:
+                row[col.name] = table.next_id
+            elif col.has_default():
+                row[col.name] = col.validate(col.resolve_default())
+            else:
+                row[col.name] = col.validate(None)
+        return row
 
-    def _insert_into(self, table: Table,
+    @staticmethod
+    def _check_unique(table: TableReads, row: dict[str, Any],
+                      pk: Any) -> None:
+        """Each unique group is probed through its first column's hash
+        bucket (built and inherited like any hash index)."""
+        for group in table.schema.unique:
+            first = group[0]
+            for other in table.eq_pks(first, row[first]):
+                if other != pk and all(table.row(other)[c] == row[c]
+                                       for c in group[1:]):
+                    key = tuple(row[c] for c in group)
+                    raise UniqueViolation(
+                        f"unique constraint {tuple(group)} violated in "
+                        f"{table.name!r}: {key!r}"
+                    )
+
+    def _insert_row(self, table: TableSnapshot | Overlay,
+                    row: dict[str, Any]) -> dict[str, Any]:
+        """Store a row built by :meth:`_complete_row` after its
+        uniqueness checks."""
+        pk = row[table.schema.primary_key]
+        if table.row(pk) is not None:
+            raise UniqueViolation(
+                f"duplicate primary key {pk!r} in table {table.name!r}"
+            )
+        self._check_unique(table, row, pk)
+        self._put(table.name, "insert", pk, row)
+        return dict(row)
+
+    def _insert_into(self, table_name: str,
                      values: Mapping[str, Any]) -> dict[str, Any]:
-        # Validate FKs against a completed candidate row before committing.
-        candidate = table._complete_row(values)
+        table = self._writer_view(table_name)
+        # Validate FKs against a completed candidate row before storing.
+        candidate = self._complete_row(table, values)
         self._check_fks_outbound(table, candidate)
-        return table._insert_row(candidate)
+        return self._insert_row(table, candidate)
 
     def insert(self, table_name: str, **values: Any) -> dict[str, Any]:
         with self._write_frame("insert", table_name):
-            return self._insert_into(self._live_table(table_name), values)
+            return self._insert_into(table_name, values)
 
     def insert_many(self, table_name: str,
                     rows: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
@@ -626,23 +686,31 @@ class Database:
         failing row rolls back the whole call, also inside an enclosing
         ``transaction()``."""
         with self._write_frame("insert_many", table_name):
-            table = self._live_table(table_name)
-            return [self._insert_into(table, values) for values in rows]
+            return [self._insert_into(table_name, values) for values in rows]
 
     def update(self, table_name: str, pk: Any, **changes: Any) -> dict[str, Any]:
         with self._write_frame("update", table_name):
-            table = self._live_table(table_name)
+            table = self._writer_view(table_name)
             fk_cols = {fk.column: fk for fk in table.schema.foreign_keys}
             for name, value in changes.items():
                 fk = fk_cols.get(name)
                 if fk is not None and value is not None:
-                    ref = self._tables[fk.ref_table]
-                    if not self._ref_exists(ref, fk.ref_column, value):
+                    if not self._ref_exists(fk.ref_table, fk.ref_column, value):
                         raise ForeignKeyError(
                             f"{table_name}.{name}={value!r} references missing "
                             f"{fk.ref_table}.{fk.ref_column}"
                         )
-            return table.update(pk, **changes)
+            old = table.row(pk)
+            if old is None:
+                raise RowNotFound(f"{table_name!r} has no row with pk {pk!r}")
+            if table.schema.primary_key in changes:
+                raise IntegrityError("primary key columns cannot be updated")
+            new = dict(old)
+            for name, value in changes.items():
+                new[name] = table.schema.column(name).validate(value)
+            self._check_unique(table, new, pk)
+            self._put(table_name, "update", pk, new)
+            return dict(new)
 
     def delete(self, table_name: str, pk: Any) -> dict[str, Any]:
         """Delete honoring inbound foreign keys (restrict or cascade).
@@ -655,24 +723,24 @@ class Database:
             return self._delete(table_name, pk)
 
     def _delete(self, table_name: str, pk: Any) -> dict[str, Any]:
-        table = self._live_table(table_name)
-        row = table.get(pk)
-        for other in self._tables.values():
+        row = self._writer_view(table_name).get(pk)
+        for name, other in self._tables.items():
             for fk in other.schema.foreign_keys:
                 if fk.ref_table != table_name:
                     continue
-                ref_value = row[fk.ref_column]
-                referencing = other.find(**{fk.column: ref_value})
+                referencing = self._writer_view(name).find(
+                    **{fk.column: row[fk.ref_column]})
                 if not referencing:
                     continue
                 if fk.on_delete == "restrict":
                     raise ForeignKeyError(
                         f"cannot delete {table_name} pk={pk!r}: referenced by "
-                        f"{len(referencing)} row(s) of {other.name!r}"
+                        f"{len(referencing)} row(s) of {name!r}"
                     )
                 for r in referencing:
-                    self._delete(other.name, r[other.schema.primary_key])
-        return table.delete(pk)
+                    self._delete(name, r[other.schema.primary_key])
+        self._put(table_name, "delete", pk, row)
+        return row
 
     # -- transactions ---------------------------------------------------------
 
@@ -699,31 +767,42 @@ class Database:
             self._commit()
 
     def _begin(self) -> None:
-        self._tx_journal.append([])
-        self._tx_depth += 1
+        self._savepoints.append(
+            _Savepoint(self._version, self._tables, len(self._frame_ops)))
 
     def _commit(self) -> None:
-        if self._tx_depth == 0:
+        """Release the innermost savepoint: its drafts fold into the
+        enclosing one (the frame's commit publishes the ops instead)."""
+        if not self._savepoints:
             raise TransactionError("commit without begin")
-        frame = self._tx_journal.pop()
-        self._tx_depth -= 1
-        if self._tx_journal:
-            # Savepoint semantics: an outer rollback must still undo the
-            # work committed by this inner transaction.
-            self._tx_journal[-1].extend(frame)
+        inner = self._savepoints.pop()
+        if self._savepoints:
+            outer = self._savepoints[-1].drafts
+            for name, draft in inner.drafts.items():
+                mine = outer.get(name)
+                if mine is None or draft.fresh:
+                    outer[name] = draft
+                else:
+                    mine.absorb(draft)
 
     def _rollback(self) -> None:
-        if self._tx_depth == 0:
+        """Drop the innermost savepoint's drafts and restore its
+        counters; the change journal and frame ops lose its records."""
+        if not self._savepoints:
             raise TransactionError("rollback without begin")
-        frame = self._tx_journal.pop()
-        self._tx_depth -= 1
-        for undo in reversed(frame):
-            undo()
+        savepoint = self._savepoints.pop()
+        self._version = savepoint.version
+        self._tables = savepoint.tables
+        del self._frame_ops[savepoint.ops:]
+        with self._changes_lock:
+            changes = self._changes
+            while changes and changes[-1].version > savepoint.version:
+                changes.pop()
 
     @property
     def in_transaction(self) -> bool:
         """Is the *calling thread* inside its own ``transaction()``?"""
-        return self._tx_depth > 0 and self.lock.write_held
+        return bool(self._savepoints) and self.lock.write_held
 
     # -- durability -----------------------------------------------------------
 
@@ -735,9 +814,9 @@ class Database:
         """Open (or create) a durable database directory.
 
         Restores the newest checkpoint snapshot, replays the WAL tail
-        through the normal FK-checked entry points, truncates a torn
-        final record if one is found, and leaves the WAL attached so
-        every further commit is logged.  :attr:`recovery_report`
+        through the normal FK-checked entry points (as one transaction,
+        published once), truncates a torn final record if one is found,
+        and leaves the WAL attached so every further commit is logged.  :attr:`recovery_report`
         describes what happened.
         """
         directory = Path(path)
@@ -765,12 +844,18 @@ class Database:
             # released at a time, so a large replay tail never holds all
             # its decoded operation lists in memory at once.
             reader = WalReader(wal_path)
-            for frame in reader:
-                if not db._should_replay(frame):
-                    continue
-                db._replay_frame(frame)
-                report["frames_replayed"] += 1
-                report["ops_replayed"] += len(frame["ops"])
+            with db.transaction():
+                for frame in reader:
+                    if not db._should_replay(frame):
+                        continue
+                    db._apply_ops(frame["ops"])
+                    if db._version != frame["v"]:
+                        raise RecoveryError(
+                            f"replay diverged: version {db._version} after "
+                            f"frame committed at {frame['v']}"
+                        )
+                    report["frames_replayed"] += 1
+                    report["ops_replayed"] += len(frame["ops"])
             if reader.torn:
                 report["torn"] = True
                 # A tear inside the magic header leaves the file shorter
@@ -784,7 +869,7 @@ class Database:
         db._wal = WalWriter(wal_path, sync=wal_sync)
         if compact_bytes is not None:
             db._compact_bytes = compact_bytes
-        db._publish_full()
+        db._publish()
         db._recovery = report
         return db
 
@@ -820,11 +905,16 @@ class Database:
         # leave the commit half-done.  Once a checkpoint starts it runs
         # to completion.
         with self.lock.write(), _trace.no_deadline():
+            if self._savepoints:
+                raise TransactionError(
+                    "cannot checkpoint inside a transaction"
+                )
             with _trace.span("db.checkpoint", version=self._version):
                 if self._use_blocked_checkpoint():
                     # The superseded store (if any) stays open: pinned
                     # snapshots may still page from it; GC closes it.
                     target = write_blocked_checkpoint(self, self._dir)
+                    self._publish()
                 else:
                     target = self._dir / SNAPSHOT_FILE
                     tmp = self._dir / (SNAPSHOT_FILE + ".tmp")
@@ -842,9 +932,10 @@ class Database:
         outgrows the inline threshold; small databases keep the eager
         inline format so every historical durability property (and its
         test) holds byte-for-byte."""
-        if any(isinstance(t._rows, PagedRows) for t in self._tables.values()):
+        tables = self._tables.values()
+        if any(isinstance(t._base, PagedRows) for t in tables):
             return True
-        return sum(len(t._rows) for t in self._tables.values()) >= env_inline_rows()
+        return sum(len(t) for t in tables) >= env_inline_rows()
 
     def close(self) -> None:
         """Flush and detach the WAL (safe to call on in-memory dbs)."""
@@ -876,7 +967,7 @@ class Database:
             if kind == "insert":
                 self.insert(name, **op["r"])
             elif kind == "update":
-                pk_col = self._live_table(name).schema.primary_key
+                pk_col = self._writer_view(name).schema.primary_key
                 self.update(name, op["pk"], **{
                     k: v for k, v in op["r"].items() if k != pk_col
                 })
@@ -887,26 +978,9 @@ class Database:
             elif kind == "drop_table":
                 self.drop_table(name)
             elif kind == "create_index":
-                if op.get("k") == "sorted":
-                    self._live_table(name).create_sorted_index(op["c"])
-                else:
-                    self._live_table(name).create_index(op["c"])
+                self._create_index(name, op["c"], op.get("k", "hash"))
             else:
                 raise RecoveryError(f"unknown WAL op {kind!r}")
-
-    def _replay_frame(self, frame: dict[str, Any]) -> None:
-        """Re-apply one committed WAL frame during recovery (no snapshot
-        publish, no WAL writes — ``open`` publishes once at the end)."""
-        self._replaying = True
-        try:
-            self._apply_ops(frame["ops"])
-        finally:
-            self._replaying = False
-        if self._version != frame["v"]:
-            raise RecoveryError(
-                f"replay diverged: version {self._version} after frame "
-                f"committed at {frame['v']}"
-            )
 
     # -- replication ----------------------------------------------------------
 
@@ -972,7 +1046,7 @@ class Database:
         """
         with self._traced_op("load_state", "*"):
             with self.lock.write():
-                if self._tx_depth:
+                if self._savepoints:
                     raise TransactionError(
                         "cannot load a snapshot inside a transaction"
                     )
@@ -980,7 +1054,7 @@ class Database:
                 with self._changes_lock:
                     self._changes.clear()
                     self._changes_truncated = 0
-                self._publish_full()
+                self._publish()
                 if self._wal is not None:
                     self.checkpoint()
 
@@ -1014,7 +1088,8 @@ class Database:
         :meth:`table_versions` / :attr:`version` so the row-count
         mapping keeps its historical shape.
         """
-        pin = self._pin()
-        if pin is not None:
-            return pin.stats()
-        return {name: len(t) for name, t in sorted(self._tables.items())}
+        snap = self._read_tables()
+        if snap is not None:
+            return snap.stats()
+        return {name: len(self._writer_view(name))
+                for name in sorted(self._tables)}

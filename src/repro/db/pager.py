@@ -13,22 +13,22 @@ demands.  This module is the cold tier that fixes it:
   key.  The manifest is a few kilobytes no matter how large the corpus
   is, so ``Database.open`` returns in O(tables), not O(rows).
 
-* A :class:`PagedRows` mapping stands in for a table's in-memory row
-  dict.  Point reads bisect the block directory, page in exactly one
+* A :class:`PagedRows` mapping stands in for a table snapshot's
+  in-memory row dict.  Point reads bisect the block directory, page in exactly one
   block and decode only the probed row (a block is written one row per
   line, so its rows split apart without a parse); scans decode whole
   blocks.  Blocks stream through a shared :class:`BlockCache` whose
   resident bytes are bounded by a ``CARCS_CACHE_BYTES`` budget (LRU
-  eviction, hit/miss/eviction/rows-decoded counters).  Writes land in a small
-  *overlay* (plus a tombstone set for deletes) exactly like the MVCC
-  delta model one layer up — the block tier is immutable between
+  eviction, hit/miss/eviction/rows-decoded counters).  Snapshot
+  consolidation folds rows into a small *overlay* (plus a tombstone set
+  for deletes) of a fresh copy — the block tier is immutable between
   checkpoints, which is what makes lock-free readers safe.
 
 * Checkpointing a paged database **streams**: rows flow block-by-block
   from the old tier (merged with the overlay in pk order) into the new
   rows file, so compaction never materializes the table either.  After
-  the manifest is atomically replaced the live tables re-point at the
-  fresh tier and drop their overlays.
+  the manifest is atomically replaced the table snapshots re-point at
+  the fresh tier and drop their overlays.
 
 Crash safety mirrors the WAL's by-construction story: the rows file is
 written to a temp name, fsynced and renamed *before* the manifest that
@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .errors import RecoveryError
+from .table import TOMBSTONE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Database
@@ -323,13 +324,11 @@ class BlockStore:
 class PagedRows:
     """A dict-shaped row mapping over an immutable block tier + overlay.
 
-    Duck-types the parts of the ``dict`` protocol the engine uses
-    (``[]``, ``get``, ``in``, ``len``, iteration, ``keys`` / ``values``
-    / ``items``) so :class:`repro.db.table.Table` and
-    :class:`repro.db.snapshot.TableSnapshot` operate on it unchanged.
-    Mutations never touch the tier: inserts/updates land in ``_overlay``,
-    deletes in ``_tombstones``; iteration merges the two.  ``freeze()``
-    is the O(overlay) path-copy that MVCC snapshot capture uses.
+    Duck-types the parts of the ``dict`` protocol a
+    :class:`repro.db.snapshot.TableSnapshot` base needs (``get``, ``in``,
+    ``len``, ``items`` in pk order).  Mutations never touch the tier:
+    :meth:`with_delta` puts inserts/updates in the copy's ``_overlay``
+    and deletes in its ``_tombstones``; iteration merges the two.
     """
 
     __slots__ = ("name", "pk_col", "blocks", "store", "_lows",
@@ -435,31 +434,10 @@ class PagedRows:
         raise KeyError(pk)
 
     def items(self) -> Iterator[tuple[Any, dict]]:
-        overlay, tombstones = self._overlay, self._tombstones
-        for index in range(len(self.blocks)):
-            for pk, row in self._block(index).items():
-                if pk in tombstones:
-                    continue
-                ov = overlay.get(pk)
-                yield pk, (ov if ov is not None else row)
-        for pk in list(overlay):
-            if pk in self._new:
-                yield pk, overlay[pk]
-
-    def keys(self) -> Iterator[Any]:
-        return (pk for pk, _ in self.items())
-
-    def values(self) -> Iterator[dict]:
-        return (row for _, row in self.items())
-
-    def __iter__(self) -> Iterator[Any]:
-        return self.keys()
-
-    def iter_sorted_items(self) -> Iterator[tuple[Any, dict]]:
-        """Merged (pk, row) stream in ascending pk order — the
-        streaming checkpoint writer's input.  Blocks are pk-sorted and
-        disjoint by construction; the overlay's genuinely-new pks are
-        merged in, and updated pks replace their tier row in place."""
+        """Merged (pk, row) stream in ascending pk order.  Blocks are
+        pk-sorted and disjoint by construction; the overlay's
+        genuinely-new pks are merged in, and updated pks replace their
+        tier row in place."""
         overlay, tombstones = self._overlay, self._tombstones
         pending = iter(sorted(self._new))
         nxt = next(pending, _DONE)
@@ -478,18 +456,15 @@ class PagedRows:
 
     # -- snapshot support --------------------------------------------------
 
-    def freeze(self) -> "PagedRows":
-        """An O(overlay) immutable-by-convention copy sharing the tier."""
-        return PagedRows(
+    def with_delta(self, delta: dict[Any, Any], tombstone: Any) -> "PagedRows":
+        """A new frozen view with one MVCC delta folded in (snapshot
+        consolidation: an O(overlay) copy that never materializes the
+        tier)."""
+        merged = PagedRows(
             self.name, self.pk_col, self.blocks, self.store,
             dict(self._overlay), set(self._tombstones), set(self._new),
             self._count,
         )
-
-    def with_delta(self, delta: dict[Any, Any], tombstone: Any) -> "PagedRows":
-        """A new frozen view with one MVCC delta folded in (snapshot
-        consolidation: never materializes the tier)."""
-        merged = self.freeze()
         for pk, row in delta.items():
             if row is tombstone:
                 try:
@@ -641,8 +616,7 @@ def write_blocked_checkpoint(db: "Database", directory: str | Path,
     Must run under the database's write lock (the engine's
     ``checkpoint`` holds it).  Tables serialize in creation order (the
     FK-dependency order recovery replays in); each table's rows stream
-    in pk order via :meth:`PagedRows.iter_sorted_items` when paged, or a
-    sort of the in-memory dict otherwise.
+    from its snapshot in pk order.
     """
     from .snapshot import schema_to_dict
 
@@ -651,14 +625,9 @@ def write_blocked_checkpoint(db: "Database", directory: str | Path,
     )
     try:
         for table in db._tables.values():
-            rows = table._rows
-            if isinstance(rows, PagedRows):
-                items: Iterable[tuple[Any, dict]] = rows.iter_sorted_items()
-            else:
-                items = sorted(rows.items())
             writer.add_table(
-                schema_to_dict(table.schema), items,
-                next_id=table._next_id, version=table._version,
+                schema_to_dict(table.schema), table._items(),
+                next_id=table.next_id, version=table.version,
                 indexes=table.index_columns(),
                 sorted_indexes=table.sorted_index_columns(),
             )
@@ -672,10 +641,11 @@ def write_blocked_checkpoint(db: "Database", directory: str | Path,
 
 def _repoint_tables(db: "Database", manifest: dict[str, Any],
                     directory: Path) -> None:
-    """Re-base every live table on the tier just written.
+    """Re-base every table snapshot on the tier just written.
 
-    Overlays fold into the new blocks, so the in-memory footprint of a
-    long-running writer resets at each checkpoint.  Snapshots pinned by
+    Overlays and deltas fold into the new blocks, so the in-memory
+    footprint of a long-running writer resets at each checkpoint; built
+    indexes carry over, as the rows are the same.  Snapshots pinned by
     concurrent readers keep the old store alive (and readable, even
     unlinked) until they are garbage collected.
     """
@@ -684,13 +654,13 @@ def _repoint_tables(db: "Database", manifest: dict[str, Any],
         cache = db._block_cache = BlockCache()
     old_store = db._pager
     store = BlockStore(directory / manifest["rows_file"], cache)
-    for entry in manifest["tables"]:
-        table = db._tables.get(entry["schema"]["name"])
-        if table is None:  # pragma: no cover - tables never vanish here
-            continue
-        table._rows = PagedRows(
-            table.name, table.schema.primary_key, entry["blocks"], store,
-        )
+    blocks = {entry["schema"]["name"]: entry["blocks"]
+              for entry in manifest["tables"]}
+    db._tables = {
+        name: table.rebase(PagedRows(
+            name, table.schema.primary_key, blocks[name], store))
+        for name, table in db._tables.items()
+    }
     db._pager = store
     if old_store is not None:
         cache.drop_generation(old_store.generation)
@@ -705,14 +675,13 @@ def restore_blocked(data: dict[str, Any], directory: str | Path,
 
     The inverse of :func:`write_blocked_checkpoint`: tables come up with
     their block directories only — no rows, no index contents.  Declared
-    hash/sorted indexes and unique constraint maps build on first use
-    (a single streaming scan through the block cache), so a database
-    that is opened and queried narrowly never pays for what it does not
-    touch.
+    hash/sorted indexes (and the buckets unique checks probe) build on
+    first use (a single streaming scan through the block cache), so a
+    database that is opened and queried narrowly never pays for what it
+    does not touch.
     """
     from .engine import Database
-    from .snapshot import schema_from_dict
-    from .table import Table
+    from .snapshot import TableSnapshot, schema_from_dict
 
     if data.get("format") != 2:
         raise ValueError(
@@ -730,18 +699,14 @@ def restore_blocked(data: dict[str, Any], directory: str | Path,
     tables = {}
     for entry in data["tables"]:
         schema = schema_from_dict(entry["schema"])
-        table = Table(schema)
-        table._db = db
-        table._rows = PagedRows(
-            schema.name, schema.primary_key, entry["blocks"], store,
-        )
-        table._next_id = entry.get("next_id", 1)
-        table._version = entry.get("version", 0)
-        table._lazy_hash.update(entry.get("indexes", ()))
-        table._lazy_sorted.update(entry.get("sorted_indexes", ()))
-        # Unique maps rebuild on the first write to the table.
-        table._unique_built = not schema.unique
-        tables[schema.name] = table
+        tables[schema.name] = TableSnapshot.capture(
+            schema,
+            PagedRows(schema.name, schema.primary_key, entry["blocks"],
+                      store),
+            version=entry.get("version", 0),
+            next_id=entry.get("next_id", 1),
+            indexes=entry.get("indexes", ()),
+            sorted_indexes=entry.get("sorted_indexes", ()))
     db._tables = tables
     db._version = data.get("version", 0)
     db.name = data.get("name", db.name)
@@ -757,10 +722,13 @@ def storage_stats(db: "Database") -> dict[str, int]:
     out = {f"block_cache_{k}": v for k, v in db._block_cache.stats().items()}
     overlay = tombstones = blocks = 0
     for table in db._tables.values():
-        rows = table._rows
+        rows = table._base
         if isinstance(rows, PagedRows):
-            overlay += rows.overlay_rows
-            tombstones += rows.tombstone_rows
+            # Rows written since the tier: folded into the base's
+            # overlay, or still in the snapshot's delta.
+            gone = sum(1 for row in table._delta.values() if row is TOMBSTONE)
+            overlay += rows.overlay_rows + len(table._delta) - gone
+            tombstones += rows.tombstone_rows + gone
             blocks += len(rows.blocks)
     out["tier_blocks"] = blocks
     out["tier_overlay_rows"] = overlay

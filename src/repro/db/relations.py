@@ -57,9 +57,9 @@ class ManyToMany:
         )
         # Reattaching to a restored/recovered database finds the link
         # table already present; creating is the fresh-schema path.
-        table = db._tables.get(name)
-        if table is None:
-            table = db.create_table(schema)
+        if name not in db:
+            db.create_table(schema)
+        table = db.table(name)
         table.create_index(self.left_column)
         table.create_index(self.right_column)
 
@@ -80,17 +80,13 @@ class ManyToMany:
                 **extra,
             )
         except UniqueViolation:
-            existing = self.table.find_one(
-                **{self.left_column: left_id, self.right_column: right_id}
-            )
+            existing = self._link(left_id, right_id)
             assert existing is not None
             return existing
 
     def remove(self, left_id: int, right_id: int) -> bool:
         """Unlink the pair; returns whether a link existed."""
-        row = self.table.find_one(
-            **{self.left_column: left_id, self.right_column: right_id}
-        )
+        row = self._link(left_id, right_id)
         if row is None:
             return False
         self.db.delete(self.name, row["id"])
@@ -98,13 +94,18 @@ class ManyToMany:
 
     # -- reads ------------------------------------------------------------------
 
+    def _link(self, left_id: int, right_id: int) -> dict[str, Any] | None:
+        """The pair's link row, read off the left-column index (the one
+        the unique check on the pair probes too)."""
+        table = self.table
+        for pk in table.eq_pks(self.left_column, left_id):
+            row = table.row(pk)
+            if row[self.right_column] == right_id:
+                return dict(row)
+        return None
+
     def has(self, left_id: int, right_id: int) -> bool:
-        return (
-            self.table.find_one(
-                **{self.left_column: left_id, self.right_column: right_id}
-            )
-            is not None
-        )
+        return self._link(left_id, right_id) is not None
 
     def right_of(self, left_id: int) -> list[int]:
         """Right ids linked to ``left_id``, in the order ``find`` yields

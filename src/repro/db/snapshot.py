@@ -1,4 +1,4 @@
-"""Immutable published snapshots — the MVCC read side of the engine.
+"""Immutable published snapshots — the one store of the engine.
 
 Every committed write frame builds a new :class:`Snapshot` by
 *path-copying*: only the tables touched by the frame get a new
@@ -7,15 +7,19 @@ Every committed write frame builds a new :class:`Snapshot` by
 mapping.  The database then publishes the snapshot with a single
 attribute store — atomic under the interpreter — so readers pin the
 current snapshot with **no lock at all** and keep reading a consistent
-version while writers commit behind them.  A :class:`TableSnapshot`
-reads through :class:`repro.db.table.TableReads`, as the live table does.
+version while writers commit behind them.  The writer itself reads the
+snapshot under its own uncommitted drafts
+(:class:`repro.db.table.Overlay`); both read through
+:class:`repro.db.table.TableReads`.
 
-Hash indexes are built lazily on a column's first read and then passed
-down the chain: :meth:`TableSnapshot.advance` patches the predecessor's
-built buckets with the frame's ops (append a new pk, remove a deleted
-one, keep an unchanged value) and drops a column only when a pk would
-move inside its bucket, so that column rebuilds cold on its next read.
-Sorted indexes always build lazily per snapshot.
+Rows are listed in pk order: a dict base is kept sorted by pk, a paged
+base streams its blocks in pk order, and the delta's new pks merge in.
+Indexes are built lazily on a column's first read and then passed down
+the chain: :meth:`TableSnapshot.advance` patches the predecessor's
+built hash buckets (pk-ordered lists) and sorted indexes with the
+frame's ops by bisection, copying each touched bucket or index once
+(copy on write), so an index is built cold at most once per table
+between loads.
 
 The pin itself is a module-level :data:`~contextvars.ContextVar`
 (:func:`current_pin`): ``Database.pinned()`` sets it for a scope, and
@@ -34,25 +38,27 @@ indexes) through plain JSON-serializable dicts.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from contextvars import ContextVar
+from heapq import merge
 from itertools import islice
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, TextIO
 
 from .errors import SchemaError
 from .pager import PagedRows
 from .schema import _NO_DEFAULT, Column, ForeignKey, TableSchema
-from .table import SortedIndex, Table, TableReads
+from .table import TOMBSTONE, SortedIndex, TableReads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Database
-
-#: Marks a pk deleted in a snapshot delta without copying the base map.
-_TOMBSTONE = object()
 
 #: Once a delta outgrows ``max(_CONSOLIDATE_MIN, len(base) // 4)`` the
 #: snapshot consolidates into a fresh base — keeping reads O(1) and the
 #: publish cost amortized O(1) per mutation even under bulk seeding.
 _CONSOLIDATE_MIN = 64
+
+_PK = itemgetter(0)
 
 #: The ambient pinned snapshot (None = read live state).
 _PIN: ContextVar["Snapshot | None"] = ContextVar(
@@ -69,90 +75,115 @@ class TableSnapshot(TableReads):
     """A frozen, lock-free view of one table at one version.
 
     Supplies the storage primitives over the shared base and the delta;
-    the read API is :class:`repro.db.table.TableReads`, the live table's
-    own.  Row dicts are shared with the live table (rows are never
-    mutated in place — updates store a fresh dict).
+    the read API is :class:`repro.db.table.TableReads`.  Row dicts are
+    shared along the chain (rows are never mutated in place — updates
+    store a fresh dict).
     """
 
-    __slots__ = ("schema", "version", "_base", "_delta", "_indexed",
-                 "_sorted_cols", "_lazy", "_lazy_sorted", "_size")
+    __slots__ = ("schema", "version", "next_id", "_base", "_delta",
+                 "_indexed", "_sorted_cols", "_lazy", "_lazy_sorted",
+                 "_size")
 
-    def __init__(self, schema: TableSchema, version: int,
-                 base: dict[Any, dict], delta: dict[Any, Any],
-                 indexed: frozenset[str],
-                 sorted_cols: frozenset[str], *,
-                 size: int, lazy: dict[str, dict[Any, list]]) -> None:
+    def __init__(self, schema: TableSchema, version: int, next_id: int,
+                 base: Any, delta: dict[Any, Any],
+                 indexed: frozenset[str], sorted_cols: frozenset[str], *,
+                 size: int, lazy: dict[str, dict[Any, list]] | None = None,
+                 lazy_sorted: dict[str, SortedIndex] | None = None) -> None:
         self.schema = schema
         self.version = version
+        self.next_id = next_id
         self._base = base
         self._delta = delta
         self._indexed = indexed
         self._sorted_cols = sorted_cols
-        # column -> {value: [pk, ...]}: inherited from the predecessor
-        # (see advance) or built on the first indexed read.
-        self._lazy = lazy
-        # column -> SortedIndex, built lazily on first ordered access.
-        self._lazy_sorted: dict[str, Any] = {}
+        # column -> {value: [pk, ...]} and column -> SortedIndex:
+        # inherited from the predecessor (see advance) or built on the
+        # column's first read.
+        self._lazy = {} if lazy is None else lazy
+        self._lazy_sorted = {} if lazy_sorted is None else lazy_sorted
         self._size = size
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def capture(cls, table: Table) -> "TableSnapshot":
-        """Full snapshot of a live table (open/restore/DDL path).
+    def capture(cls, schema: TableSchema, rows: Any, *, version: int = 0,
+                next_id: int = 1, indexes: Iterable[str] = (),
+                sorted_indexes: Iterable[str] = ()) -> "TableSnapshot":
+        """A table's first snapshot (open, restore, load and
+        ``create_table``): over a paged tier as is, or over row dicts
+        given in any order.  Declared indexes build on first read."""
+        if not isinstance(rows, PagedRows):
+            pk = schema.primary_key
+            rows = dict(sorted(((row[pk], dict(row)) for row in rows),
+                               key=_PK))
+        return cls(schema, version, next_id, rows, {},
+                   frozenset(indexes), frozenset(sorted_indexes),
+                   size=len(rows))
 
-        A paged table freezes in O(overlay) — the immutable block tier
-        is shared, not copied — so capturing a 10^6-row cold table costs
-        nothing.  Its hash indexes build cold on first read."""
-        rows = table._rows
-        if isinstance(rows, PagedRows):
-            base: Any = rows.freeze()
-        else:
-            base = dict(rows)
-        return cls(table.schema, table.version, base, {},
-                   frozenset(table._indexes) | frozenset(table._lazy_hash),
-                   frozenset(table._sorted) | frozenset(table._lazy_sorted),
-                   size=len(base), lazy={})
+    def _with(self, base: Any, delta: dict[Any, Any], *,
+              indexed: frozenset[str] | None = None,
+              sorted_cols: frozenset[str] | None = None) -> "TableSnapshot":
+        """This snapshot's rows and counters under a new storage layout
+        or index declaration; its built indexes carry over."""
+        return TableSnapshot(
+            self.schema, self.version, self.next_id, base, delta,
+            self._indexed if indexed is None else indexed,
+            self._sorted_cols if sorted_cols is None else sorted_cols,
+            size=self._size, lazy=dict(self._lazy),
+            lazy_sorted=dict(self._lazy_sorted))
 
-    def advance(self, table: Table,
-                ops: Iterable[dict[str, Any]]) -> "TableSnapshot":
+    def declare(self, column: str, kind: str) -> "TableSnapshot":
+        """This snapshot with one more declared index (``kind`` is
+        ``"hash"`` or ``"sorted"``)."""
+        if kind == "sorted":
+            return self._with(self._base, self._delta,
+                              sorted_cols=self._sorted_cols | {column})
+        return self._with(self._base, self._delta,
+                          indexed=self._indexed | {column})
+
+    def rebase(self, rows: PagedRows) -> "TableSnapshot":
+        """This snapshot over a freshly written tier holding exactly its
+        rows (the checkpoint path)."""
+        return self._with(rows, {})
+
+    def advance(self, ops: Iterable[dict[str, Any]]) -> "TableSnapshot":
         """The next version: this snapshot plus one committed frame's ops.
 
-        One walk over the ops updates the delta, the row count and every
-        hash index this snapshot has built, so the successor starts with
-        them.  A patched index equals a cold build over the successor's
-        ``_items()``, bucket order included:
+        One walk over the ops updates the delta, the counters and every
+        index this snapshot has built, so the successor starts with
+        them.  Buckets are pk-ordered, so a patched index equals a cold
+        build over the successor's rows: a pk leaves its old value's
+        bucket (or sorted entry) and enters its new one by bisection.
 
-        * a brand-new pk (in neither base nor delta) is last in
-          ``_items()``, so it is appended to its bucket;
-        * a delete removes the pk from its bucket;
-        * an update that keeps the column's value changes nothing;
-        * anything else — a changed value, or a re-insert of a pk the
-          base or delta already holds — would move the pk inside a
-          bucket, so that column's index is dropped and builds cold on
-          the next read.
-
-        Buckets and maps this snapshot can still hand out are never
-        mutated: touched buckets are new lists in a shallow copy of the
-        map (copy on write), so readers pinned here keep their answers.
+        Maps, buckets and sorted indexes this snapshot can still hand
+        out are never mutated: each touched one is copied once (copy on
+        write), so readers pinned here keep their answers.
         """
         base = self._base
         delta = dict(self._delta)
-        size = self._size
-        # One atomic copy: concurrent readers may be adding to _lazy.
-        lazy = dict(self._lazy)
-        copied: dict[str, set] = {}  # column -> values whose bucket is ours
+        size, version, next_id = self._size, self.version, self.next_id
+        # One atomic copy each: concurrent readers may be adding to them.
+        hashes = dict(self._lazy)
+        sorts = dict(self._lazy_sorted)
+        owned: dict[str, set] = {}  # column -> values whose bucket is ours
+        owned_sorted: set[str] = set()
 
         def bucket(column: str, value: Any) -> list:
-            values = copied.get(column)
+            values = owned.get(column)
             if values is None:
-                lazy[column] = dict(lazy[column])
-                values = copied[column] = set()
-            index = lazy[column]
+                hashes[column] = dict(hashes[column])
+                values = owned[column] = set()
+            index = hashes[column]
             if value not in values:
                 values.add(value)
                 index[value] = list(index.get(value, ()))
             return index[value]
+
+        def ordered(column: str) -> SortedIndex:
+            if column not in owned_sorted:
+                owned_sorted.add(column)
+                sorts[column] = sorts[column].copy()
+            return sorts[column]
 
         for op in ops:
             kind = op["o"]
@@ -162,54 +193,60 @@ class TableSnapshot(TableReads):
             old = delta.get(pk, _NO_DEFAULT)
             if old is _NO_DEFAULT:
                 old = base.get(pk)
-                known = old is not None
-            else:
-                known = True
-                if old is _TOMBSTONE:
-                    old = None
-            new = _TOMBSTONE if kind == "delete" else op["r"]
-            delta[pk] = new
-            if new is _TOMBSTONE:
+            elif old is TOMBSTONE:
+                old = None
+            new = None if kind == "delete" else op["r"]
+            delta[pk] = TOMBSTONE if new is None else new
+            version += 1
+            size += (new is not None) - (old is not None)
+            if kind == "insert" and isinstance(pk, int) and pk >= next_id:
+                next_id = pk + 1
+            for column in hashes:
+                was = _NO_DEFAULT if old is None else old[column]
+                now = _NO_DEFAULT if new is None else new[column]
+                if was is not _NO_DEFAULT and now is not _NO_DEFAULT \
+                        and was == now:
+                    continue
+                if was is not _NO_DEFAULT:
+                    pks = bucket(column, was)
+                    del pks[bisect_left(pks, pk)]
+                if now is not _NO_DEFAULT:
+                    insort(bucket(column, now), pk)
+            for column in sorts:
+                if old is not None and new is not None \
+                        and old[column] == new[column]:
+                    continue
+                sindex = ordered(column)
                 if old is not None:
-                    size -= 1
-                    for column in lazy:
-                        bucket(column, old[column]).remove(pk)
-            elif old is not None:
-                for column in list(lazy):
-                    if old[column] != new[column]:
-                        del lazy[column]
-                        copied.pop(column, None)
-            else:
-                size += 1
-                if known:
-                    lazy.clear()
-                    copied.clear()
-                for column in lazy:
-                    bucket(column, new[column]).append(pk)
-        for column, values in copied.items():
-            index = lazy[column]
+                    sindex.remove(old[column], pk)
+                if new is not None:
+                    sindex.add(new[column], pk)
+        for column, values in owned.items():
+            index = hashes[column]
             for value in values:
                 if not index[value]:
                     del index[value]
         if len(delta) > max(_CONSOLIDATE_MIN, len(base) // 4):
-            # Both folds keep _items() order, so the indexes carry over.
             if isinstance(base, PagedRows):
                 # Fold the delta into a fresh overlay copy — the block
                 # tier is shared, never materialized.
-                delta, base = {}, base.with_delta(delta, _TOMBSTONE)
+                base = base.with_delta(delta, TOMBSTONE)
             else:
                 merged = dict(base)
+                appended = False
                 for pk, row in delta.items():
-                    if row is _TOMBSTONE:
+                    if row is TOMBSTONE:
                         merged.pop(pk, None)
                     else:
+                        appended = appended or pk not in merged
                         merged[pk] = row
-                delta, base = {}, merged
+                base = dict(sorted(merged.items(), key=_PK)) \
+                    if appended else merged
+            delta = {}
         return TableSnapshot(
-            self.schema, table.version, base, delta,
-            frozenset(table._indexes) | frozenset(table._lazy_hash),
-            frozenset(table._sorted) | frozenset(table._lazy_sorted),
-            size=size, lazy=lazy)
+            self.schema, version, next_id, base, delta,
+            self._indexed, self._sorted_cols,
+            size=size, lazy=hashes, lazy_sorted=sorts)
 
     # -- read primitives (see TableReads) ----------------------------------
 
@@ -229,8 +266,9 @@ class TableSnapshot(TableReads):
         return sorted(self._sorted_cols)
 
     def sorted_index(self, column: str) -> SortedIndex:
-        """Lazily-built :class:`repro.db.table.SortedIndex` over this
-        snapshot's rows (same benign build race as :meth:`_hash`)."""
+        """The :class:`repro.db.table.SortedIndex` over this snapshot's
+        rows: inherited, or built on first use (same benign build race
+        as :meth:`_hash`)."""
         sindex = self._lazy_sorted.get(column)
         if sindex is None:
             sindex = SortedIndex.build(column, self._items())
@@ -241,30 +279,33 @@ class TableSnapshot(TableReads):
         """The raw stored row (no copy), or ``None``."""
         row = self._delta.get(pk, _NO_DEFAULT)
         if row is not _NO_DEFAULT:
-            return None if row is _TOMBSTONE else row
+            return None if row is TOMBSTONE else row
         return self._base.get(pk)
 
     def _items(self) -> Iterator[tuple[Any, dict[str, Any]]]:
+        """``(pk, row)`` in pk order."""
         base, delta = self._base, self._delta
-        for pk, row in base.items():
-            if pk in delta:
-                row = delta[pk]
-                if row is _TOMBSTONE:
-                    continue
-            yield pk, row
-        for pk, row in delta.items():
-            if pk not in base and row is not _TOMBSTONE:
-                yield pk, row
+        if not delta:
+            return iter(base.items())
+        kept = ((pk, delta.get(pk, row)) for pk, row in base.items()
+                if delta.get(pk) is not TOMBSTONE)
+        added = sorted(((pk, row) for pk, row in delta.items()
+                        if row is not TOMBSTONE and pk not in base), key=_PK)
+        return merge(kept, added, key=_PK) if added else kept
 
     def iter_rows(self) -> Iterator[dict[str, Any]]:
-        """Raw stored rows (no copies) in ``_items()`` order."""
+        """Raw stored rows (no copies) in pk order."""
         return (row for _, row in self._items())
 
+    def eq_pks(self, column: str, value: Any) -> list[Any]:
+        """Pks whose ``column`` equals ``value``, in pk order."""
+        return self._hash(column).get(value, ())
+
     def _hash(self, column: str) -> dict[Any, list]:
-        """``value -> [pk, ...]`` in ``_items()`` order: inherited (see
-        advance), or built cold on the column's first read.  Benign build
-        race: concurrent readers may each build it; the last assignment
-        wins and both are correct, as the snapshot is immutable."""
+        """``value -> [pk, ...]`` in pk order: inherited (see advance),
+        or built cold on the column's first read.  Benign build race:
+        concurrent readers may each build it; the last assignment wins
+        and both are correct, as the snapshot is immutable."""
         index = self._lazy.get(column)
         if index is None:
             index = {}
@@ -375,14 +416,15 @@ def schema_from_dict(data: dict[str, Any]) -> TableSchema:
     )
 
 
-def _table_entry(table: Table, rows: list[dict[str, Any]]) -> dict[str, Any]:
+def _table_entry(table: TableSnapshot,
+                 rows: list[dict[str, Any]]) -> dict[str, Any]:
     """One table of :func:`database_to_dict`; ``schema`` and ``rows``
     stay its first two keys (:func:`write_database_json` relies on it)."""
     return {
         "schema": schema_to_dict(table.schema),
         "rows": rows,
-        "next_id": table._next_id,
-        "version": table._version,
+        "next_id": table.next_id,
+        "version": table.version,
         "indexes": table.index_columns(),
         "sorted_indexes": table.sorted_index_columns(),
     }
@@ -393,7 +435,8 @@ def database_to_dict(db: "Database") -> dict[str, Any]:
 
     Takes the write lock (reentrant, so checkpointing from inside a
     commit is fine) so the captured state is one committed version.
-    Tables serialize in creation order, which is FK-dependency order.
+    Tables serialize in creation order, which is FK-dependency order,
+    and rows in pk order.
     """
     with db.lock.write():
         return {
@@ -401,7 +444,7 @@ def database_to_dict(db: "Database") -> dict[str, Any]:
             "name": db.name,
             "version": db._version,
             "tables": [
-                _table_entry(table, [dict(row) for row in table._rows.values()])
+                _table_entry(table, [dict(row) for row in table.iter_rows()])
                 for table in db._tables.values()
             ],
         }
@@ -429,7 +472,7 @@ def write_database_json(db: "Database", fh: TextIO) -> None:
             schema = encode(entry.pop("schema"))
             del entry["rows"]
             fh.write(("," if n else "") + '{"schema":' + schema + ',"rows":[')
-            rows = iter(table._rows.values())
+            rows = table.iter_rows()
             sep = ""
             while chunk := list(islice(rows, CHECKPOINT_CHUNK_ROWS)):
                 fh.write(sep + encode(chunk)[1:-1])
@@ -443,29 +486,22 @@ def load_tables(db: "Database", data: dict[str, Any]) -> None:
 
     The low-level half of :func:`restore_database`, shared with
     ``Database.load_state`` (replica bootstrap / mid-stream checkpoint):
-    rows, id sequences, per-table version counters and secondary indexes
-    restore exactly.  Does **not** publish a snapshot — callers do.
+    rows, id sequences, per-table version counters and secondary index
+    declarations restore exactly.  Does **not** publish a snapshot —
+    callers do.
     """
     if data.get("format") != 1:
         raise ValueError(
             f"unsupported database snapshot format {data.get('format')!r}"
         )
-    tables: dict[str, Table] = {}
+    tables: dict[str, TableSnapshot] = {}
     for entry in data["tables"]:
         schema = schema_from_dict(entry["schema"])
-        table = Table(schema)
-        table._db = db
-        pk_col = schema.primary_key
-        for row in entry["rows"]:
-            table._raw_put(row[pk_col], dict(row))
-        table._next_id = entry.get("next_id", 1)
-        table._version = entry.get("version", 0)
-        for column in entry.get("indexes", ()):
-            table._hash(column)
-        for column in entry.get("sorted_indexes", ()):
-            table._sorted[column] = SortedIndex.build(
-                column, table._rows.items())
-        tables[schema.name] = table
+        tables[schema.name] = TableSnapshot.capture(
+            schema, entry["rows"], version=entry.get("version", 0),
+            next_id=entry.get("next_id", 1),
+            indexes=entry.get("indexes", ()),
+            sorted_indexes=entry.get("sorted_indexes", ()))
     db._tables = tables
     db._version = data.get("version", 0)
     db.name = data.get("name", db.name)
@@ -482,5 +518,5 @@ def restore_database(data: dict[str, Any], **db_kwargs: Any) -> "Database":
 
     db = Database(data.get("name", "carcs"), **db_kwargs)
     load_tables(db, data)
-    db._publish_full()
+    db._publish()
     return db

@@ -1,12 +1,15 @@
-"""Row storage with constraint enforcement and secondary indexes.
+"""Table reads: the sorted index, the one read API, and the writer's view.
 
-Rows are stored as immutable-by-convention dicts keyed by primary key.
-Two kinds of secondary index are maintained incrementally on every
-write:
+Every table has one store, its latest published
+:class:`repro.db.snapshot.TableSnapshot`.  Rows are immutable-by-
+convention dicts keyed by primary key, and every read lists them in pk
+order.  Two kinds of secondary index live on the snapshot, built on a
+column's first read and inherited, patched, by each successor:
 
-* **hash indexes** (``value -> set of pks``) keep equality lookups O(1)
-  for the hot paths in CAR-CS (all the many-to-many join traversals
-  behind coverage and similarity computations);
+* **hash indexes** (``value -> pk-ordered list``) keep equality lookups
+  O(1) for the hot paths in CAR-CS (all the many-to-many join traversals
+  behind coverage and similarity computations), and back the unique
+  checks: a unique group is probed through its first column's bucket;
 * **sorted indexes** (:class:`SortedIndex`, a bisect-maintained
   ``(value, pk)`` list) additionally support range and prefix scans and
   yield rows *in order*, which lets the query planner
@@ -14,39 +17,46 @@ write:
   predicates without a full scan and elide explicit sorts.
 
 Both kinds double as the planner's cardinality statistics: bucket sizes
-and bisect offsets are exact, incrementally-maintained row-count
-estimates, so the cost model never needs a separate ANALYZE pass.
+and bisect offsets are exact row counts, so the cost model never needs a
+separate ANALYZE pass.
+
+The thread holding the write lock reads through an :class:`Overlay`: the
+rows it put or deleted in the current write frame, one :class:`Draft`
+per open savepoint, over the snapshot the frame builds on.  A rollback
+drops the savepoint's drafts; a commit publishes the frame's ops through
+:meth:`repro.db.snapshot.TableSnapshot.advance`.  Every other thread
+reads a published snapshot, so no thread sees another's uncommitted
+rows.  :class:`Table` is the handle ``Database.table`` returns outside a
+pin: it stores nothing and sends each read to the store the calling
+thread should see.
 
 Every table carries a **mutation version**: a monotonic counter bumped on
 each successful insert/update/delete.  The analytics cache
 (:mod:`repro.core.cache`) keys memoized results on these versions, so a
 result is reusable exactly as long as the tables it was derived from are
-untouched.  Each mutation additionally appends a :class:`repro.db.Change`
-record to the database's bounded change journal, which delta consumers
-(the incremental search index) replay to avoid full rebuilds.  Inside a :meth:`repro.db.engine.Database.transaction`, each
-mutation also records an **undo closure** in the transaction journal;
-rollback replays the closures in reverse, restoring rows, unique and
-secondary indexes, the id sequence and the version counters to their
-pre-transaction state in O(ops) rather than O(table size).
+untouched.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from heapq import merge
 from itertools import islice
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from .errors import (
-    IntegrityError,
-    RowNotFound,
-    SchemaError,
-    UniqueViolation,
-)
-from .pager import PagedRows
-from .schema import Column, TableSchema
+from .errors import RowNotFound
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .engine import Database
+    from .snapshot import TableSnapshot
 
 _VALUE = itemgetter(0)
+_PK = itemgetter(0)
+
+#: Marks a deleted pk in a draft or a snapshot delta.
+TOMBSTONE = object()
+_ABSENT = object()
 
 
 class SortedIndex:
@@ -88,6 +98,13 @@ class SortedIndex:
 
     def __len__(self) -> int:
         return len(self.entries) + len(self.nones)
+
+    def copy(self) -> "SortedIndex":
+        """An independent copy (for copy-on-write patching)."""
+        index = SortedIndex()
+        index.entries = list(self.entries)
+        index.nones = list(self.nones)
+        return index
 
     def add(self, value: Any, pk: Any) -> None:
         if value is None:
@@ -171,12 +188,12 @@ class SortedIndex:
 
 
 class TableReads:
-    """The read API of the live :class:`Table` and of a pinned
-    :class:`repro.db.snapshot.TableSnapshot`, written once over the
+    """The read API of every table view, written once over the
     primitives each provides: ``schema``, ``row(pk)`` (stored row or
-    ``None``), ``iter_rows()``, ``_hash(column)`` (``value -> pks``),
-    ``has_index``, ``index_columns``, ``sorted_index_columns`` and
-    ``__len__``.  Every row handed out is a copy the caller may mutate.
+    ``None``), ``iter_rows()`` (stored rows in pk order),
+    ``eq_pks(column, value)`` (pk-ordered), ``has_index``,
+    ``index_columns``, ``sorted_index_columns`` and ``__len__``.  Every
+    row handed out is a copy the caller may mutate.
     """
 
     __slots__ = ()
@@ -199,13 +216,8 @@ class TableReads:
             out[c] = "hash+sorted" if c in out else "sorted"
         return out
 
-    def eq_pks(self, column: str, value: Any) -> Iterable[Any]:
-        """Pks matching ``column == value`` via the hash index (the
-        column must be hash-indexed)."""
-        return self._hash(column).get(value, ())
-
     def eq_count(self, column: str, value: Any) -> int:
-        return len(self._hash(column).get(value, ()))
+        return len(self.eq_pks(column, value))
 
     # -- reads -------------------------------------------------------------
 
@@ -221,8 +233,9 @@ class TableReads:
 
     def find(self, **equals: Any) -> list[dict[str, Any]]:
         """All rows matching the conjunction of column=value equalities,
-        seeded from the smallest hash-index bucket among them (ranges and
-        sorted columns go through :class:`repro.db.query.Query`)."""
+        in pk order, seeded from the smallest hash-index bucket among
+        them (ranges and sorted columns go through
+        :class:`repro.db.query.Query`)."""
         if not equals:
             return [dict(row) for row in self.iter_rows()]
         for name in equals:
@@ -230,7 +243,7 @@ class TableReads:
         seed = None
         for column, value in equals.items():
             if self.has_index(column):
-                bucket = self._hash(column).get(value, ())
+                bucket = self.eq_pks(column, value)
                 if seed is None or len(bucket) < len(seed):
                     seed = bucket
         candidates = self.iter_rows() if seed is None else map(self.row, seed)
@@ -252,312 +265,218 @@ class TableReads:
         return len(self.find(**equals))
 
 
-class Table(TableReads):
-    """One table: schema + rows + indexes + mutation version.
-
-    Not constructed directly in application code — use
-    :meth:`repro.db.engine.Database.create_table`.
+class Draft:
+    """One table's writes inside one savepoint: ``pk -> row`` (or
+    :data:`TOMBSTONE`), the table's version and id sequence after them,
+    and per-column candidate sets.  A candidate set lists the pks put
+    with a value here; a later write may have moved a pk away, so the
+    :class:`Overlay` re-checks each one.  ``fresh`` marks a table created
+    in this savepoint: drafts further out belong to a dropped namesake.
     """
 
-    def __init__(self, schema: TableSchema) -> None:
-        self.schema = schema
-        self._rows: dict[Any, dict[str, Any]] = {}
-        self._next_id = 1
-        # unique indexes: constraint columns -> {key tuple: pk}
-        self._unique: dict[tuple[str, ...], dict[tuple, Any]] = {
-            tuple(group): {} for group in schema.unique
-        }
-        # secondary hash indexes: column -> {value: set(pk)}
-        self._indexes: dict[str, dict[Any, set]] = {}
-        # sorted secondary indexes: column -> SortedIndex
-        self._sorted: dict[str, SortedIndex] = {}
-        # Declared-but-unbuilt indexes (tiered restore): contents build
-        # on first probe with a single streaming scan, then maintain
-        # incrementally like any built index.
-        self._lazy_hash: set[str] = set()
-        self._lazy_sorted: set[str] = set()
-        # Unique-constraint maps likewise defer on a tiered restore
-        # until the first write needs them.
-        self._unique_built = True
-        # Monotonic mutation counter (rolled back with aborted transactions).
-        self._version = 0
-        # Owning database, set by Database.create_table; enables transaction
-        # journaling and the database-wide version counter.
-        self._db: Any = None
+    __slots__ = ("rows", "version", "next_id", "index", "fresh")
 
-    # -- introspection ----------------------------------------------------
+    def __init__(self, version: int, next_id: int, *,
+                 fresh: bool = False) -> None:
+        self.rows: dict[Any, Any] = {}
+        self.version = version
+        self.next_id = next_id
+        self.index: dict[str, dict[Any, set]] = {}
+        self.fresh = fresh
+
+    def put(self, pk: Any, row: Any) -> None:
+        self.rows[pk] = row
+        if row is not TOMBSTONE:
+            for column, index in self.index.items():
+                index.setdefault(row[column], set()).add(pk)
+
+    def candidates(self, column: str) -> dict[Any, set]:
+        """``value -> pks`` put here with that value, built on the
+        column's first probe and kept up by :meth:`put`."""
+        index = self.index.get(column)
+        if index is None:
+            index = self.index[column] = {}
+            for pk, row in self.rows.items():
+                if row is not TOMBSTONE:
+                    index.setdefault(row[column], set()).add(pk)
+        return index
+
+    def absorb(self, inner: "Draft") -> None:
+        """Fold the draft of a savepoint released inside this one."""
+        for pk, row in inner.rows.items():
+            self.put(pk, row)
+        self.version, self.next_id = inner.version, inner.next_id
+
+
+class Overlay(TableReads):
+    """The writer's view of one table: its drafts, innermost first,
+    over the snapshot its write frame builds on."""
+
+    __slots__ = ("base", "drafts")
+
+    def __init__(self, base: "TableSnapshot", drafts: list[Draft]) -> None:
+        self.base = base
+        self.drafts = drafts
+
+    @property
+    def schema(self) -> Any:
+        return self.base.schema
+
+    @property
+    def version(self) -> int:
+        return self.drafts[0].version
+
+    @property
+    def next_id(self) -> int:
+        return self.drafts[0].next_id
+
+    def has_index(self, column: str) -> bool:
+        return self.base.has_index(column)
+
+    def has_sorted_index(self, column: str) -> bool:
+        return self.base.has_sorted_index(column)
+
+    def index_columns(self) -> list[str]:
+        return self.base.index_columns()
+
+    def sorted_index_columns(self) -> list[str]:
+        return self.base.sorted_index_columns()
+
+    def _written(self, pk: Any) -> Any:
+        """The frame's row for ``pk``: a row, :data:`TOMBSTONE`, or
+        ``_ABSENT`` when the frame has not written it."""
+        for draft in self.drafts:
+            row = draft.rows.get(pk, _ABSENT)
+            if row is not _ABSENT:
+                return row
+        return _ABSENT
+
+    def _changes(self) -> dict[Any, Any]:
+        """Every pk the frame wrote, with its latest row or tombstone."""
+        changes: dict[Any, Any] = {}
+        for draft in reversed(self.drafts):
+            changes.update(draft.rows)
+        return changes
+
+    def row(self, pk: Any) -> dict[str, Any] | None:
+        row = self._written(pk)
+        if row is _ABSENT:
+            return self.base.row(pk)
+        return None if row is TOMBSTONE else row
+
+    def __len__(self) -> int:
+        size, base_row = len(self.base), self.base.row
+        for pk, row in self._changes().items():
+            size += (row is not TOMBSTONE) - (base_row(pk) is not None)
+        return size
+
+    def iter_rows(self) -> Iterator[dict[str, Any]]:
+        changes = self._changes()
+        mine = sorted(((pk, row) for pk, row in changes.items()
+                       if row is not TOMBSTONE), key=_PK)
+        theirs = ((pk, row) for pk, row in self.base._items()
+                  if pk not in changes)
+        return (row for _, row in merge(theirs, mine, key=_PK))
+
+    def eq_pks(self, column: str, value: Any) -> list[Any]:
+        written = self._written
+        kept = [pk for pk in self.base.eq_pks(column, value)
+                if written(pk) is _ABSENT]
+        found = {pk for draft in self.drafts
+                 for pk in draft.candidates(column).get(value, ())}
+        found = [pk for pk in found
+                 if (row := self.row(pk)) is not None and row[column] == value]
+        return sorted(kept + found) if found else kept
+
+    def sorted_index(self, column: str) -> SortedIndex:
+        """The snapshot's sorted index, copied and patched with the
+        frame's writes."""
+        index = self.base.sorted_index(column).copy()
+        base_row = self.base.row
+        for pk, row in self._changes().items():
+            old = base_row(pk)
+            if old is not None:
+                index.remove(old[column], pk)
+            if row is not TOMBSTONE:
+                index.add(row[column], pk)
+        return index
+
+
+class Table(TableReads):
+    """The handle ``Database.table`` returns outside a pin.
+
+    It stores nothing.  Each read goes to the writer's view when the
+    calling thread holds the write lock, and to the latest published
+    snapshot otherwise, so a handle kept across a ``transaction()``
+    reads that transaction's own writes.
+    """
+
+    __slots__ = ("_db", "_name")
+
+    def __init__(self, db: "Database", name: str) -> None:
+        self._db = db
+        self._name = name
+
+    def _view(self) -> "TableSnapshot | Overlay":
+        db = self._db
+        if db.lock.write_held:
+            return db._writer_view(self._name)
+        return db._snapshot.table(self._name)
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @property
+    def schema(self) -> Any:
+        return self._view().schema
 
     @property
     def version(self) -> int:
         """Mutation counter: bumped once per committed insert/update/delete."""
-        return self._version
+        return self._view().version
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._view())
 
-    # -- indexes ----------------------------------------------------------
+    def row(self, pk: Any) -> dict[str, Any] | None:
+        """The raw stored row (no copy) — planner-internal."""
+        return self._view().row(pk)
+
+    def iter_rows(self) -> Iterator[dict[str, Any]]:
+        """Raw stored rows (no copies) in pk order — planner-internal."""
+        return self._view().iter_rows()
+
+    def eq_pks(self, column: str, value: Any) -> Iterable[Any]:
+        return self._view().eq_pks(column, value)
+
+    def has_index(self, column: str) -> bool:
+        return self._view().has_index(column)
+
+    def has_sorted_index(self, column: str) -> bool:
+        return self._view().has_sorted_index(column)
+
+    def index_columns(self) -> list[str]:
+        return self._view().index_columns()
+
+    def sorted_index_columns(self) -> list[str]:
+        return self._view().sorted_index_columns()
+
+    def sorted_index(self, column: str) -> SortedIndex:
+        return self._view().sorted_index(column)
 
     def create_index(self, column: str) -> None:
-        """Build (idempotently) a hash index on ``column``."""
-        if self.has_index(column):
-            return
-        self.schema.column(column)  # validates existence
-        self._hash(column)
-        # DDL is transactional (as in PostgreSQL): an index created inside
-        # an aborted transaction vanishes.
-        self._journal(lambda: self._indexes.pop(column, None))
-        # Version-neutral, but durable: the WAL/snapshot layer must know
-        # about the index so recovered databases rebuild it.
-        if self._db is not None:
-            self._db._log_index(self.name, column)
+        """Declare (idempotently) a hash index on ``column``."""
+        self._db._create_index(self._name, column, "hash")
 
     def create_sorted_index(self, column: str) -> None:
-        """Build (idempotently) a sorted index on ``column``.
+        """Declare (idempotently) a sorted index on ``column``.
 
         Sorted indexes answer range/prefix predicates and yield rows in
         the canonical sort order (value ascending, ``None`` last, pk
         tie-break) — the query planner uses them for
         ``where_range``/``where_prefix`` scans and to elide sorts.
         Like hash indexes they are transactional DDL, journaled through
-        the WAL and rebuilt on recovery and replica apply.
+        the WAL and declared again on recovery and replica apply.
         """
-        if self.has_sorted_index(column):
-            return
-        self.schema.column(column)  # validates existence
-        self._sorted[column] = SortedIndex.build(column, self._rows.items())
-        self._journal(lambda: self._sorted.pop(column, None))
-        if self._db is not None:
-            self._db._log_index(self.name, column, kind="sorted")
-
-    def has_index(self, column: str) -> bool:
-        return column in self._indexes or column in self._lazy_hash
-
-    def has_sorted_index(self, column: str) -> bool:
-        return column in self._sorted or column in self._lazy_sorted
-
-    def _hash(self, column: str) -> dict[Any, set]:
-        """The hash index on ``column``, built by :meth:`create_index`
-        or, for a lazily-declared one, on first probe (one streaming
-        scan through the block cache)."""
-        index = self._indexes.get(column)
-        if index is None:
-            self._lazy_hash.discard(column)
-            index = {}
-            for pk, row in self._rows.items():
-                index.setdefault(row[column], set()).add(pk)
-            self._indexes[column] = index
-        return index
-
-    def sorted_index(self, column: str) -> SortedIndex:
-        sindex = self._sorted.get(column)
-        if sindex is None:
-            if column not in self._lazy_sorted:
-                raise KeyError(column)
-            self._lazy_sorted.discard(column)
-            sindex = self._sorted[column] = SortedIndex.build(
-                column, self._rows.items())
-        return sindex
-
-    def _ensure_unique(self) -> None:
-        """Materialize deferred unique-constraint maps before a write."""
-        if self._unique_built:
-            return
-        self._unique_built = True
-        for group in self._unique:
-            rebuilt: dict[tuple, Any] = {}
-            for pk, row in self._rows.items():
-                rebuilt[self._unique_key(group, row)] = pk
-            self._unique[group] = rebuilt
-
-    def index_columns(self) -> list[str]:
-        """Declared hash-indexed columns (built or lazy), sorted."""
-        return sorted(set(self._indexes) | self._lazy_hash)
-
-    def sorted_index_columns(self) -> list[str]:
-        """Declared sorted-indexed columns (built or lazy), sorted."""
-        return sorted(set(self._sorted) | self._lazy_sorted)
-
-    # -- read primitives (see TableReads) ---------------------------------
-
-    def row(self, pk: Any) -> dict[str, Any] | None:
-        """The raw stored row (no copy) — planner-internal."""
-        return self._rows.get(pk)
-
-    def iter_rows(self) -> Iterator[dict[str, Any]]:
-        """Raw stored rows (no copies) — planner-internal.
-
-        Eager tables snapshot the dict's values so callers may mutate
-        mid-iteration; paged tables stream block-by-block from a frozen
-        overlay copy (materializing would defeat the tier)."""
-        rows = self._rows
-        if isinstance(rows, PagedRows):
-            return rows.freeze().values()
-        return iter(list(rows.values()))
-
-    # -- transaction journal ----------------------------------------------
-
-    def _journal(self, undo: Callable[[], None]) -> None:
-        """Record ``undo`` in the active transaction frame, if any."""
-        db = self._db
-        if db is not None and db._tx_journal:
-            db._tx_journal[-1].append(undo)
-
-    def _record_mutation(self, undo_data: Callable[[], None], *,
-                         op: str, pk: Any, row: dict[str, Any]) -> None:
-        """Bump version counters, log the change, journal the inverse.
-
-        ``row`` is snapshotted into the database change journal (new row
-        for insert/update, removed row for delete) so incremental
-        consumers can resolve what the mutation touched after the fact.
-        """
-        prev_version = self._version
-        self._version += 1
-        db = self._db
-        if db is None:
-            return
-        prev_db_version = db._version
-        db._version += 1
-        db._log_change(self.name, op, pk, dict(row))
-        if db._tx_journal:
-            def undo() -> None:
-                undo_data()
-                self._version = prev_version
-                db._version = prev_db_version
-
-            db._tx_journal[-1].append(undo)
-
-    # -- raw storage ops (no checks, no journaling; used by undo) ----------
-
-    def _raw_remove(self, pk: Any, row: dict[str, Any]) -> None:
-        """Drop ``pk`` from rows, unique and secondary indexes."""
-        del self._rows[pk]
-        for group, index in self._unique.items():
-            index.pop(self._unique_key(group, row), None)
-        for column, index2 in self._indexes.items():
-            bucket = index2.get(row[column])
-            if bucket is not None:
-                bucket.discard(pk)
-                if not bucket:
-                    del index2[row[column]]
-        for column, sindex in self._sorted.items():
-            sindex.remove(row[column], pk)
-
-    def _raw_put(self, pk: Any, row: dict[str, Any]) -> None:
-        """Re-add ``row`` under ``pk`` to rows, unique and secondary indexes."""
-        self._rows[pk] = row
-        for group, index in self._unique.items():
-            index[self._unique_key(group, row)] = pk
-        for column, index2 in self._indexes.items():
-            index2.setdefault(row[column], set()).add(pk)
-        for column, sindex in self._sorted.items():
-            sindex.add(row[column], pk)
-
-    # -- writes -----------------------------------------------------------
-
-    def _complete_row(self, values: dict[str, Any]) -> dict[str, Any]:
-        row: dict[str, Any] = {}
-        unknown = set(values) - set(self.schema.column_names())
-        if unknown:
-            raise SchemaError(
-                f"unknown column(s) {sorted(unknown)} for table {self.name!r}"
-            )
-        for col in self.schema.columns:
-            if col.name in values:
-                row[col.name] = col.validate(values[col.name])
-            elif col.name == self.schema.primary_key and self.schema.auto_increment:
-                row[col.name] = self._next_id
-            elif col.has_default():
-                row[col.name] = col.validate(col.resolve_default())
-            else:
-                row[col.name] = col.validate(None)
-        return row
-
-    def _unique_key(self, group: tuple[str, ...], row: dict[str, Any]) -> tuple:
-        return tuple(row[c] for c in group)
-
-    def insert(self, **values: Any) -> dict[str, Any]:
-        """Insert a row; returns the stored row dict (with assigned pk)."""
-        return self._insert_row(self._complete_row(values))
-
-    def _insert_row(self, row: dict[str, Any]) -> dict[str, Any]:
-        """Store a row already built by :meth:`_complete_row` (uniqueness
-        checks, put, undo record) without validating it again."""
-        self._ensure_unique()
-        pk = row[self.schema.primary_key]
-        if pk in self._rows:
-            raise UniqueViolation(
-                f"duplicate primary key {pk!r} in table {self.name!r}"
-            )
-        for group, index in self._unique.items():
-            key = self._unique_key(group, row)
-            if key in index:
-                raise UniqueViolation(
-                    f"unique constraint {group} violated in {self.name!r}: {key!r}"
-                )
-        # All checks passed: commit to storage and indexes.
-        prev_next_id = self._next_id
-        self._raw_put(pk, row)
-        if isinstance(pk, int) and pk >= self._next_id:
-            self._next_id = pk + 1
-
-        def undo() -> None:
-            self._raw_remove(pk, row)
-            self._next_id = prev_next_id
-
-        self._record_mutation(undo, op="insert", pk=pk, row=row)
-        return dict(row)
-
-    def update(self, pk: Any, **changes: Any) -> dict[str, Any]:
-        """Update columns of the row with primary key ``pk``."""
-        if pk not in self._rows:
-            raise RowNotFound(f"{self.name!r} has no row with pk {pk!r}")
-        if self.schema.primary_key in changes:
-            raise IntegrityError("primary key columns cannot be updated")
-        self._ensure_unique()
-        old = self._rows[pk]
-        new = dict(old)
-        for name, value in changes.items():
-            col = self.schema.column(name)
-            new[name] = col.validate(value)
-        for group, index in self._unique.items():
-            key = self._unique_key(group, new)
-            holder = index.get(key)
-            if holder is not None and holder != pk:
-                raise UniqueViolation(
-                    f"unique constraint {group} violated in {self.name!r}: {key!r}"
-                )
-        for group, index in self._unique.items():
-            del index[self._unique_key(group, old)]
-            index[self._unique_key(group, new)] = pk
-        for column, index2 in self._indexes.items():
-            if old[column] != new[column]:
-                index2[old[column]].discard(pk)
-                if not index2[old[column]]:
-                    del index2[old[column]]
-                index2.setdefault(new[column], set()).add(pk)
-        for column, sindex in self._sorted.items():
-            if old[column] != new[column]:
-                sindex.remove(old[column], pk)
-                sindex.add(new[column], pk)
-        self._rows[pk] = new
-
-        def undo() -> None:
-            self._raw_remove(pk, new)
-            self._raw_put(pk, old)
-
-        self._record_mutation(undo, op="update", pk=pk, row=new)
-        return dict(new)
-
-    def delete(self, pk: Any) -> dict[str, Any]:
-        """Remove and return the row with primary key ``pk``."""
-        if pk not in self._rows:
-            raise RowNotFound(f"{self.name!r} has no row with pk {pk!r}")
-        row = self._rows[pk]
-        self._raw_remove(pk, row)
-        # Journal a private copy: the popped dict is handed to the caller,
-        # who may mutate it before a rollback replays the undo.
-        saved = dict(row)
-        self._record_mutation(
-            lambda: self._raw_put(pk, saved), op="delete", pk=pk, row=saved,
-        )
-        return row
+        self._db._create_index(self._name, column, "sorted")

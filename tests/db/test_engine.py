@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.db import Column, Database, ForeignKey, TableSchema
-from repro.db.table import Table
 from repro.db.errors import (
     ForeignKeyError,
     SchemaError,
@@ -337,16 +336,16 @@ class TestTransactions:
 
 class TestInsert:
     def test_each_insert_completes_its_row_once(self, monkeypatch):
-        """The engine builds and validates the row for its FK check; the
-        table then stores that row without completing it again."""
+        """The engine builds and validates the row for its FK check,
+        then stores that row without completing it again."""
         completed: list[str] = []
-        complete_row = Table._complete_row
+        complete_row = Database._complete_row
 
-        def counting(self, values):
-            completed.append(self.name)
-            return complete_row(self, values)
+        def counting(table, values):
+            completed.append(table.name)
+            return complete_row(table, values)
 
-        monkeypatch.setattr(Table, "_complete_row", counting)
+        monkeypatch.setattr(Database, "_complete_row", staticmethod(counting))
         db = make_db()
         pid = db.insert("parents", name="a")["id"]
         child = db.insert("children", parent_id=pid)
@@ -390,13 +389,13 @@ class TestInsertMany:
 
     def test_each_row_completes_once(self, monkeypatch):
         completed: list[str] = []
-        complete_row = Table._complete_row
+        complete_row = Database._complete_row
 
-        def counting(self, values):
-            completed.append(self.name)
-            return complete_row(self, values)
+        def counting(table, values):
+            completed.append(table.name)
+            return complete_row(table, values)
 
-        monkeypatch.setattr(Table, "_complete_row", counting)
+        monkeypatch.setattr(Database, "_complete_row", staticmethod(counting))
         self._tree_db().insert_many("nodes", [{"name": "x"}, {"name": "y"}])
         assert completed == ["nodes", "nodes"]
 

@@ -296,7 +296,7 @@ class TestPagedRowsUnit:
     ):
         directory = _build(tmp_path)
         db = Database.open(directory)
-        rows = db.table("items")._rows
+        rows = db.snapshot().table("items")._base
         assert isinstance(rows, PagedRows)
         assert "not-an-int" not in rows
         db.close()
@@ -532,7 +532,7 @@ class TestLazyBlocks:
         n = 512
         directory = _build(tmp_path, n=n)
         db = Database.open(directory)
-        rows = db.table("items")._rows
+        rows = db.snapshot().table("items")._base
         assert isinstance(rows, PagedRows) and len(rows.blocks) == 1
         cache, store = db._block_cache, db._pager
         failures = []
@@ -551,19 +551,17 @@ class TestLazyBlocks:
                         if row is None or row["id"] != pk:
                             failures.append(("probe", round_, pk, row))
 
-                def scanner(sorted_stream):
+                def scanner():
                     barrier.wait()
-                    stream = (rows.iter_sorted_items() if sorted_stream
-                              else rows.items())
-                    pks = [pk for pk, _ in stream]
+                    pks = [pk for pk, _ in rows.items()]
                     if pks != list(range(1, n + 1)):
                         failures.append(("scan", round_, len(pks)))
 
                 threads = [
                     threading.Thread(target=prober, args=(1,)),
                     threading.Thread(target=prober, args=(2 + round_,)),
-                    threading.Thread(target=scanner, args=(True,)),
-                    threading.Thread(target=scanner, args=(False,)),
+                    threading.Thread(target=scanner),
+                    threading.Thread(target=scanner),
                 ]
                 for t in threads:
                     t.start()

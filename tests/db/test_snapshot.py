@@ -438,21 +438,16 @@ def _open_sorted_items(path) -> Database:
     return db
 
 
-def _by_pk(rows) -> list:
-    return sorted(rows, key=lambda row: row["id"])
-
-
 def _reads(table, pks) -> dict:
-    """Every read of the table API, keyed by call.  Rows from ``find``
-    and iteration are sorted by pk, and ``eq_pks`` is sorted: the live
-    table's hash buckets are sets.  ``find_one`` must be one of the
-    ``find`` rows."""
+    """Every read of the table API, keyed by call, in the order the
+    table hands it out: rows, ``find`` results and ``eq_pks`` all come
+    in pk order, and ``find_one`` is the first ``find`` row."""
     out: dict = {
         "len": len(table),
         "count": table.count(),
         "indexes": table.indexes(),
-        "iter": _by_pk(table),
-        "find": _by_pk(table.find()),
+        "iter": list(table),
+        "find": table.find(),
     }
     for pk in pks:
         out["get_or_none", pk] = table.get_or_none(pk)
@@ -464,36 +459,39 @@ def _reads(table, pks) -> dict:
     probes = [{c: v} for c, values in _PROBES.items() for v in values]
     for equals in probes + list(_CONJUNCTIONS):
         key = tuple(sorted(equals.items()))
-        found = table.find(**equals)
-        one = table.find_one(**equals)
-        assert (one is None) if not found else (one in found)
-        out["find", key] = _by_pk(found)
+        out["find", key] = table.find(**equals)
+        out["find_one", key] = table.find_one(**equals)
         out["count", key] = table.count(**equals)
         if len(equals) == 1:
             [(column, value)] = equals.items()
             if table.has_index(column):
-                out["eq_pks", key] = sorted(table.eq_pks(column, value))
+                out["eq_pks", key] = list(table.eq_pks(column, value))
                 out["eq_count", key] = table.eq_count(column, value)
     return out
 
 
-def _assert_find_in_items_order(snap: TableSnapshot) -> None:
-    """A pinned ``find`` lists its rows in ``_items()`` order."""
-    position = {pk: i for i, (pk, _) in enumerate(snap._items())}
-    assert [row["id"] for row in snap.find()] == list(position)
+def _assert_find_in_pk_order(snap: TableSnapshot) -> None:
+    """A pinned snapshot lists its rows, ``find`` results and hash
+    buckets in pk order, and ``find_one`` is the first ``find`` row."""
+    pks = [pk for pk, _ in snap._items()]
+    assert pks == sorted(pks)
+    assert [row["id"] for row in snap.find()] == pks
     probes = [{c: v} for c, values in _PROBES.items() for v in values]
     for equals in probes + list(_CONJUNCTIONS):
-        found = snap.find(**equals)
-        order = [position[row["id"]] for row in found]
-        assert order == sorted(order), equals
-        assert snap.find_one(**equals) == (found[0] if found else None)
+        found = [row["id"] for row in snap.find(**equals)]
+        assert found == sorted(found), equals
+        one = snap.find_one(**equals)
+        assert (one["id"] if one else None) == (found[0] if found else None)
+        if len(equals) == 1 and snap.has_index(*equals):
+            [(column, value)] = equals.items()
+            assert list(snap.eq_pks(column, value)) == found
 
 
 class TestLiveMatchesPinned:
     """After every step, each read of the live table equals the same read
-    on a pin taken at that state: hash-indexed, sorted-only and
-    unindexed columns, through writes, caught failures inside
-    ``transaction()``, index creation, checkpoints and reopens."""
+    on a pin taken at that state, in the same order: hash-indexed,
+    sorted-only and unindexed columns, through writes, caught failures
+    inside ``transaction()``, index creation, checkpoints and reopens."""
 
     @given(steps=st.lists(_step, max_size=25))
     @settings(max_examples=40, deadline=None,
@@ -515,7 +513,7 @@ class TestLiveMatchesPinned:
                         snap = db.table("items")
                         assert isinstance(snap, TableSnapshot)
                         assert _reads(snap, pks) == live
-                        _assert_find_in_items_order(snap)
+                        _assert_find_in_pk_order(snap)
             finally:
                 for handle in handles:
                     handle.close()
@@ -583,7 +581,10 @@ class TestIndexInheritanceCost:
             links = _link_db(db)
             read = self._reader(db, [])
             read(1)
-            assert scanned[0] > 0  # the first read builds cold
+            # The first link insert's unique check built the bucket, on
+            # an empty table; every publish since inherited it.
+            links_snap = db.snapshot().table("material_classifications")
+            assert list(links_snap._lazy) == ["materials_id"]
             scanned[0] = 0
             _curate(links, read)
             assert scanned[0] == 0

@@ -19,7 +19,6 @@ from repro.core.recommend import (
 from repro.core.repository import Repository
 from repro.corpus.seed import seed_all, seed_ontologies
 from repro.db import Database
-from repro.db.table import Table
 from repro.text import (
     KnnClassifier,
     NaiveBayesClassifier,
@@ -381,14 +380,14 @@ def test_failed_batch_files_nothing_and_rerun_matches(tmp_path,
     assert writes > 1
     # The batch's last suggestion row fails to store.
     fuse = CrashBudget(writes - 1)
-    original = Table._insert_row
+    original = Database._insert_row
 
-    def failing(self, row):
-        if self.name == "suggestions":
+    def failing(self, table, row):
+        if table.name == "suggestions":
             fuse()
-        return original(self, row)
+        return original(self, table, row)
 
-    monkeypatch.setattr(Table, "_insert_row", failing)
+    monkeypatch.setattr(Database, "_insert_row", failing)
     appends = repo.db.wal_stats()["appends"]
     with pytest.raises(CrashError):
         service.classify_materials(ids)
@@ -396,7 +395,7 @@ def test_failed_batch_files_nothing_and_rerun_matches(tmp_path,
     assert repo.db.wal_stats()["appends"] == appends
     assert all(not repo.suggestions(material_id=mid) for mid in ids)
     repo.db.close()
-    monkeypatch.setattr(Table, "_insert_row", original)
+    monkeypatch.setattr(Database, "_insert_row", original)
 
     reopened = Repository(Database.open(tmp_path / "crashed"))
     assert all(not reopened.suggestions(material_id=mid) for mid in ids)
