@@ -307,8 +307,9 @@ class TestTransactions:
         self, case, before, after,
     ):
         """A failing op inside ``transaction()`` that the caller catches
-        before committing changes no table, journal entry or WAL byte:
-        drawn writes run before and after it in the same transaction."""
+        before committing changes no table (rows compared in order),
+        journal entry or WAL byte: drawn writes run before and after it
+        in the same transaction."""
         op, error = FAILING_OPS[case]
 
         def run(path, fail):
@@ -323,8 +324,7 @@ class TestTransactions:
                         op(db)
                 for step in after:
                     _good_step(db, step, names)
-            tables = {name: {row["id"]: row for row in db.table(name)}
-                      for name in db.stats()}
+            tables = {name: list(db.table(name)) for name in db.stats()}
             changes = db.changes_since(0)
             db.close()
             return tables, changes, (path / "wal.log").read_bytes()

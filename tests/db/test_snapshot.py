@@ -19,6 +19,7 @@ from repro.db import (
 from repro.db.errors import RowNotFound, UniqueViolation
 from repro.db.relations import ManyToMany
 from repro.db.snapshot import TableSnapshot
+from repro.jobs.queue import DONE, LEASED, JobQueue
 
 WAIT = 10.0
 
@@ -548,8 +549,9 @@ def _curate(links: ManyToMany, read) -> None:
 
 
 class TestIndexInheritanceCost:
-    """After the first read, pinned reads of a written table build no
-    hash index: every published snapshot inherits the built one."""
+    """After the first read, reads of a written table build no index:
+    every published snapshot inherits the built one, and the writer
+    reads the same snapshot under its drafts."""
 
     @pytest.fixture
     def scanned(self, monkeypatch):
@@ -617,3 +619,47 @@ class TestIndexInheritanceCost:
             assert list(ours._lazy) == ["materials_id"]
         finally:
             primary.close()
+
+    def test_job_queue_reads_scan_no_rows(self, tmp_path, scanned):
+        """500 jobs through enqueue, lease, complete and fail, with
+        expired leases re-queued: after warm-up, the writer's reads under
+        the lock (``status`` buckets whose value changes, the
+        ``not_before`` sorted index, idempotency and pk checks) and
+        pinned reads scan no rows."""
+        clock = [1000.0]
+        db = Database.open(tmp_path, wal_sync="off")
+        queue = JobQueue(db, clock=lambda: clock[0], visibility_timeout=3.0)
+        try:
+            for i in range(500):
+                queue.enqueue("k", {"i": i}, idempotency_key=f"k{i}")
+
+            def step(n: int) -> None:
+                clock[0] += 1.0
+                queue.enqueue("k", {"i": n}, idempotency_key=f"new{n}")
+                job = queue.lease("w")
+                if n % 7 == 0:
+                    pass  # abandoned: a lease 3 s later requeues it
+                elif n % 3 == 0:
+                    queue.fail(job["id"], "w", "retry")
+                else:
+                    queue.complete(job["id"], "w", {"n": n})
+                again = queue.enqueue("k", idempotency_key=f"k{n}")
+                assert again["id"] == n + 1
+                with db.pinned():
+                    counts = queue.counts()
+                    assert len(queue.jobs(LEASED)) == counts[LEASED]
+                    assert queue.get(job["id"]) is not None
+
+            # Warm-up: drain to the steady backlog of a busy queue.
+            for _ in range(450):
+                job = queue.lease("w")
+                queue.complete(job["id"], "w")
+            step(0)
+            scanned[0] = 0
+            for n in range(1, 300):
+                step(n)
+            assert scanned[0] == 0
+            assert queue.counts()["total"] == 800
+            assert any(job["attempts"] > 1 for job in queue.jobs(DONE))
+        finally:
+            db.close()
