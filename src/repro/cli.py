@@ -733,7 +733,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _limit(raw: str) -> int:
-    """A ``--limit``: negative is a usage error (exit 2), as in the API."""
+    """A size (``--limit``, ``--offset``, ``--top``): negative is a usage
+    error (exit 2), as in the API."""
     if int(raw) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {raw}")
     return int(raw)
@@ -784,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("text")
     p.add_argument("--selected", nargs="*", default=None,
                    help="already-selected entry keys")
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_limit, default=10)
     p.set_defaults(fn=cmd_recommend)
 
     p = sub.add_parser("plan", help="greedy course plan over core topics")
@@ -807,8 +808,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="string-prefix filter (repeatable)")
     p.add_argument("--order", default=None, help="order-by column")
     p.add_argument("--desc", action="store_true", help="descending order")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--offset", type=int, default=0)
+    p.add_argument("--limit", type=_limit, default=None)
+    p.add_argument("--offset", type=_limit, default=0)
     p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser("diff", help="diff two ontology editions")
@@ -822,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="descriptive corpus statistics")
     p.add_argument("--collections", nargs="*", default=None)
-    p.add_argument("--top", type=int, default=5)
+    p.add_argument("--top", type=_limit, default=5)
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("report", help="write the self-contained HTML report")
@@ -949,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     p.add_argument("--job", type=int, default=None,
                    help="show one job in full")
-    p.add_argument("--limit", type=int, default=20,
+    p.add_argument("--limit", type=_limit, default=20,
                    help="jobs listed in the overview")
     p.add_argument("--enqueue-classify", action="store_true",
                    help="enqueue a classification sweep of every "

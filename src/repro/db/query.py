@@ -35,6 +35,12 @@ from .plan import (
 Predicate = Callable[[dict[str, Any]], bool]
 
 
+def _size(name: str, n: int) -> int:
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
+    return n
+
+
 class Query:
     """Lazy pipeline of operations over one table's rows."""
 
@@ -131,12 +137,12 @@ class Query:
 
     def limit(self, n: int) -> "Query":
         q = self._clone()
-        q._limit = n
+        q._limit = _size("limit", n)
         return q
 
     def offset(self, n: int) -> "Query":
         q = self._clone()
-        q._offset = n
+        q._offset = _size("offset", n)
         return q
 
     def select(self, *columns: str) -> "Query":

@@ -81,6 +81,13 @@ class TestOrderingAndSlicing:
         page = query(db, "books").order_by("title").offset(1).limit(2).all()
         assert [r["title"] for r in page] == ["B", "C"]
 
+    @pytest.mark.parametrize("size", ["limit", "offset"])
+    def test_negative_size_is_rejected(self, db, size):
+        q = query(db, "books")
+        with pytest.raises(ValueError, match=f"{size} must be >= 0, got -1"):
+            getattr(q, size)(-1)
+        assert getattr(q, size)(0).count() == (0 if size == "limit" else 5)
+
     def test_first_and_exists(self, db):
         assert query(db, "books").filter(genre="misc").first()["title"] == "E"
         assert query(db, "books").filter(genre="nope").first() is None

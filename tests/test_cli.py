@@ -65,6 +65,22 @@ class TestSearch:
         assert "--limit: must be >= 0, got -1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["recommend", "parallel sorting", "--top", "-3"],
+        ["profile", "--top", "-1"],
+        ["explain", "materials", "--order", "year", "--limit", "-1"],
+        ["explain", "materials", "--offset", "-2"],
+        ["jobs", "unused-dir", "--limit", "-1"],
+    ], ids=["recommend-top", "profile-top", "explain-limit",
+            "explain-offset", "jobs-limit"])
+    def test_every_negative_size_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "must be >= 0, got -" in captured.err
+        assert captured.out == ""
+
     def test_zero_limit_is_accepted(self, capsys):
         assert main(["search", "parallel", "--limit", "0"]) == 1
         assert capsys.readouterr().out == "no results\n"
