@@ -28,6 +28,8 @@ Concurrency follows PostgreSQL's reader/writer split (MVCC):
   current snapshot for a scope; every pin-aware accessor (``table``,
   ``version``, ``table_versions``, ``stats``) then serves that one
   consistent version no matter what writers commit concurrently.
+  Unpinned reads go to the latest published snapshot, so no thread
+  sees another's uncommitted rows.
 
 Durability is a **write-ahead log** (:mod:`repro.db.wal`): each committed
 frame appends one checksummed record of its operations; ``checkpoint()``
@@ -171,6 +173,9 @@ class Database:
         # Open savepoints, outermost first (the write frame itself is
         # the first); only touched under the write lock.
         self._savepoints: list[_Savepoint] = []
+        # The writer's view of each table it read in the current frame,
+        # dropped whenever its drafts or the registry change.
+        self._views: dict[str, TableSnapshot | Overlay] = {}
         # Database-wide mutation counter: bumped once per committed
         # insert/update/delete on any table (and on DDL), rolled back with
         # aborted transactions.  The cheap freshness token for caches.
@@ -296,18 +301,30 @@ class Database:
     def _writer_view(self, name: str) -> TableSnapshot | Overlay:
         """What the writer reads of ``name``: the snapshot its frame
         builds on, under the drafts of every open savepoint."""
-        try:
-            base = self._tables[name]
-        except KeyError:
-            raise SchemaError(f"no table {name!r}") from None
-        drafts = []
-        for savepoint in reversed(self._savepoints):
-            draft = savepoint.drafts.get(name)
-            if draft is not None:
-                drafts.append(draft)
-                if draft.fresh:
-                    break
-        return Overlay(base, drafts) if drafts else base
+        if not self._savepoints:
+            base = self._tables.get(name)
+            if base is None:
+                raise SchemaError(f"no table {name!r}")
+            return base
+        view = self._views.get(name)
+        if view is None:
+            base = self._tables.get(name)
+            if base is None:
+                raise SchemaError(f"no table {name!r}")
+            drafts = []
+            for savepoint in reversed(self._savepoints):
+                draft = savepoint.drafts.get(name)
+                if draft is not None:
+                    drafts.append(draft)
+                    if draft.fresh:
+                        break
+            view = self._views[name] = Overlay(base, drafts) if drafts else base
+        return view
+
+    def _retable(self, tables: dict[str, TableSnapshot]) -> None:
+        """Replace the writer's registry (DDL and rollback)."""
+        self._tables = tables
+        self._views.clear()
 
     # -- versions -------------------------------------------------------------
 
@@ -417,6 +434,7 @@ class Database:
         if draft is None:
             view = self._writer_view(name)
             draft = drafts[name] = Draft(view.version, view.next_id)
+            self._views.pop(name, None)
         draft.put(pk, TOMBSTONE if op == "delete" else row)
         draft.version += 1
         if op == "insert" and isinstance(pk, int) and pk >= draft.next_id:
@@ -441,16 +459,21 @@ class Database:
         commits once.
         """
         with self._traced_op(op, table), self.lock.write():
-            if self._savepoints:
-                with self._savepoint():
-                    yield
-                return
-            self._frame_ops = []
-            with self._savepoint():
+            outermost = not self._savepoints
+            if outermost:
+                self._frame_ops = []
+                self._views.clear()
+            self._begin()
+            try:
                 yield
-            ops, self._frame_ops = self._frame_ops, []
-            if ops:
-                self._commit_ops(ops)
+            except BaseException:
+                self._rollback()
+                raise
+            self._commit()
+            if outermost:
+                ops, self._frame_ops = self._frame_ops, []
+                if ops:
+                    self._commit_ops(ops)
 
     def _commit_ops(self, ops: list[dict[str, Any]]) -> None:
         # The registry advances before the WAL append: an auto-checkpoint
@@ -523,8 +546,8 @@ class Database:
                     f"foreign key in {schema.name!r} references unknown table "
                     f"{fk.ref_table!r} (create referenced tables first)"
                 )
-        self._tables = {**self._tables,
-                        schema.name: TableSnapshot.capture(schema, ())}
+        self._retable({**self._tables,
+                       schema.name: TableSnapshot.capture(schema, ())})
         self._savepoints[-1].drafts[schema.name] = Draft(0, 1, fresh=True)
         # The schema object rides along unserialized; it is rendered to
         # its durable dict form only if/when a WAL is attached.
@@ -548,8 +571,8 @@ class Database:
             if declared(column):
                 return
             table.schema.column(column)  # validates existence
-            self._tables = {**self._tables,
-                            name: self._tables[name].declare(column, kind)}
+            self._retable({**self._tables,
+                           name: self._tables[name].declare(column, kind)})
             frame_op = {"t": name, "o": "create_index", "c": column}
             if kind != "hash":
                 frame_op["k"] = kind
@@ -570,7 +593,7 @@ class Database:
                     raise SchemaError(
                         f"cannot drop {name!r}: referenced by {other.name!r}"
                     )
-        self._tables = {n: t for n, t in self._tables.items() if n != name}
+        self._retable({n: t for n, t in self._tables.items() if n != name})
         self._bump_ddl(name, "drop_table")
 
     def table(self, name: str) -> Table | TableSnapshot:
@@ -582,10 +605,10 @@ class Database:
         pin = self._pin()
         if pin is not None:
             return pin.table(name)
-        if name not in self:
-            raise SchemaError(f"no table {name!r}")
         handle = self._handles.get(name)
         if handle is None:
+            if name not in self:
+                raise SchemaError(f"no table {name!r}")
             handle = self._handles.setdefault(name, Table(self, name))
         return handle
 
@@ -604,7 +627,9 @@ class Database:
         return ref.find_one(**{column: value}) is not None
 
     def _check_fks_outbound(self, table: TableReads,
-                            row: dict[str, Any]) -> None:
+                            row: Mapping[str, Any]) -> None:
+        """Every non-null FK column of ``row`` (a whole row, or an
+        update's changes) must reference an existing row."""
         for fk in table.schema.foreign_keys:
             value = row.get(fk.column)
             if value is None:
@@ -691,15 +716,7 @@ class Database:
     def update(self, table_name: str, pk: Any, **changes: Any) -> dict[str, Any]:
         with self._write_frame("update", table_name):
             table = self._writer_view(table_name)
-            fk_cols = {fk.column: fk for fk in table.schema.foreign_keys}
-            for name, value in changes.items():
-                fk = fk_cols.get(name)
-                if fk is not None and value is not None:
-                    if not self._ref_exists(fk.ref_table, fk.ref_column, value):
-                        raise ForeignKeyError(
-                            f"{table_name}.{name}={value!r} references missing "
-                            f"{fk.ref_table}.{fk.ref_column}"
-                        )
+            self._check_fks_outbound(table, changes)
             old = table.row(pk)
             if old is None:
                 raise RowNotFound(f"{table_name!r} has no row with pk {pk!r}")
@@ -755,17 +772,6 @@ class Database:
         with self._write_frame("transaction", "*"):
             yield self
 
-    @contextmanager
-    def _savepoint(self) -> Iterator[None]:
-        self._begin()
-        try:
-            yield
-        except BaseException:
-            self._rollback()
-            raise
-        else:
-            self._commit()
-
     def _begin(self) -> None:
         self._savepoints.append(
             _Savepoint(self._version, self._tables, len(self._frame_ops)))
@@ -779,6 +785,7 @@ class Database:
         if self._savepoints:
             outer = self._savepoints[-1].drafts
             for name, draft in inner.drafts.items():
+                self._views.pop(name, None)
                 mine = outer.get(name)
                 if mine is None or draft.fresh:
                     outer[name] = draft
@@ -792,7 +799,10 @@ class Database:
             raise TransactionError("rollback without begin")
         savepoint = self._savepoints.pop()
         self._version = savepoint.version
-        self._tables = savepoint.tables
+        if savepoint.tables is not self._tables:
+            self._retable(savepoint.tables)
+        for name in savepoint.drafts:
+            self._views.pop(name, None)
         del self._frame_ops[savepoint.ops:]
         with self._changes_lock:
             changes = self._changes

@@ -379,22 +379,11 @@ class PagedRows:
 
     # -- mapping protocol --------------------------------------------------
 
-    def __getitem__(self, pk: Any) -> dict:
-        row = self._overlay.get(pk)
-        if row is not None:
-            return row
-        if pk in self._tombstones:
-            raise KeyError(pk)
-        row = self._base_get(pk)
-        if row is None:
-            raise KeyError(pk)
-        return row
-
     def get(self, pk: Any, default: Any = None) -> Any:
-        try:
-            return self[pk]
-        except KeyError:
-            return default
+        row = self._overlay.get(pk)
+        if row is None and pk not in self._tombstones:
+            row = self._base_get(pk)
+        return default if row is None else row
 
     def __contains__(self, pk: Any) -> bool:
         return self.get(pk) is not None
@@ -418,7 +407,7 @@ class PagedRows:
             self._new.add(pk)
             self._count += 1
 
-    def __delitem__(self, pk: Any) -> None:
+    def _drop(self, pk: Any) -> None:
         if pk in self._overlay:
             del self._overlay[pk]
             if pk in self._new:
@@ -426,12 +415,9 @@ class PagedRows:
             else:
                 self._tombstones.add(pk)
             self._count -= 1
-            return
-        if pk not in self._tombstones and self._base_get(pk) is not None:
+        elif pk not in self._tombstones and self._base_get(pk) is not None:
             self._tombstones.add(pk)
             self._count -= 1
-            return
-        raise KeyError(pk)
 
     def items(self) -> Iterator[tuple[Any, dict]]:
         """Merged (pk, row) stream in ascending pk order.  Blocks are
@@ -467,10 +453,7 @@ class PagedRows:
         )
         for pk, row in delta.items():
             if row is tombstone:
-                try:
-                    del merged[pk]
-                except KeyError:
-                    pass
+                merged._drop(pk)
             else:
                 merged[pk] = row
         return merged

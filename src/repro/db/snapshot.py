@@ -39,9 +39,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
+from collections.abc import Mapping
 from contextvars import ContextVar
 from heapq import merge
 from itertools import islice
+from math import isqrt
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, TextIO
 
@@ -53,10 +55,16 @@ from .table import TOMBSTONE, SortedIndex, TableReads
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Database
 
-#: Once a delta outgrows ``max(_CONSOLIDATE_MIN, len(base) // 4)`` the
-#: snapshot consolidates into a fresh base — keeping reads O(1) and the
-#: publish cost amortized O(1) per mutation even under bulk seeding.
+#: Once a delta outgrows ``_delta_bound(len(base))`` the snapshot
+#: consolidates into a fresh base.  Every commit copies the delta, and a
+#: consolidation copies the base, so a bound of a few times the square
+#: root of the base keeps both small: reads stay O(1) and the publish
+#: cost per mutation stays O(sqrt(n)) even under bulk seeding.
 _CONSOLIDATE_MIN = 64
+
+
+def _delta_bound(base_size: int) -> int:
+    return max(_CONSOLIDATE_MIN, 4 * isqrt(base_size))
 
 _PK = itemgetter(0)
 
@@ -69,6 +77,54 @@ _PIN: ContextVar["Snapshot | None"] = ContextVar(
 def current_pin() -> "Snapshot | None":
     """The snapshot pinned in this context, if any."""
     return _PIN.get()
+
+
+class _Buckets(Mapping):
+    """One hash index, ``value -> pk-ordered list``: a map shared along
+    the snapshot chain plus the buckets changed since it was last folded
+    (an emptied bucket stays an empty list until then), so patching it
+    copies only what a frame touched."""
+
+    __slots__ = ("_base", "_delta")
+
+    def __init__(self, base: dict[Any, list],
+                 delta: dict[Any, list] | None = None) -> None:
+        self._base = base
+        self._delta = {} if delta is None else delta
+
+    def get(self, value: Any, default: Any = ()) -> Any:
+        bucket = self._delta.get(value)
+        if bucket is None:
+            return self._base.get(value, default)
+        return bucket or default
+
+    def __getitem__(self, value: Any) -> list:
+        bucket = self.get(value)
+        if not bucket:
+            raise KeyError(value)
+        return bucket
+
+    def __iter__(self) -> Iterator[Any]:
+        delta = self._delta
+        yield from (value for value in self._base if value not in delta)
+        yield from (value for value, pks in delta.items() if pks)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def folded(self) -> "_Buckets":
+        """This index with its changed buckets folded into a new shared
+        map once they outgrow :func:`_delta_bound` (as for the rows)."""
+        base, delta = self._base, self._delta
+        if len(delta) <= _delta_bound(len(base)):
+            return self
+        merged = dict(base)
+        for value, pks in delta.items():
+            if pks:
+                merged[value] = pks
+            else:
+                merged.pop(value, None)
+        return _Buckets(merged)
 
 
 class TableSnapshot(TableReads):
@@ -87,7 +143,7 @@ class TableSnapshot(TableReads):
     def __init__(self, schema: TableSchema, version: int, next_id: int,
                  base: Any, delta: dict[Any, Any],
                  indexed: frozenset[str], sorted_cols: frozenset[str], *,
-                 size: int, lazy: dict[str, dict[Any, list]] | None = None,
+                 size: int, lazy: dict[str, _Buckets] | None = None,
                  lazy_sorted: dict[str, SortedIndex] | None = None) -> None:
         self.schema = schema
         self.version = version
@@ -96,9 +152,9 @@ class TableSnapshot(TableReads):
         self._delta = delta
         self._indexed = indexed
         self._sorted_cols = sorted_cols
-        # column -> {value: [pk, ...]} and column -> SortedIndex:
-        # inherited from the predecessor (see advance) or built on the
-        # column's first read.
+        # column -> _Buckets and column -> SortedIndex: inherited from
+        # the predecessor (see advance) or built on the column's first
+        # read.
         self._lazy = {} if lazy is None else lazy
         self._lazy_sorted = {} if lazy_sorted is None else lazy_sorted
         self._size = size
@@ -171,13 +227,14 @@ class TableSnapshot(TableReads):
         def bucket(column: str, value: Any) -> list:
             values = owned.get(column)
             if values is None:
-                hashes[column] = dict(hashes[column])
+                index = hashes[column]
+                hashes[column] = _Buckets(index._base, dict(index._delta))
                 values = owned[column] = set()
-            index = hashes[column]
+            changed = hashes[column]._delta
             if value not in values:
                 values.add(value)
-                index[value] = list(index.get(value, ()))
-            return index[value]
+                changed[value] = list(hashes[column].get(value))
+            return changed[value]
 
         def ordered(column: str) -> SortedIndex:
             if column not in owned_sorted:
@@ -221,27 +278,28 @@ class TableSnapshot(TableReads):
                     sindex.remove(old[column], pk)
                 if new is not None:
                     sindex.add(new[column], pk)
-        for column, values in owned.items():
-            index = hashes[column]
-            for value in values:
-                if not index[value]:
-                    del index[value]
-        if len(delta) > max(_CONSOLIDATE_MIN, len(base) // 4):
+        for column in owned:
+            hashes[column] = hashes[column].folded()
+        if len(delta) > _delta_bound(len(base)):
             if isinstance(base, PagedRows):
                 # Fold the delta into a fresh overlay copy — the block
                 # tier is shared, never materialized.
                 base = base.with_delta(delta, TOMBSTONE)
             else:
                 merged = dict(base)
-                appended = False
+                last = next(reversed(base), None)
+                ordered = True  # new pks arrive after every other pk
                 for pk, row in delta.items():
                     if row is TOMBSTONE:
                         merged.pop(pk, None)
-                    else:
-                        appended = appended or pk not in merged
+                    elif pk in merged:
                         merged[pk] = row
-                base = dict(sorted(merged.items(), key=_PK)) \
-                    if appended else merged
+                    else:
+                        ordered = ordered and (last is None or pk > last)
+                        last = pk
+                        merged[pk] = row
+                base = merged if ordered else dict(
+                    sorted(merged.items(), key=_PK))
             delta = {}
         return TableSnapshot(
             self.schema, version, next_id, base, delta,
@@ -301,17 +359,17 @@ class TableSnapshot(TableReads):
         """Pks whose ``column`` equals ``value``, in pk order."""
         return self._hash(column).get(value, ())
 
-    def _hash(self, column: str) -> dict[Any, list]:
+    def _hash(self, column: str) -> _Buckets:
         """``value -> [pk, ...]`` in pk order: inherited (see advance),
         or built cold on the column's first read.  Benign build race:
         concurrent readers may each build it; the last assignment wins
         and both are correct, as the snapshot is immutable."""
         index = self._lazy.get(column)
         if index is None:
-            index = {}
+            built: dict[Any, list] = {}
             for pk, row in self._items():
-                index.setdefault(row[column], []).append(pk)
-            self._lazy[column] = index
+                built.setdefault(row[column], []).append(pk)
+            index = self._lazy[column] = _Buckets(built)
         return index
 
 

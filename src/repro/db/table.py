@@ -45,7 +45,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from .errors import RowNotFound
+from .errors import RowNotFound, SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Database
@@ -318,9 +318,9 @@ class Overlay(TableReads):
         self.base = base
         self.drafts = drafts
 
-    @property
-    def schema(self) -> Any:
-        return self.base.schema
+    def __getattr__(self, attr: str) -> Any:
+        # The schema and the index declarations are the snapshot's.
+        return getattr(self.base, attr)
 
     @property
     def version(self) -> int:
@@ -329,18 +329,6 @@ class Overlay(TableReads):
     @property
     def next_id(self) -> int:
         return self.drafts[0].next_id
-
-    def has_index(self, column: str) -> bool:
-        return self.base.has_index(column)
-
-    def has_sorted_index(self, column: str) -> bool:
-        return self.base.has_sorted_index(column)
-
-    def index_columns(self) -> list[str]:
-        return self.base.index_columns()
-
-    def sorted_index_columns(self) -> list[str]:
-        return self.base.sorted_index_columns()
 
     def _written(self, pk: Any) -> Any:
         """The frame's row for ``pk``: a row, :data:`TOMBSTONE`, or
@@ -402,42 +390,45 @@ class Overlay(TableReads):
         return index
 
 
-class Table(TableReads):
+class Table:
     """The handle ``Database.table`` returns outside a pin.
 
-    It stores nothing.  Each read goes to the writer's view when the
-    calling thread holds the write lock, and to the latest published
-    snapshot otherwise, so a handle kept across a ``transaction()``
-    reads that transaction's own writes.
+    It stores nothing.  Each read goes to the store the calling thread
+    should see — the writer's own view under the write lock, the latest
+    published snapshot elsewhere — so a handle kept across a
+    ``transaction()`` reads that transaction's own writes.  The reads
+    are those of :class:`TableReads`, resolved once per call.
     """
 
-    __slots__ = ("_db", "_name")
+    __slots__ = ("_db", "name")
 
     def __init__(self, db: "Database", name: str) -> None:
         self._db = db
-        self._name = name
+        self.name = name
 
     def _view(self) -> "TableSnapshot | Overlay":
         db = self._db
-        if db.lock.write_held:
-            return db._writer_view(self._name)
-        return db._snapshot.table(self._name)
+        # Only a thread inside a write frame has drafts to read.
+        if db._savepoints and db.lock.write_held:
+            return db._writer_view(self.name)
+        try:
+            return db._snapshot.tables[self.name]
+        except KeyError:
+            raise SchemaError(f"no table {self.name!r}") from None
 
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def schema(self) -> Any:
-        return self._view().schema
-
-    @property
-    def version(self) -> int:
-        """Mutation counter: bumped once per committed insert/update/delete."""
-        return self._view().version
+    def __getattr__(self, attr: str) -> Any:
+        return getattr(self._view(), attr)
 
     def __len__(self) -> int:
         return len(self._view())
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return iter(self._view())
+
+    def __contains__(self, pk: Any) -> bool:
+        return pk in self._view()
+
+    # The hot reads, spelled out rather than found by __getattr__.
 
     def row(self, pk: Any) -> dict[str, Any] | None:
         """The raw stored row (no copy) — planner-internal."""
@@ -450,24 +441,24 @@ class Table(TableReads):
     def eq_pks(self, column: str, value: Any) -> Iterable[Any]:
         return self._view().eq_pks(column, value)
 
-    def has_index(self, column: str) -> bool:
-        return self._view().has_index(column)
+    def get(self, pk: Any) -> dict[str, Any]:
+        return self._view().get(pk)
 
-    def has_sorted_index(self, column: str) -> bool:
-        return self._view().has_sorted_index(column)
+    def get_or_none(self, pk: Any) -> dict[str, Any] | None:
+        return self._view().get_or_none(pk)
 
-    def index_columns(self) -> list[str]:
-        return self._view().index_columns()
+    def find(self, **equals: Any) -> list[dict[str, Any]]:
+        return self._view().find(**equals)
 
-    def sorted_index_columns(self) -> list[str]:
-        return self._view().sorted_index_columns()
+    def find_one(self, **equals: Any) -> dict[str, Any] | None:
+        return self._view().find_one(**equals)
 
-    def sorted_index(self, column: str) -> SortedIndex:
-        return self._view().sorted_index(column)
+    def count(self, **equals: Any) -> int:
+        return self._view().count(**equals)
 
     def create_index(self, column: str) -> None:
         """Declare (idempotently) a hash index on ``column``."""
-        self._db._create_index(self._name, column, "hash")
+        self._db._create_index(self.name, column, "hash")
 
     def create_sorted_index(self, column: str) -> None:
         """Declare (idempotently) a sorted index on ``column``.
@@ -479,4 +470,4 @@ class Table(TableReads):
         Like hash indexes they are transactional DDL, journaled through
         the WAL and declared again on recovery and replica apply.
         """
-        self._db._create_index(self._name, column, "sorted")
+        self._db._create_index(self.name, column, "sorted")
