@@ -140,8 +140,7 @@ class Change:
 
 
 class _Savepoint:
-    """One open savepoint: the drafts written inside it, and the
-    counters a rollback restores."""
+    """One open savepoint: its drafts and what a rollback restores."""
 
     __slots__ = ("drafts", "version", "tables", "ops")
 
@@ -278,25 +277,6 @@ class Database:
         """Publish the registry as the next snapshot (one attribute
         store)."""
         self._snapshot = Snapshot(self, self._version, self._tables)
-
-    def _advance(self, ops: list[dict[str, Any]]) -> dict[str, TableSnapshot]:
-        """The registry after one committed frame.
-
-        Path-copying: untouched tables keep their snapshot; each touched
-        table advances by the ops written since it was last created (a
-        table created in the frame starts from its empty snapshot), and
-        inherits every index its predecessor built."""
-        touched: dict[str, list[dict[str, Any]]] = {}
-        for op in ops:
-            if op["o"] in ("create_table", "drop_table"):
-                touched[op["t"]] = []
-            else:
-                touched.setdefault(op["t"], []).append(op)
-        tables = dict(self._tables)
-        for name, table_ops in touched.items():
-            if name in tables and table_ops:
-                tables[name] = tables[name].advance(table_ops)
-        return tables
 
     def _writer_view(self, name: str) -> TableSnapshot | Overlay:
         """What the writer reads of ``name``: the snapshot its frame
@@ -476,9 +456,22 @@ class Database:
                     self._commit_ops(ops)
 
     def _commit_ops(self, ops: list[dict[str, Any]]) -> None:
-        # The registry advances before the WAL append: an auto-checkpoint
+        # Path-copying: each touched table advances by the ops written
+        # since it was last created (a table created in the frame starts
+        # from its empty snapshot); untouched tables keep theirs.  The
+        # registry advances before the WAL append: an auto-checkpoint
         # inside the append must already serialize this frame.
-        self._tables = self._advance(ops)
+        touched: dict[str, list[dict[str, Any]]] = {}
+        for op in ops:
+            if op["o"] in ("create_table", "drop_table"):
+                touched[op["t"]] = []
+            else:
+                touched.setdefault(op["t"], []).append(op)
+        tables = dict(self._tables)
+        for name, table_ops in touched.items():
+            if name in tables and table_ops:
+                tables[name] = tables[name].advance(table_ops)
+        self._tables = tables
         frame: dict[str, Any] | None = None
         if self._wal is not None or self._commit_listeners:
             frame = {
@@ -679,26 +672,20 @@ class Database:
                         f"{table.name!r}: {key!r}"
                     )
 
-    def _insert_row(self, table: TableSnapshot | Overlay,
-                    row: dict[str, Any]) -> dict[str, Any]:
-        """Store a row built by :meth:`_complete_row` after its
-        uniqueness checks."""
-        pk = row[table.schema.primary_key]
-        if table.row(pk) is not None:
-            raise UniqueViolation(
-                f"duplicate primary key {pk!r} in table {table.name!r}"
-            )
-        self._check_unique(table, row, pk)
-        self._put(table.name, "insert", pk, row)
-        return dict(row)
-
     def _insert_into(self, table_name: str,
                      values: Mapping[str, Any]) -> dict[str, Any]:
         table = self._writer_view(table_name)
         # Validate FKs against a completed candidate row before storing.
-        candidate = self._complete_row(table, values)
-        self._check_fks_outbound(table, candidate)
-        return self._insert_row(table, candidate)
+        row = self._complete_row(table, values)
+        self._check_fks_outbound(table, row)
+        pk = row[table.schema.primary_key]
+        if table.row(pk) is not None:
+            raise UniqueViolation(
+                f"duplicate primary key {pk!r} in table {table_name!r}"
+            )
+        self._check_unique(table, row, pk)
+        self._put(table_name, "insert", pk, row)
+        return dict(row)
 
     def insert(self, table_name: str, **values: Any) -> dict[str, Any]:
         with self._write_frame("insert", table_name):

@@ -458,14 +458,6 @@ class PagedRows:
                 merged[pk] = row
         return merged
 
-    @property
-    def overlay_rows(self) -> int:
-        return len(self._overlay)
-
-    @property
-    def tombstone_rows(self) -> int:
-        return len(self._tombstones)
-
 
 _DONE = object()
 
@@ -710,8 +702,8 @@ def storage_stats(db: "Database") -> dict[str, int]:
             # Rows written since the tier: folded into the base's
             # overlay, or still in the snapshot's delta.
             gone = sum(1 for row in table._delta.values() if row is TOMBSTONE)
-            overlay += rows.overlay_rows + len(table._delta) - gone
-            tombstones += rows.tombstone_rows + gone
+            overlay += len(rows._overlay) + len(table._delta) - gone
+            tombstones += len(rows._tombstones) + gone
             blocks += len(rows.blocks)
     out["tier_blocks"] = blocks
     out["tier_overlay_rows"] = overlay

@@ -7,19 +7,15 @@ Every committed write frame builds a new :class:`Snapshot` by
 mapping.  The database then publishes the snapshot with a single
 attribute store — atomic under the interpreter — so readers pin the
 current snapshot with **no lock at all** and keep reading a consistent
-version while writers commit behind them.  The writer itself reads the
-snapshot under its own uncommitted drafts
-(:class:`repro.db.table.Overlay`); both read through
-:class:`repro.db.table.TableReads`.
+version while writers commit behind them.  The writer reads it under
+its uncommitted drafts (:class:`repro.db.table.Overlay`).
 
-Rows are listed in pk order: a dict base is kept sorted by pk, a paged
-base streams its blocks in pk order, and the delta's new pks merge in.
-Indexes are built lazily on a column's first read and then passed down
-the chain: :meth:`TableSnapshot.advance` patches the predecessor's
-built hash buckets (pk-ordered lists) and sorted indexes with the
-frame's ops by bisection, copying each touched bucket or index once
-(copy on write), so an index is built cold at most once per table
-between loads.
+Rows are listed in pk order (a dict base is kept pk-sorted, a paged
+base streams its blocks in order, the delta's new pks merge in).
+Indexes build on a column's first read and pass down the chain:
+:meth:`TableSnapshot.advance` patches the predecessor's pk-ordered
+buckets and sorted indexes by bisection, copying each touched one once
+(copy on write), so an index builds cold at most once between loads.
 
 The pin itself is a module-level :data:`~contextvars.ContextVar`
 (:func:`current_pin`): ``Database.pinned()`` sets it for a scope, and
@@ -39,6 +35,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
+from copy import copy
 from collections.abc import Mapping
 from contextvars import ContextVar
 from heapq import merge
@@ -113,18 +110,12 @@ class _Buckets(Mapping):
         return sum(1 for _ in self)
 
     def folded(self) -> "_Buckets":
-        """This index with its changed buckets folded into a new shared
-        map once they outgrow :func:`_delta_bound` (as for the rows)."""
-        base, delta = self._base, self._delta
-        if len(delta) <= _delta_bound(len(base)):
+        """This index, its changed buckets folded into a new shared map
+        once they outgrow :func:`_delta_bound` (as for the rows)."""
+        if len(self._delta) <= _delta_bound(len(self._base)):
             return self
-        merged = dict(base)
-        for value, pks in delta.items():
-            if pks:
-                merged[value] = pks
-            else:
-                merged.pop(value, None)
-        return _Buckets(merged)
+        merged = {**self._base, **self._delta}
+        return _Buckets({v: pks for v, pks in merged.items() if pks})
 
 
 class TableSnapshot(TableReads):
@@ -176,31 +167,22 @@ class TableSnapshot(TableReads):
                    frozenset(indexes), frozenset(sorted_indexes),
                    size=len(rows))
 
-    def _with(self, base: Any, delta: dict[Any, Any], *,
-              indexed: frozenset[str] | None = None,
-              sorted_cols: frozenset[str] | None = None) -> "TableSnapshot":
-        """This snapshot's rows and counters under a new storage layout
-        or index declaration; its built indexes carry over."""
-        return TableSnapshot(
-            self.schema, self.version, self.next_id, base, delta,
-            self._indexed if indexed is None else indexed,
-            self._sorted_cols if sorted_cols is None else sorted_cols,
-            size=self._size, lazy=dict(self._lazy),
-            lazy_sorted=dict(self._lazy_sorted))
-
     def declare(self, column: str, kind: str) -> "TableSnapshot":
         """This snapshot with one more declared index (``kind`` is
-        ``"hash"`` or ``"sorted"``)."""
+        ``"hash"`` or ``"sorted"``); the built ones carry over."""
+        clone = copy(self)
         if kind == "sorted":
-            return self._with(self._base, self._delta,
-                              sorted_cols=self._sorted_cols | {column})
-        return self._with(self._base, self._delta,
-                          indexed=self._indexed | {column})
+            clone._sorted_cols = self._sorted_cols | {column}
+        else:
+            clone._indexed = self._indexed | {column}
+        return clone
 
     def rebase(self, rows: PagedRows) -> "TableSnapshot":
         """This snapshot over a freshly written tier holding exactly its
-        rows (the checkpoint path)."""
-        return self._with(rows, {})
+        rows (the checkpoint path); the built indexes carry over."""
+        clone = copy(self)
+        clone._base, clone._delta = rows, {}
+        return clone
 
     def advance(self, ops: Iterable[dict[str, Any]]) -> "TableSnapshot":
         """The next version: this snapshot plus one committed frame's ops.

@@ -1,10 +1,10 @@
 """Table reads: the sorted index, the one read API, and the writer's view.
 
 Every table has one store, its latest published
-:class:`repro.db.snapshot.TableSnapshot`.  Rows are immutable-by-
-convention dicts keyed by primary key, and every read lists them in pk
-order.  Two kinds of secondary index live on the snapshot, built on a
-column's first read and inherited, patched, by each successor:
+:class:`repro.db.snapshot.TableSnapshot`: immutable-by-convention row
+dicts keyed by primary key, listed in pk order by every read.  Two kinds
+of secondary index live on it, built on a column's first read and
+patched into each successor:
 
 * **hash indexes** (``value -> pk-ordered list``) keep equality lookups
   O(1) for the hot paths in CAR-CS (all the many-to-many join traversals
@@ -22,19 +22,14 @@ separate ANALYZE pass.
 
 The thread holding the write lock reads through an :class:`Overlay`: the
 rows it put or deleted in the current write frame, one :class:`Draft`
-per open savepoint, over the snapshot the frame builds on.  A rollback
-drops the savepoint's drafts; a commit publishes the frame's ops through
-:meth:`repro.db.snapshot.TableSnapshot.advance`.  Every other thread
-reads a published snapshot, so no thread sees another's uncommitted
-rows.  :class:`Table` is the handle ``Database.table`` returns outside a
-pin: it stores nothing and sends each read to the store the calling
-thread should see.
+per open savepoint, over the snapshot the frame builds on.  Every other
+thread reads a published snapshot.  :class:`Table`, the handle
+``Database.table`` returns outside a pin, stores nothing and sends each
+read to the store the calling thread should see.
 
-Every table carries a **mutation version**: a monotonic counter bumped on
-each successful insert/update/delete.  The analytics cache
-(:mod:`repro.core.cache`) keys memoized results on these versions, so a
-result is reusable exactly as long as the tables it was derived from are
-untouched.
+Every table carries a **mutation version**, bumped on each committed
+insert/update/delete; the analytics cache (:mod:`repro.core.cache`)
+keys memoized results on these versions.
 """
 
 from __future__ import annotations
@@ -267,12 +262,9 @@ class TableReads:
 
 class Draft:
     """One table's writes inside one savepoint: ``pk -> row`` (or
-    :data:`TOMBSTONE`), the table's version and id sequence after them,
-    and per-column candidate sets.  A candidate set lists the pks put
-    with a value here; a later write may have moved a pk away, so the
-    :class:`Overlay` re-checks each one.  ``fresh`` marks a table created
-    in this savepoint: drafts further out belong to a dropped namesake.
-    """
+    :data:`TOMBSTONE`), the version and id sequence after them, and
+    per-column candidate pks (re-checked on read: a later write may have
+    moved one).  ``fresh`` marks a table created in this savepoint."""
 
     __slots__ = ("rows", "version", "next_id", "index", "fresh")
 
@@ -444,30 +436,18 @@ class Table:
     def get(self, pk: Any) -> dict[str, Any]:
         return self._view().get(pk)
 
-    def get_or_none(self, pk: Any) -> dict[str, Any] | None:
-        return self._view().get_or_none(pk)
-
     def find(self, **equals: Any) -> list[dict[str, Any]]:
         return self._view().find(**equals)
 
     def find_one(self, **equals: Any) -> dict[str, Any] | None:
         return self._view().find_one(**equals)
 
-    def count(self, **equals: Any) -> int:
-        return self._view().count(**equals)
-
     def create_index(self, column: str) -> None:
         """Declare (idempotently) a hash index on ``column``."""
         self._db._create_index(self.name, column, "hash")
 
     def create_sorted_index(self, column: str) -> None:
-        """Declare (idempotently) a sorted index on ``column``.
-
-        Sorted indexes answer range/prefix predicates and yield rows in
-        the canonical sort order (value ascending, ``None`` last, pk
-        tie-break) — the query planner uses them for
-        ``where_range``/``where_prefix`` scans and to elide sorts.
-        Like hash indexes they are transactional DDL, journaled through
-        the WAL and declared again on recovery and replica apply.
-        """
+        """Declare (idempotently) a sorted index on ``column``: range and
+        prefix scans, and rows in the canonical sort order (value
+        ascending, ``None`` last, pk tie-break) for the planner."""
         self._db._create_index(self.name, column, "sorted")

@@ -380,14 +380,14 @@ def test_failed_batch_files_nothing_and_rerun_matches(tmp_path,
     assert writes > 1
     # The batch's last suggestion row fails to store.
     fuse = CrashBudget(writes - 1)
-    original = Database._insert_row
+    original = Database._put
 
-    def failing(self, table, row):
-        if table.name == "suggestions":
+    def failing(self, name, op, pk, row):
+        if name == "suggestions":
             fuse()
-        return original(self, table, row)
+        return original(self, name, op, pk, row)
 
-    monkeypatch.setattr(Database, "_insert_row", failing)
+    monkeypatch.setattr(Database, "_put", failing)
     appends = repo.db.wal_stats()["appends"]
     with pytest.raises(CrashError):
         service.classify_materials(ids)
@@ -395,7 +395,7 @@ def test_failed_batch_files_nothing_and_rerun_matches(tmp_path,
     assert repo.db.wal_stats()["appends"] == appends
     assert all(not repo.suggestions(material_id=mid) for mid in ids)
     repo.db.close()
-    monkeypatch.setattr(Database, "_insert_row", original)
+    monkeypatch.setattr(Database, "_put", original)
 
     reopened = Repository(Database.open(tmp_path / "crashed"))
     assert all(not reopened.suggestions(material_id=mid) for mid in ids)
