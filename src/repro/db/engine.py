@@ -327,6 +327,11 @@ class Database:
             return None
         return self._pin() or self._snapshot
 
+    def _read_table(self, name: str) -> TableSnapshot | Overlay:
+        """The store this thread reads ``name`` from right now."""
+        snap = self._read_tables()
+        return snap.table(name) if snap is not None else self._writer_view(name)
+
     def table_versions(self) -> dict[str, int]:
         """Per-table mutation counters, sorted by table name."""
         snap = self._read_tables()

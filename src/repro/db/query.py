@@ -153,8 +153,9 @@ class Query:
     # -- planning ------------------------------------------------------------
 
     def _source(self) -> Any:
-        """The live table — or its snapshot, inside a pin."""
-        return self._db.table(self._table)
+        """The one store this query reads: the pinned or latest
+        snapshot, or the writer's own view."""
+        return self._db._read_table(self._table)
 
     def _spec(self, source: Any) -> QuerySpec:
         """Validate structured columns and freeze the pipeline for the
@@ -378,8 +379,8 @@ class Query:
         model picks — never by materializing this query's full rows.
         """
         source = self._source()
-        link = self._db.table(link_table)
-        remote = self._db.table(remote_table)
+        link = self._db._read_table(link_table)
+        remote = self._db._read_table(remote_table)
         local_plan = build_plan(source, self._spec(source))
         node = SemiJoin(local_plan, source.schema.primary_key, link,
                         local_column, remote_column, remote)

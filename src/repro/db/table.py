@@ -40,7 +40,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from .errors import RowNotFound, SchemaError
+from .errors import RowNotFound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Database
@@ -311,8 +311,12 @@ class Overlay(TableReads):
         self.drafts = drafts
 
     def __getattr__(self, attr: str) -> Any:
-        # The schema and the index declarations are the snapshot's.
+        # The index declarations are the snapshot's.
         return getattr(self.base, attr)
+
+    @property
+    def schema(self) -> Any:
+        return self.base.schema
 
     @property
     def version(self) -> int:
@@ -322,15 +326,6 @@ class Overlay(TableReads):
     def next_id(self) -> int:
         return self.drafts[0].next_id
 
-    def _written(self, pk: Any) -> Any:
-        """The frame's row for ``pk``: a row, :data:`TOMBSTONE`, or
-        ``_ABSENT`` when the frame has not written it."""
-        for draft in self.drafts:
-            row = draft.rows.get(pk, _ABSENT)
-            if row is not _ABSENT:
-                return row
-        return _ABSENT
-
     def _changes(self) -> dict[Any, Any]:
         """Every pk the frame wrote, with its latest row or tombstone."""
         changes: dict[Any, Any] = {}
@@ -339,10 +334,11 @@ class Overlay(TableReads):
         return changes
 
     def row(self, pk: Any) -> dict[str, Any] | None:
-        row = self._written(pk)
-        if row is _ABSENT:
-            return self.base.row(pk)
-        return None if row is TOMBSTONE else row
+        for draft in self.drafts:
+            row = draft.rows.get(pk, _ABSENT)
+            if row is not _ABSENT:
+                return None if row is TOMBSTONE else row
+        return self.base.row(pk)
 
     def __len__(self) -> int:
         size, base_row = len(self.base), self.base.row
@@ -359,14 +355,17 @@ class Overlay(TableReads):
         return (row for _, row in merge(theirs, mine, key=_PK))
 
     def eq_pks(self, column: str, value: Any) -> list[Any]:
-        written = self._written
+        written = [draft.rows for draft in self.drafts]
         kept = [pk for pk in self.base.eq_pks(column, value)
-                if written(pk) is _ABSENT]
-        found = {pk for draft in self.drafts
-                 for pk in draft.candidates(column).get(value, ())}
+                if not any(pk in rows for rows in written)]
+        found = set()
+        for draft in self.drafts:
+            found.update(draft.candidates(column).get(value, ()))
+        if not found:
+            return kept
         found = [pk for pk in found
                  if (row := self.row(pk)) is not None and row[column] == value]
-        return sorted(kept + found) if found else kept
+        return sorted(kept + found)
 
     def sorted_index(self, column: str) -> SortedIndex:
         """The snapshot's sorted index, copied and patched with the
@@ -386,10 +385,11 @@ class Table:
     """The handle ``Database.table`` returns outside a pin.
 
     It stores nothing.  Each read goes to the store the calling thread
-    should see — the writer's own view under the write lock, the latest
-    published snapshot elsewhere — so a handle kept across a
-    ``transaction()`` reads that transaction's own writes.  The reads
-    are those of :class:`TableReads`, resolved once per call.
+    should see (``Database._read_table``): its pin, the writer's own
+    view under the write lock, the latest published snapshot elsewhere —
+    so a handle kept across a ``transaction()`` reads that transaction's
+    own writes.  The reads are those of :class:`TableReads`, resolved
+    once per call.
     """
 
     __slots__ = ("_db", "name")
@@ -399,14 +399,7 @@ class Table:
         self.name = name
 
     def _view(self) -> "TableSnapshot | Overlay":
-        db = self._db
-        # Only a thread inside a write frame has drafts to read.
-        if db._savepoints and db.lock.write_held:
-            return db._writer_view(self.name)
-        try:
-            return db._snapshot.tables[self.name]
-        except KeyError:
-            raise SchemaError(f"no table {self.name!r}") from None
+        return self._db._read_table(self.name)
 
     def __getattr__(self, attr: str) -> Any:
         return getattr(self._view(), attr)
@@ -422,13 +415,13 @@ class Table:
 
     # The hot reads, spelled out rather than found by __getattr__.
 
-    def row(self, pk: Any) -> dict[str, Any] | None:
-        """The raw stored row (no copy) — planner-internal."""
-        return self._view().row(pk)
+    @property
+    def schema(self) -> Any:
+        return self._view().schema
 
-    def iter_rows(self) -> Iterator[dict[str, Any]]:
-        """Raw stored rows (no copies) in pk order — planner-internal."""
-        return self._view().iter_rows()
+    def row(self, pk: Any) -> dict[str, Any] | None:
+        """The raw stored row (no copy)."""
+        return self._view().row(pk)
 
     def eq_pks(self, column: str, value: Any) -> Iterable[Any]:
         return self._view().eq_pks(column, value)

@@ -32,7 +32,6 @@ from repro.db.plan import (
     Sort,
 )
 from repro.db.snapshot import TableSnapshot
-from repro.db.table import Table
 from repro.obs import MODE_ALL, TraceStore, Tracer
 
 NAMES = [
@@ -251,7 +250,7 @@ class TestPushdowns:
         self, monkeypatch, pinned, descending, shape, offset
     ):
         db = make_db()
-        source_cls = TableSnapshot if pinned else Table
+        source_cls = TableSnapshot
         fetched = []
         real_row = source_cls.row
 
@@ -302,7 +301,7 @@ class TestCountExists:
         def boom(self):
             raise AssertionError("count() touched rows")
 
-        monkeypatch.setattr(Table, "iter_rows", boom)
+        monkeypatch.setattr(TableSnapshot, "iter_rows", boom)
         assert query(db, "items").count() == 10
         assert query(db, "items").filter(group="even").count() == 5
         assert query(db, "items").filter(id=3).count() == 1
@@ -328,14 +327,14 @@ class TestCountExists:
     def test_exists_short_circuits(self, monkeypatch):
         db = make_db()
         consumed = []
-        original = Table.iter_rows
+        original = TableSnapshot.iter_rows
 
         def counting(self):
             for row in original(self):
                 consumed.append(row)
                 yield row
 
-        monkeypatch.setattr(Table, "iter_rows", counting)
+        monkeypatch.setattr(TableSnapshot, "iter_rows", counting)
         assert query(db, "items").exists()
         assert len(consumed) == 1  # stopped after the first row
         assert not query(db, "items").filter(group="nope").exists()
