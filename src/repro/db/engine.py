@@ -430,7 +430,8 @@ class Database:
     # -- write frames ---------------------------------------------------------
 
     @contextmanager
-    def _write_frame(self, op: str, table: str) -> Iterator[None]:
+    def _write_frame(self, op: str, table: str, *,
+                     one_row: bool = False) -> Iterator[None]:
         """One atomic unit around every write entry point, traced as
         ``db.<op>``.
 
@@ -441,10 +442,15 @@ class Database:
         next snapshot.  A re-entered frame (DML inside a
         ``transaction()``) is a savepoint: a failure rolls back that op
         alone, and everything else folds into the outermost frame and
-        commits once.
+        commits once.  A ``one_row`` op writes its one row after all its
+        checks, so a failure leaves nothing to roll back and it needs no
+        savepoint of its own.
         """
         with self._traced_op(op, table), self.lock.write():
             outermost = not self._savepoints
+            if one_row and not outermost:
+                yield
+                return
             if outermost:
                 self._frame_ops = []
                 self._views.clear()
@@ -693,7 +699,7 @@ class Database:
         return dict(row)
 
     def insert(self, table_name: str, **values: Any) -> dict[str, Any]:
-        with self._write_frame("insert", table_name):
+        with self._write_frame("insert", table_name, one_row=True):
             return self._insert_into(table_name, values)
 
     def insert_many(self, table_name: str,
@@ -706,7 +712,7 @@ class Database:
             return [self._insert_into(table_name, values) for values in rows]
 
     def update(self, table_name: str, pk: Any, **changes: Any) -> dict[str, Any]:
-        with self._write_frame("update", table_name):
+        with self._write_frame("update", table_name, one_row=True):
             table = self._writer_view(table_name)
             self._check_fks_outbound(table, changes)
             old = table.row(pk)
