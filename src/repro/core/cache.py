@@ -156,7 +156,7 @@ class AnalyticsCache:
         Pin-aware: inside a pinned snapshot scope the versions come from
         the snapshot, so a cached entry computed from pinned state is
         stamped with (and validated against) that same state."""
-        snap = self.db._read_tables()
+        snap = self.db._read_snapshot()
         if snap is None:  # the writer: its own uncommitted versions
             versions = self.db.table_versions()
             return tuple(versions.get(name, -1) for name in tables)

@@ -321,7 +321,7 @@ class Database:
             return pin.version
         return self._version if self.lock.write_held else self._snapshot.version
 
-    def _read_tables(self) -> Snapshot | None:
+    def _read_snapshot(self) -> Snapshot | None:
         """The snapshot this thread reads, or ``None`` for the writer."""
         if self.lock.write_held:
             return None
@@ -329,12 +329,12 @@ class Database:
 
     def _read_table(self, name: str) -> TableSnapshot | Overlay:
         """The store this thread reads ``name`` from right now."""
-        snap = self._read_tables()
+        snap = self._read_snapshot()
         return snap.table(name) if snap is not None else self._writer_view(name)
 
     def table_versions(self) -> dict[str, int]:
         """Per-table mutation counters, sorted by table name."""
-        snap = self._read_tables()
+        snap = self._read_snapshot()
         if snap is not None:
             return snap.table_versions()
         return {name: self._writer_view(name).version
@@ -617,7 +617,7 @@ class Database:
         return handle
 
     def __contains__(self, name: str) -> bool:
-        snap = self._read_tables()
+        snap = self._read_snapshot()
         return name in (snap if snap is not None else self._tables)
 
     # -- DML with FK enforcement ---------------------------------------------
@@ -1096,7 +1096,7 @@ class Database:
         :meth:`table_versions` / :attr:`version` so the row-count
         mapping keeps its historical shape.
         """
-        snap = self._read_tables()
+        snap = self._read_snapshot()
         if snap is not None:
             return snap.stats()
         return {name: len(self._writer_view(name))

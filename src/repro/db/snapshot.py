@@ -39,7 +39,7 @@ from copy import copy
 from collections.abc import Mapping
 from contextvars import ContextVar
 from heapq import merge
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, TextIO
@@ -74,6 +74,28 @@ _PIN: ContextVar["Snapshot | None"] = ContextVar(
 def current_pin() -> "Snapshot | None":
     """The snapshot pinned in this context, if any."""
     return _PIN.get()
+
+
+def _merged(base: Any, delta: dict[Any, Any]
+            ) -> Iterator[tuple[Any, dict[str, Any]]]:
+    """``(pk, row)`` of ``base`` under ``delta``, in pk order."""
+    if not delta:
+        return iter(base.items())
+    overrides, added = False, []
+    for pk, row in delta.items():
+        if pk in base:
+            overrides = True
+        elif row is not TOMBSTONE:
+            added.append((pk, row))
+    kept = iter(base.items()) if not overrides else (
+        (pk, delta.get(pk, row)) for pk, row in base.items()
+        if delta.get(pk) is not TOMBSTONE)
+    if not added:
+        return kept
+    added.sort(key=_PK)
+    if type(base) is dict and (not base or next(reversed(base)) < added[0][0]):
+        return chain(kept, added)  # every new pk follows the base's
+    return merge(kept, added, key=_PK)
 
 
 class _Buckets(Mapping):
@@ -262,31 +284,19 @@ class TableSnapshot(TableReads):
                     sindex.add(new[column], pk)
         for column in owned:
             hashes[column] = hashes[column].folded()
-        if len(delta) > _delta_bound(len(base)):
-            if isinstance(base, PagedRows):
-                # Fold the delta into a fresh overlay copy — the block
-                # tier is shared, never materialized.
-                base = base.with_delta(delta, TOMBSTONE)
-            else:
-                merged = dict(base)
-                last = next(reversed(base), None)
-                ordered = True  # new pks arrive after every other pk
-                for pk, row in delta.items():
-                    if row is TOMBSTONE:
-                        merged.pop(pk, None)
-                    elif pk in merged:
-                        merged[pk] = row
-                    else:
-                        ordered = ordered and (last is None or pk > last)
-                        last = pk
-                        merged[pk] = row
-                base = merged if ordered else dict(
-                    sorted(merged.items(), key=_PK))
-            delta = {}
-        return TableSnapshot(
+        successor = TableSnapshot(
             self.schema, version, next_id, base, delta,
             self._indexed, self._sorted_cols,
             size=size, lazy=hashes, lazy_sorted=sorts)
+        if len(delta) > _delta_bound(len(base)):
+            # Fold the delta into a fresh base in pk order, so the
+            # indexes carry over; a paged tier stays shared, never
+            # materialized.
+            successor._base = (base.with_delta(delta, TOMBSTONE)
+                               if isinstance(base, PagedRows)
+                               else dict(_merged(base, delta)))
+            successor._delta = {}
+        return successor
 
     # -- read primitives (see TableReads) ----------------------------------
 
@@ -324,14 +334,7 @@ class TableSnapshot(TableReads):
 
     def _items(self) -> Iterator[tuple[Any, dict[str, Any]]]:
         """``(pk, row)`` in pk order."""
-        base, delta = self._base, self._delta
-        if not delta:
-            return iter(base.items())
-        kept = ((pk, delta.get(pk, row)) for pk, row in base.items()
-                if delta.get(pk) is not TOMBSTONE)
-        added = sorted(((pk, row) for pk, row in delta.items()
-                        if row is not TOMBSTONE and pk not in base), key=_PK)
-        return merge(kept, added, key=_PK) if added else kept
+        return _merged(self._base, self._delta)
 
     def iter_rows(self) -> Iterator[dict[str, Any]]:
         """Raw stored rows (no copies) in pk order."""
