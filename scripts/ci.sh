@@ -16,8 +16,9 @@ python -m compileall -q src
 # a method counts as named only through an attribute, an import alias or
 # a string literal, never a bare local name.  tests/db/test_snapshot.py
 # holds the live/pinned read oracle: after every write, caught failure,
-# index creation, checkpoint and reopen, each read of the live table
-# equals the same read on a pin taken at that state, in the same order;
+# index creation, checkpoint and reopen, each read through the unpinned
+# table handle equals the same read on a pin taken at that state, in the
+# same order;
 # and TestIndexInheritanceCost::test_job_queue_reads_scan_no_rows, which
 # fails when a job queue's writer or pinned reads scan rows after
 # warm-up.  The lean response path: tests/web/test_response_path.py

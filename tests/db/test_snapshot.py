@@ -489,8 +489,9 @@ def _assert_find_in_pk_order(snap: TableSnapshot) -> None:
 
 
 class TestLiveMatchesPinned:
-    """After every step, each read of the live table equals the same read
-    on a pin taken at that state, in the same order: hash-indexed,
+    """After every step, each read through the unpinned table handle
+    equals the same read on a pin taken at that state, in the same
+    order: hash-indexed,
     sorted-only and unindexed columns, through writes, caught failures
     inside ``transaction()``, index creation, checkpoints and reopens."""
 

@@ -27,42 +27,36 @@ def make_db(**kwargs) -> Database:
 class TestInsert:
     def test_auto_increment_ids(self):
         db = make_db()
-        t = db.table("things")
         r1 = db.insert("things", name="x")
         r2 = db.insert("things", name="y")
         assert (r1["id"], r2["id"]) == (1, 2)
 
     def test_explicit_id_respected_and_sequence_advances(self):
         db = make_db()
-        t = db.table("things")
         db.insert("things", id=10, name="x")
         r = db.insert("things", name="y")
         assert r["id"] == 11
 
     def test_duplicate_pk_rejected(self):
         db = make_db()
-        t = db.table("things")
         db.insert("things", id=1, name="x")
         with pytest.raises(UniqueViolation):
             db.insert("things", id=1, name="y")
 
     def test_unique_constraint_enforced(self):
         db = make_db()
-        t = db.table("things")
         db.insert("things", name="x")
         with pytest.raises(UniqueViolation):
             db.insert("things", name="x")
 
     def test_defaults_applied(self):
         db = make_db()
-        t = db.table("things")
         row = db.insert("things", name="x")
         assert row["group"] == "a"
         assert row["note"] is None
 
     def test_unknown_column_rejected(self):
         db = make_db()
-        t = db.table("things")
         with pytest.raises(SchemaError):
             db.insert("things", name="x", bogus=1)
 
@@ -89,20 +83,17 @@ class TestUpdate:
 
     def test_update_missing_row(self):
         db = make_db()
-        t = db.table("things")
         with pytest.raises(RowNotFound):
             db.update("things", 99, note="x")
 
     def test_update_cannot_touch_pk(self):
         db = make_db()
-        t = db.table("things")
         row = db.insert("things", name="x")
         with pytest.raises(Exception):
             db.update("things", row["id"], id=42)
 
     def test_update_unique_collision(self):
         db = make_db()
-        t = db.table("things")
         db.insert("things", name="x")
         row = db.insert("things", name="y")
         with pytest.raises(UniqueViolation):
@@ -110,13 +101,11 @@ class TestUpdate:
 
     def test_update_to_same_unique_value_allowed(self):
         db = make_db()
-        t = db.table("things")
         row = db.insert("things", name="x")
         db.update("things", row["id"], name="x")  # no-op rename onto itself
 
     def test_unique_index_follows_rename(self):
         db = make_db()
-        t = db.table("things")
         row = db.insert("things", name="x")
         db.update("things", row["id"], name="z")
         db.insert("things", name="x")  # old name is free again
@@ -134,13 +123,11 @@ class TestDelete:
 
     def test_delete_missing_row(self):
         db = make_db()
-        t = db.table("things")
         with pytest.raises(RowNotFound):
             db.delete("things", 1)
 
     def test_delete_frees_unique_value(self):
         db = make_db()
-        t = db.table("things")
         row = db.insert("things", name="x")
         db.delete("things", row["id"])
         db.insert("things", name="x")
