@@ -430,8 +430,7 @@ class Database:
     # -- write frames ---------------------------------------------------------
 
     @contextmanager
-    def _write_frame(self, op: str, table: str, *,
-                     one_row: bool = False) -> Iterator[None]:
+    def _write_frame(self, op: str, table: str) -> Iterator[None]:
         """One atomic unit around every write entry point, traced as
         ``db.<op>``.
 
@@ -442,15 +441,10 @@ class Database:
         next snapshot.  A re-entered frame (DML inside a
         ``transaction()``) is a savepoint: a failure rolls back that op
         alone, and everything else folds into the outermost frame and
-        commits once.  A ``one_row`` op writes its one row after all its
-        checks, so a failure leaves nothing to roll back and it needs no
-        savepoint of its own.
+        commits once.
         """
         with self._traced_op(op, table), self.lock.write():
             outermost = not self._savepoints
-            if one_row and not outermost:
-                yield
-                return
             if outermost:
                 self._frame_ops = []
                 self._views.clear()
@@ -609,10 +603,11 @@ class Database:
         pin = self._pin()
         if pin is not None:
             return pin.table(name)
+        if name not in (self._tables if self.lock.write_held
+                        else self._snapshot.tables):
+            raise SchemaError(f"no table {name!r}")
         handle = self._handles.get(name)
         if handle is None:
-            if name not in self:
-                raise SchemaError(f"no table {name!r}")
             handle = self._handles.setdefault(name, Table(self, name))
         return handle
 
@@ -699,7 +694,7 @@ class Database:
         return dict(row)
 
     def insert(self, table_name: str, **values: Any) -> dict[str, Any]:
-        with self._write_frame("insert", table_name, one_row=True):
+        with self._write_frame("insert", table_name):
             return self._insert_into(table_name, values)
 
     def insert_many(self, table_name: str,
@@ -712,7 +707,7 @@ class Database:
             return [self._insert_into(table_name, values) for values in rows]
 
     def update(self, table_name: str, pk: Any, **changes: Any) -> dict[str, Any]:
-        with self._write_frame("update", table_name, one_row=True):
+        with self._write_frame("update", table_name):
             table = self._writer_view(table_name)
             self._check_fks_outbound(table, changes)
             old = table.row(pk)
@@ -822,10 +817,10 @@ class Database:
         """Open (or create) a durable database directory.
 
         Restores the newest checkpoint snapshot, replays the WAL tail
-        through the normal FK-checked entry points (as one transaction,
-        published once), truncates a torn final record if one is found,
-        and leaves the WAL attached so every further commit is logged.  :attr:`recovery_report`
-        describes what happened.
+        through the normal FK-checked entry points (one transaction per
+        frame), truncates a torn final record if one is found, and
+        leaves the WAL attached so every further commit is logged.
+        :attr:`recovery_report` describes what happened.
         """
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
@@ -852,18 +847,20 @@ class Database:
             # released at a time, so a large replay tail never holds all
             # its decoded operation lists in memory at once.
             reader = WalReader(wal_path)
-            with db.transaction():
-                for frame in reader:
-                    if not db._should_replay(frame):
-                        continue
+            for frame in reader:
+                if not db._should_replay(frame):
+                    continue
+                # One transaction per frame: its commit publishes with no
+                # WAL attached and releases the frame's ops.
+                with db.transaction():
                     db._apply_ops(frame["ops"])
-                    if db._version != frame["v"]:
-                        raise RecoveryError(
-                            f"replay diverged: version {db._version} after "
-                            f"frame committed at {frame['v']}"
-                        )
-                    report["frames_replayed"] += 1
-                    report["ops_replayed"] += len(frame["ops"])
+                if db._version != frame["v"]:
+                    raise RecoveryError(
+                        f"replay diverged: version {db._version} after "
+                        f"frame committed at {frame['v']}"
+                    )
+                report["frames_replayed"] += 1
+                report["ops_replayed"] += len(frame["ops"])
             if reader.torn:
                 report["torn"] = True
                 # A tear inside the magic header leaves the file shorter

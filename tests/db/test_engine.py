@@ -141,6 +141,19 @@ class TestDdl:
         db.drop_table("children")
         assert "children" not in db
 
+    def test_table_raises_after_drop(self):
+        db = make_db()
+        db.table("children")
+        db.drop_table("children")
+        with pytest.raises(SchemaError):
+            db.table("children")
+        with db.transaction():
+            db.create_table(TableSchema("extra", columns=(Column("id", int),)))
+            db.table("extra")
+            db.drop_table("extra")
+            with pytest.raises(SchemaError):
+                db.table("extra")
+
     def test_table_names_sorted(self):
         db = make_db()
         assert list(db.stats()) == ["cascading", "children", "parents"]
