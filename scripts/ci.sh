@@ -15,10 +15,11 @@ python -m compileall -q src
 # function, method and class in src/ must be named by program code, and
 # a method counts as named only through an attribute, an import alias or
 # a string literal, never a bare local name.  tests/db/test_snapshot.py
-# holds the live/pinned read oracle: after every write, caught failure,
-# index creation, checkpoint and reopen, each read through the unpinned
-# table handle equals the same read on a pin taken at that state, in the
-# same order;
+# holds the writer/pinned read oracle: inside every transaction, after
+# its first writes, a caught savepoint and just before exit, each read
+# through the writer's table handle equals, in the same order, the same
+# read on a pin of a mirror database that made those writes one
+# committed statement at a time;
 # and TestIndexInheritanceCost::test_job_queue_reads_scan_no_rows, which
 # fails when a job queue's writer or pinned reads scan rows after
 # warm-up.  The lean response path: tests/web/test_response_path.py

@@ -18,7 +18,9 @@ from repro.db import (
 )
 from repro.db.errors import RowNotFound, UniqueViolation
 from repro.db.relations import ManyToMany
-from repro.db.snapshot import TableSnapshot
+from repro.db.snapshot import (
+    TableSnapshot, database_to_dict, restore_database,
+)
 from repro.jobs.queue import DONE, LEASED, JobQueue
 
 WAIT = 10.0
@@ -333,8 +335,12 @@ class TestInheritedIndexes:
                           grp=grp, val=val)
 
     def _apply(self, db: Database, step: tuple, ever: set,
-               path, opener=_open_items) -> Database:
+               path, opener=_open_items, record=None) -> Database:
+        """Apply one step; inside a ``tx`` step, ``record()`` (if given)
+        runs after the first half of its writes, after its nested
+        savepoint and just before it exits."""
         kind = step[0]
+        record = record or (lambda: None)
         if kind == "insert_many":
             rows = db.insert_many("items", [{"grp": g, "val": v}
                                             for g, v in step[1]])
@@ -346,6 +352,7 @@ class TestInheritedIndexes:
                 with db.transaction():
                     for s in inner[:half]:
                         self._apply_row_step(db, s, ever)
+                    record()
                     if mode == "caught":
                         try:
                             with db.transaction():
@@ -361,8 +368,10 @@ class TestInheritedIndexes:
                         else:
                             with pytest.raises(RowNotFound):
                                 db.update("items", first, val=0)
+                    record()
                     for s in inner[half:]:
                         self._apply_row_step(db, s, ever)
+                    record()
                     if mode == "abort":
                         raise _Abort
             except _Abort:
@@ -442,7 +451,8 @@ def _open_sorted_items(path) -> Database:
 def _reads(table, pks) -> dict:
     """Every read of the table API, keyed by call, in the order the
     table hands it out: rows, ``find`` results and ``eq_pks`` all come
-    in pk order, and ``find_one`` is the first ``find`` row."""
+    in pk order, ``find_one`` is the first ``find`` row, and each sorted
+    index lists its entries in canonical sort order."""
     out: dict = {
         "len": len(table),
         "count": table.count(),
@@ -457,6 +467,9 @@ def _reads(table, pks) -> dict:
             out["get", pk] = table.get(pk)
         except RowNotFound:
             out["get", pk] = RowNotFound
+    for column in table.sorted_index_columns():
+        index = table.sorted_index(column)
+        out["sorted", column] = (index.entries, index.nones)
     probes = [{c: v} for c, values in _PROBES.items() for v in values]
     for equals in probes + list(_CONJUNCTIONS):
         key = tuple(sorted(equals.items()))
@@ -489,11 +502,41 @@ def _assert_find_in_pk_order(snap: TableSnapshot) -> None:
 
 
 class TestLiveMatchesPinned:
-    """After every step, each read through the unpinned table handle
-    equals the same read on a pin taken at that state, in the same
-    order: hash-indexed,
-    sorted-only and unindexed columns, through writes, caught failures
-    inside ``transaction()``, index creation, checkpoints and reopens."""
+    """The writer's reads inside a ``transaction()`` — through its own
+    drafts over the published snapshot — equal, in the same order, the
+    reads of a pin on a mirror database that made the same writes one
+    committed statement at a time: hash-indexed, sorted-only and
+    unindexed columns, recorded after the first half of the writes,
+    after a caught nested savepoint and a caught failing statement, and
+    just before exit.  A committed transaction's last reads equal a pin
+    taken right after its commit.  Between the steps run writes, index
+    creation, checkpoints and reopens, and every published snapshot
+    lists its rows in pk order."""
+
+    @staticmethod
+    def _writer_reads(db: Database, step: tuple, ever: set,
+                      apply) -> None:
+        mirror = restore_database(database_to_dict(db))
+        mirror_ever = set(ever)
+        seen: list[tuple[list, dict]] = []
+
+        def record() -> None:
+            pks = sorted(ever | {0, max(ever) + 1})
+            seen.append((pks, _reads(db.table("items"), pks)))
+
+        apply(db, step, ever, None, record=record)
+        _, inner, mode = step
+        half = len(inner) // 2
+        parts = [inner[:half], [], inner[half:]]
+        for (pks, writer), part in zip(seen, parts):
+            for s in part:
+                TestInheritedIndexes._apply_row_step(mirror, s, mirror_ever)
+            with mirror.pinned():
+                assert _reads(mirror.table("items"), pks) == writer
+        if mode != "abort":
+            pks, writer = seen[-1]
+            with db.pinned():
+                assert _reads(db.table("items"), pks) == writer
 
     @given(steps=st.lists(_step, max_size=25))
     @settings(max_examples=40, deadline=None,
@@ -506,15 +549,15 @@ class TestLiveMatchesPinned:
             ever = {r["id"] for r in db.table("items")}
             try:
                 for step in steps:
-                    db = apply(db, step, ever, path, _open_sorted_items)
+                    if step[0] == "tx":
+                        self._writer_reads(db, step, ever, apply)
+                    else:
+                        db = apply(db, step, ever, path, _open_sorted_items)
                     if db is not handles[-1]:
                         handles.append(db)
-                    pks = sorted(ever | {0, max(ever) + 1})
-                    live = _reads(db.table("items"), pks)
                     with db.pinned():
                         snap = db.table("items")
                         assert isinstance(snap, TableSnapshot)
-                        assert _reads(snap, pks) == live
                         _assert_find_in_pk_order(snap)
             finally:
                 for handle in handles:
