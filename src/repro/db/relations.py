@@ -95,8 +95,11 @@ class ManyToMany:
     # -- reads ------------------------------------------------------------------
 
     def _link(self, left_id: int, right_id: int) -> dict[str, Any] | None:
-        """The pair's link row, read off the left-column index (the one
-        the unique check on the pair probes too)."""
+        """The pair's link row, read off the left-column bucket alone
+        (the one the unique check on the pair probes too).
+        ``find_one`` on both columns would build the right-column
+        bucket cold to pick the smaller one, and every later publish
+        would then keep it up."""
         table = self.table
         for pk in table.eq_pks(self.left_column, left_id):
             row = table.row(pk)
