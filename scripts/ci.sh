@@ -22,7 +22,9 @@ python -m compileall -q src
 # committed statement at a time;
 # and TestIndexInheritanceCost::test_job_queue_reads_scan_no_rows, which
 # fails when a job queue's writer or pinned reads scan rows after
-# warm-up.  The lean response path: tests/web/test_response_path.py
+# warm-up; next to it, tests/jobs/test_queue.py::
+# test_idle_lease_takes_no_write_lock fails when a lease or run_pending
+# on a drained queue acquires the write lock.  The lean response path: tests/web/test_response_path.py
 # counts one JSON encode and one sendall per response over a real
 # socket, and tests/web/test_header_parsing.py checks the server's
 # header reader against http.client.parse_headers, row by row.

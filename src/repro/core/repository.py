@@ -305,10 +305,11 @@ class Repository:
             ) from None
 
     def entry_id(self, key: str) -> int:
-        row = self.db.table("ontology_entries").find_one(key=key)
-        if row is None:
+        """The entry's pk, read off the ``key`` bucket (no row copy)."""
+        pks = self.db.table("ontology_entries").eq_pks("key", key)
+        if not pks:
             raise KeyError(f"no ontology entry with key {key!r}")
-        return row["id"]
+        return pks[0]
 
     # ------------------------------------------------------------ materials
 
@@ -655,18 +656,15 @@ class Repository:
     def ensure_user(self, name: str, role: Role) -> int:
         """Find-or-create a (system) user account; returns its id.
 
-        Finding an existing account is a read; only creating one opens
-        a transaction, which looks again so that two racing callers
-        create one row."""
-        with self.db.pinned():
-            row = self.db.table("users").find_one(name=name)
-        if row is not None:
-            return row["id"]
+        Finding an existing account reads its pk off the ``name``
+        bucket; only creating one opens a transaction, which looks again
+        so that two racing callers create one row."""
+        pks = self.db.table("users").eq_pks("name", name)
+        if pks:
+            return pks[0]
         with self.db.transaction():
-            row = self.db.table("users").find_one(name=name)
-            if row is not None:
-                return row["id"]
-            return self.add_user(name, role)
+            pks = self.db.table("users").eq_pks("name", name)
+            return pks[0] if pks else self.add_user(name, role)
 
     def machine_suggest(
         self, material_id: int, key: str, *, confidence: float,
@@ -698,7 +696,8 @@ class Repository:
         """
         resolved = [(key, self.entry_id(key), float(confidence))
                     for key, confidence in pairs]
-        self.db.table("materials").get(material_id)
+        if self.db.table("materials").row(material_id) is None:
+            raise RowNotFound(f"'materials' has no row with pk {material_id!r}")
         with self.db.transaction():
             classified = set(
                 self.material_classifications.right_of(material_id))

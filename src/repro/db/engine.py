@@ -239,17 +239,6 @@ class Database:
         """The currently published snapshot (atomic read, no lock)."""
         return self._snapshot
 
-    def _pin(self) -> Snapshot | None:
-        """The snapshot pinned in this context, or ``None``.
-
-        Threads holding the write lock always read their own view (a
-        writer must see its own uncommitted work), so a pin set further
-        up the stack is ignored for the duration of the write."""
-        pin = current_pin()
-        if pin is not None and pin.db is self and not self.lock.write_held:
-            return pin
-        return None
-
     @contextmanager
     def pinned(self) -> Iterator[Snapshot | None]:
         """Pin the current snapshot for the scope — the lock-free read
@@ -316,16 +305,24 @@ class Database:
         version, so ETags and cache keys derived from it are consistent
         with the data the pin serves; other readers see the published
         version, and the writer its own."""
-        pin = self._pin()
-        if pin is not None:
-            return pin.version
-        return self._version if self.lock.write_held else self._snapshot.version
+        snap = self._read_snapshot()
+        return self._version if snap is None else snap.version
 
     def _read_snapshot(self) -> Snapshot | None:
-        """The snapshot this thread reads, or ``None`` for the writer."""
+        """The snapshot this thread reads: its pin, else the latest
+        published one; ``None`` for the writer, who reads its own
+        uncommitted work even under a pin set further up the stack."""
         if self.lock.write_held:
             return None
-        return self._pin() or self._snapshot
+        pin = current_pin()
+        return pin if pin is not None and pin.db is self else self._snapshot
+
+    def latest(self, name: str) -> TableSnapshot | Overlay:
+        """``name`` as a write frame opened now would read it, ignoring
+        any pin as the frame would: the writer's own view under the
+        write lock, else the latest published snapshot."""
+        return (self._writer_view(name) if self.lock.write_held
+                else self._snapshot.table(name))
 
     def _read_table(self, name: str) -> TableSnapshot | Overlay:
         """The store this thread reads ``name`` from right now."""
@@ -600,11 +597,14 @@ class Database:
         Both inherit one read API, :class:`repro.db.table.TableReads`.
         The handle reads the writer's own view under the write lock and
         the latest published snapshot elsewhere."""
-        pin = self._pin()
-        if pin is not None:
-            return pin.table(name)
-        if name not in (self._tables if self.lock.write_held
-                        else self._snapshot.tables):
+        if self.lock.write_held:
+            tables = self._tables
+        else:
+            pin = current_pin()
+            if pin is not None and pin.db is self:
+                return pin.table(name)
+            tables = self._snapshot.tables
+        if name not in tables:
             raise SchemaError(f"no table {name!r}")
         handle = self._handles.get(name)
         if handle is None:
@@ -645,10 +645,10 @@ class Database:
         """The stored form of an inserted row: validated values,
         defaults, and the next id for an omitted auto-increment pk."""
         schema = table.schema
-        unknown = set(values) - set(schema.column_names())
-        if unknown:
+        if not values.keys() <= schema._by_name.keys():
+            unknown = sorted(set(values) - schema._by_name.keys())
             raise SchemaError(
-                f"unknown column(s) {sorted(unknown)} for table {table.name!r}"
+                f"unknown column(s) {unknown} for table {table.name!r}"
             )
         row: dict[str, Any] = {}
         for col in schema.columns:

@@ -163,6 +163,12 @@ class JobQueue:
         )
         return job
 
+    def _none_in(self, *states: str) -> bool:
+        """Whether no job is in any of ``states``: bucket lengths read
+        as a transaction opened now would read them, with no lock."""
+        jobs = self.db.latest(JOBS_TABLE)
+        return not any(jobs.eq_pks("status", state) for state in states)
+
     def _checked(self, job_id: int, worker_id: str) -> dict[str, Any]:
         row = self.db.table(JOBS_TABLE).get_or_none(job_id)
         if row is None:
@@ -232,7 +238,10 @@ class JobQueue:
     def requeue_expired(self, now: float | None = None) -> int:
         """Return abandoned jobs (lease deadline passed) to the queue —
         or dead-letter them once out of attempts.  Returns how many
-        jobs changed state."""
+        jobs changed state.  With no job leased it opens no
+        transaction."""
+        if self._none_in(LEASED):
+            return 0
         now = float(self.clock()) if now is None else now
         moved = 0
         with self.db.transaction():
@@ -270,8 +279,10 @@ class JobQueue:
         self, worker_id: str, *, visibility_timeout: float | None = None
     ) -> dict[str, Any] | None:
         """Lease the oldest runnable job to ``worker_id``; ``None`` when
-        nothing is runnable.  The lease counts one attempt."""
-        if not self.available:
+        nothing is runnable.  The lease counts one attempt.  With no job
+        queued or leased it opens no transaction, so an idle poll takes
+        no write lock."""
+        if not self.available or self._none_in(QUEUED, LEASED):
             return None
         timeout = (
             self.visibility_timeout if visibility_timeout is None

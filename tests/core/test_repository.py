@@ -148,6 +148,21 @@ class TestOntologyMirroring:
         with pytest.raises(KeyError):
             fresh_repo.entry_id("CS13/NOPE")
 
+    def test_entry_id_sees_an_entry_inserted_in_its_transaction(
+            self, fresh_repo):
+        class Abort(Exception):
+            pass
+
+        with pytest.raises(Abort):
+            with fresh_repo.db.transaction():
+                row = fresh_repo.db.insert(
+                    "ontology_entries", ontology="PDC12", key="PDC12/NEW",
+                    label="New", kind="topic")
+                assert fresh_repo.entry_id("PDC12/NEW") == row["id"]
+                raise Abort
+        with pytest.raises(KeyError):
+            fresh_repo.entry_id("PDC12/NEW")
+
 
 class TestRolesAndCuration:
     def test_submission_flow_approved(self, fresh_repo):
@@ -255,6 +270,12 @@ class TestEnsureUser:
         monkeypatch.setattr(Database, "transaction", counting)
         assert fresh_repo.ensure_user("carcs-ml", Role.USER) == uid
         assert entered == []
+
+    def test_finds_a_user_added_earlier_in_its_transaction(self, fresh_repo):
+        with fresh_repo.db.transaction():
+            uid = fresh_repo.add_user("carcs-ml", Role.USER)
+            assert fresh_repo.ensure_user("carcs-ml", Role.USER) == uid
+        assert [r["id"] for r in self._rows(fresh_repo, "carcs-ml")] == [uid]
 
     def test_racing_threads_create_one_row(self, fresh_repo, monkeypatch):
         # Both callers miss the name before either creates it: each

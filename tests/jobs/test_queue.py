@@ -14,6 +14,7 @@ from repro.jobs import (
     JobQueue,
     QueueFull,
     StaleLease,
+    run_pending,
 )
 
 
@@ -36,6 +37,19 @@ def clock():
 @pytest.fixture()
 def queue(clock):
     return JobQueue(Database("jobs-test"), clock=clock)
+
+
+def count_write_locks(db, monkeypatch) -> list[int]:
+    """A one-element counter of the write lock acquisitions on ``db``."""
+    acquired = [0]
+    acquire = db.lock.acquire_write
+
+    def counting() -> None:
+        acquired[0] += 1
+        acquire()
+
+    monkeypatch.setattr(db.lock, "acquire_write", counting)
+    return acquired
 
 
 def test_enqueue_lease_complete_happy_path(queue, clock):
@@ -228,3 +242,50 @@ def test_replica_view_without_table_degrades(clock):
     assert queue.get(1) is None
     assert queue.counts()["total"] == 0
     assert queue.pending() == 0
+
+
+# -- lean leases: an idle queue is read, not written ---------------------
+
+
+def test_idle_lease_takes_no_write_lock(queue, monkeypatch):
+    queue.enqueue("classify")
+    assert run_pending(queue, {"classify": lambda ctx: None}) == 1
+    acquired = count_write_locks(queue.db, monkeypatch)
+    version = queue.db.version
+    assert queue.lease("w") is None
+    assert run_pending(queue, {"classify": lambda ctx: None}) == 0
+    assert acquired[0] == 0
+    assert queue.db.version == version
+
+
+def test_transaction_leases_the_job_it_enqueued(queue):
+    with queue.db.transaction():
+        job = queue.enqueue("classify")
+        leased = queue.lease("w")
+        assert leased is not None and leased["id"] == job["id"]
+    assert queue.get(job["id"])["status"] == LEASED
+
+
+def test_lease_inside_an_older_pin_sees_a_later_enqueue(queue):
+    with queue.db.pinned() as pin:
+        job = queue.enqueue("classify")
+        assert job["id"] not in pin.table(JOBS_TABLE)
+        leased = queue.lease("w")
+        assert leased is not None and leased["id"] == job["id"]
+
+
+def test_requeue_expired_without_leases_opens_no_frame(
+        queue, clock, monkeypatch):
+    job = queue.enqueue("classify")
+    acquired = count_write_locks(queue.db, monkeypatch)
+    version = queue.db.version
+    assert queue.requeue_expired() == 0
+    assert acquired[0] == 0
+    assert queue.db.version == version
+    # An expired lease still goes back to the queue.
+    queue.lease("w")
+    clock.advance(queue.visibility_timeout + 1)
+    assert queue.requeue_expired() == 1
+    requeued = queue.get(job["id"])
+    assert requeued["status"] == QUEUED
+    assert requeued["lease_owner"] is None
