@@ -607,8 +607,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     Bypasses the engine's insert path (see
     :func:`repro.corpus.generator.synthesize_database`), so a million
-    materials lands in seconds with flat memory — and opening the
-    result pages rows in lazily through the block cache.
+    materials lands in seconds with flat memory — and opening a result
+    larger than the block-cache budget pages rows in lazily.
     """
     import time
 

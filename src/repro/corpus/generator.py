@@ -173,8 +173,8 @@ def synthesize_database(
     (weighted sampling without replacement via exponential races) and
     streamed directly into a :class:`~repro.db.pager.BlockFileWriter`,
     so peak memory is one chunk of rows plus a compact int32 buffer of
-    classification links (~12 bytes/link).  ``Database.open`` on the
-    result pages rows in lazily through the block cache.
+    classification links (~12 bytes/link).  ``Database.open`` pages a
+    result larger than the block-cache budget in lazily.
 
     Deterministic: same config -> byte-identical rows file + manifest.
     Returns a summary dict (materials, links, version, path).

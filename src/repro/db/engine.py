@@ -33,9 +33,9 @@ Concurrency follows PostgreSQL's reader/writer split (MVCC):
 
 Durability is a **write-ahead log** (:mod:`repro.db.wal`): each committed
 frame appends one checksummed record of its operations; ``checkpoint()``
-compacts the log into a full snapshot file, and :meth:`Database.open`
-restores snapshot + WAL tail, recovering cleanly from a torn final
-record.
+compacts the log into a blocked checkpoint (:mod:`repro.db.pager`), and
+:meth:`Database.open` restores checkpoint + WAL tail, recovering
+cleanly from a torn final record.
 
 On top of the version counter sits a bounded **change journal**: every
 mutation appends one :class:`Change` record, and rollback pops the
@@ -75,8 +75,6 @@ from .locks import WriterLock
 from .pager import (
     BlockCache,
     BlockStore,
-    PagedRows,
-    env_inline_rows,
     restore_blocked,
     storage_stats,
     write_blocked_checkpoint,
@@ -90,7 +88,6 @@ from .snapshot import (
     load_tables,
     restore_database,
     schema_to_dict,
-    write_database_json,
 )
 from .table import TOMBSTONE, Draft, Overlay, Table, TableReads
 from .wal import WalReader, WalWriter, truncate_wal
@@ -210,9 +207,9 @@ class Database:
         # under the write lock, in registration order.
         self._commit_listeners: list[Callable[[dict[str, Any]], None]] = []
         self._listener_errors = 0
-        # Tiered storage (populated by a blocked restore or the first
-        # blocked checkpoint): the open rows-file store and the shared
-        # byte-budgeted block cache.
+        # Tiered storage (set once tables page, see use_paged_rows):
+        # the open rows-file store and the shared byte-budgeted block
+        # cache.
         self._pager: BlockStore | None = None
         self._block_cache: BlockCache | None = None
 
@@ -833,10 +830,8 @@ class Database:
         if snap_path.exists():
             data = json.loads(snap_path.read_text(encoding="utf-8"))
             if data.get("format") == 2:
-                # Blocked checkpoint: restore the manifest only — rows
-                # page in lazily through the block cache.
                 db = restore_blocked(data, directory, **kwargs)
-            else:
+            else:  # a one-dict (format-1) checkpoint of an older writer
                 db = restore_database(data, **kwargs)
             report["snapshot_version"] = db._version
         else:
@@ -897,11 +892,12 @@ class Database:
             return self.checkpoint()
 
     def checkpoint(self) -> Path:
-        """Compact the WAL: write a full snapshot file atomically (temp
-        file + ``os.replace``), then reset the log.  Crash-safe at every
-        step — a crash before the replace keeps the old snapshot + full
-        WAL; after it, the new snapshot subsumes the (possibly not yet
-        reset) log, whose leftover frames replay as no-ops."""
+        """Compact the WAL: write a blocked checkpoint (rows file, then
+        the manifest ``snapshot.json`` replaced atomically), then reset
+        the log.  Crash-safe at every step — a crash before the manifest
+        replace keeps the old checkpoint + full WAL; after it, the new
+        checkpoint subsumes the (possibly not yet reset) log, whose
+        leftover frames replay as no-ops."""
         if self._wal is None or self._dir is None:
             raise ValueError("database is not durable (no WAL attached)")
         # Deadline-immune: auto-compaction runs on whatever request
@@ -915,32 +911,13 @@ class Database:
                     "cannot checkpoint inside a transaction"
                 )
             with _trace.span("db.checkpoint", version=self._version):
-                if self._use_blocked_checkpoint():
-                    # The superseded store (if any) stays open: pinned
-                    # snapshots may still page from it; GC closes it.
-                    target = write_blocked_checkpoint(self, self._dir)
-                    self._publish()
-                else:
-                    target = self._dir / SNAPSHOT_FILE
-                    tmp = self._dir / (SNAPSHOT_FILE + ".tmp")
-                    with tmp.open("w", encoding="utf-8") as fh:
-                        write_database_json(self, fh)
-                        fh.flush()
-                        os.fsync(fh.fileno())
-                    os.replace(tmp, target)
+                # The superseded store (if any) stays open: pinned
+                # snapshots may still page from it; GC closes it.
+                target = write_blocked_checkpoint(self, self._dir)
+                self._publish()
                 self._wal.reset()
                 self._checkpoints += 1
             return target
-
-    def _use_blocked_checkpoint(self) -> bool:
-        """Blocked (format-2) once any table is paged or the database
-        outgrows the inline threshold; small databases keep the eager
-        inline format so every historical durability property (and its
-        test) holds byte-for-byte."""
-        tables = self._tables.values()
-        if any(isinstance(t._base, PagedRows) for t in tables):
-            return True
-        return sum(len(t) for t in tables) >= env_inline_rows()
 
     def close(self) -> None:
         """Flush and detach the WAL (safe to call on in-memory dbs)."""

@@ -1,40 +1,37 @@
 """Tiered storage: blocked checkpoints and lazy row page-in.
 
-The eager storage model (format-1 ``snapshot.json``) materializes every
-row of every table at :meth:`repro.db.engine.Database.open` — fine for
-the hand-curated seed, hopeless at the 10^6-material scale the ROADMAP
-demands.  This module is the cold tier that fixes it:
-
-* A **blocked checkpoint** (format 2) splits the durable state into a
-  small JSON *manifest* (``snapshot.json``: schemas, version counters,
-  index declarations, and a per-table *block directory*) plus a sibling
-  *rows file* (``rows-<version>.dat``) holding the actual rows as
-  independently-readable, CRC-checked JSON blocks sorted by primary
-  key.  The manifest is a few kilobytes no matter how large the corpus
-  is, so ``Database.open`` returns in O(tables), not O(rows).
+Every checkpoint is **blocked** (format 2): a small JSON *manifest*
+(``snapshot.json``: schemas, version counters, index declarations and a
+per-table *block directory*) plus a sibling *rows file*
+(``rows-<version>.dat``) of independently-readable, CRC-checked JSON
+blocks sorted by primary key.  :func:`use_paged_rows` decides from the
+block-cache budget (``CARCS_CACHE_BYTES``) whether the tables keep
+resident row dicts (a rows file a warm cache would hold whole) or page:
 
 * A :class:`PagedRows` mapping stands in for a table snapshot's
   in-memory row dict.  Point reads bisect the block directory, page in exactly one
   block and decode only the probed row (a block is written one row per
   line, so its rows split apart without a parse); scans decode whole
   blocks.  Blocks stream through a shared :class:`BlockCache` whose
-  resident bytes are bounded by a ``CARCS_CACHE_BYTES`` budget (LRU
-  eviction, hit/miss/eviction/rows-decoded counters).  Snapshot
+  resident bytes are bounded by the budget (LRU eviction,
+  hit/miss/eviction/rows-decoded counters), so ``Database.open``
+  returns in O(tables), not O(rows).  Snapshot
   consolidation folds rows into a small *overlay* (plus a tombstone set
   for deletes) of a fresh copy — the block tier is immutable between
   checkpoints, which is what makes lock-free readers safe.
 
-* Checkpointing a paged database **streams**: rows flow block-by-block
-  from the old tier (merged with the overlay in pk order) into the new
-  rows file, so compaction never materializes the table either.  After
-  the manifest is atomically replaced the table snapshots re-point at
-  the fresh tier and drop their overlays.
+* Checkpointing **streams**: rows flow block-by-block from each table
+  snapshot in pk order into the new rows file, so compaction never
+  materializes a paged table.  After the manifest is atomically
+  replaced, paged snapshots re-point at the fresh tier and drop their
+  overlays.
 
 Crash safety mirrors the WAL's by-construction story: the rows file is
 written to a temp name, fsynced and renamed *before* the manifest that
-references it is atomically replaced, and stale rows files are only
-unlinked after the new manifest is durable.  A crash at any point
-leaves a manifest whose rows file exists and verifies.
+references it is atomically replaced, and stale rows files (and the
+temp files of killed writers) are only unlinked after the new manifest
+is durable.  A crash at any point leaves a manifest whose rows file
+exists and verifies.
 """
 
 from __future__ import annotations
@@ -45,6 +42,9 @@ import threading
 import zlib
 from bisect import bisect_right
 from collections import OrderedDict
+from contextlib import nullcontext
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
@@ -55,20 +55,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Database
 
 #: Block-cache budget in bytes (cost model: the *encoded* size of each
-#: resident block, whether it holds row texts or decoded rows).
+#: resident block, whether it holds row texts or decoded rows), and the
+#: largest rows file whose rows stay resident (:func:`use_paged_rows`).
 ENV_CACHE_BYTES = "CARCS_CACHE_BYTES"
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
 #: Rows per block in a freshly written blocked checkpoint.
 ENV_BLOCK_ROWS = "CARCS_BLOCK_ROWS"
 DEFAULT_BLOCK_ROWS = 2048
-
-#: Databases with at most this many total rows keep checkpointing in
-#: the eager inline format (format 1) — the tiered machinery only pays
-#: for itself on large corpora, and small databases staying format-1
-#: keeps every existing durability test byte-for-byte meaningful.
-ENV_INLINE_ROWS = "CARCS_SNAPSHOT_INLINE_ROWS"
-DEFAULT_INLINE_ROWS = 10_000
 
 #: Prefix of rows files inside a database directory.
 ROWS_PREFIX = "rows-"
@@ -83,9 +77,13 @@ PROMOTE_FRACTION = 16
 #: one text per row (each but the last ends in the separator's comma).
 ROW_SEPARATOR = ",\n"
 
+#: Rows encoded per write while a block streams out.
+WRITE_ROWS = 64
+
 #: The one compact encoder every written row goes through.
 _ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _ROW_DECODE = json.JSONDecoder().raw_decode  # leaves a trailing comma
+_ROW = itemgetter(1)  # the row of a (pk, row) pair
 
 
 def env_cache_bytes() -> int:
@@ -102,13 +100,6 @@ def env_block_rows() -> int:
     except ValueError:
         return DEFAULT_BLOCK_ROWS
     return rows if rows > 0 else DEFAULT_BLOCK_ROWS
-
-
-def env_inline_rows() -> int:
-    try:
-        return int(os.environ.get(ENV_INLINE_ROWS, DEFAULT_INLINE_ROWS))
-    except ValueError:
-        return DEFAULT_INLINE_ROWS
 
 
 class BlockCache:
@@ -205,6 +196,28 @@ class _Block:
         self.left = max(1, n // PROMOTE_FRACTION)
 
 
+def _block_text(payload: bytes, meta: dict[str, Any], where: str,
+                split: bool = False) -> Any:
+    """A block's text (or, with ``split``, its row texts), checked
+    against its directory entry: length, CRC and one row per line.  A
+    split block must yield exactly its ``n`` texts; a whole one is only
+    searched for a line break, which stops within the first row."""
+    if len(payload) != meta["l"] or zlib.crc32(payload) != meta["c"]:
+        raise RecoveryError(f"{where} is corrupt (crc mismatch)")
+    text = payload.decode("utf-8")
+    if split:
+        texts = text[1:-1].split("\n")
+        if len(texts) == meta["n"]:
+            return texts
+    elif meta["n"] == 1 or "\n" in text:
+        return text
+    raise RecoveryError(f"{where} does not hold one row per line")
+
+
+def _where(path: Path, table: str, index: int) -> str:
+    return f"rows file {path.name}: block {index} of table {table!r}"
+
+
 class BlockStore:
     """One open rows file: reads, CRC-checks, caches and decodes blocks.
 
@@ -258,18 +271,10 @@ class BlockStore:
         with self._lock:
             self._fh.seek(meta["o"])
             payload = self._fh.read(meta["l"])
-        if len(payload) != meta["l"] or zlib.crc32(payload) != meta["c"]:
-            raise RecoveryError(
-                f"rows file {self.path.name}: block {index} of table "
-                f"{table!r} is corrupt (crc mismatch)"
-            )
-        text = payload.decode("utf-8")
+        text = _block_text(payload, meta, _where(self.path, table, index),
+                           split=not whole)
         if not whole:
-            texts = text[1:-1].split("\n")
-            # A block written on one line (an older writer) splits into
-            # fewer texts than rows; it decodes whole.
-            if len(texts) == meta["n"]:
-                return _Block((texts, {}), meta)
+            return _Block((text, {}), meta)
         rows = json.loads(text)
         self.cache.count_decoded(len(rows))
         return _Block({row[pk_col]: row for row in rows}, meta)
@@ -505,35 +510,26 @@ class BlockFileWriter:
         table whose size is only known once its generator is drained.
         """
         blocks: list[dict[str, Any]] = []
-        chunk: list[dict] = []
-        lo = hi = None
         total = 0
-
-        def flush() -> None:
-            nonlocal chunk, lo, hi
-            if not chunk:
-                return
-            payload = ("[" + ROW_SEPARATOR.join(
-                map(_ROW_ENCODER.encode, chunk)) + "]").encode("utf-8")
-            self._fh.write(payload)
+        items = iter(sorted_items)
+        while chunk := list(islice(items, self.block_rows)):
+            # "[" + ROW_SEPARATOR.join(rows) + "]", written a slice at a
+            # time so no whole-block string is ever held.
+            start, crc, n = self._offset, 0, len(chunk)
+            for i in range(0, n, WRITE_ROWS):
+                rows = ROW_SEPARATOR.join(map(
+                    _ROW_ENCODER.encode, map(_ROW, chunk[i:i + WRITE_ROWS])))
+                payload = ((ROW_SEPARATOR if i else "[") + rows
+                           + ("]" if i + WRITE_ROWS >= n else "")
+                           ).encode("utf-8")
+                self._fh.write(payload)
+                crc = zlib.crc32(payload, crc)
+                self._offset += len(payload)
             blocks.append({
-                "o": self._offset, "l": len(payload),
-                "c": zlib.crc32(payload), "n": len(chunk),
-                "lo": lo, "hi": hi,
+                "o": start, "l": self._offset - start, "c": crc, "n": n,
+                "lo": chunk[0][0], "hi": chunk[-1][0],
             })
-            self._offset += len(payload)
-            chunk = []
-            lo = hi = None
-
-        for pk, row in sorted_items:
-            if lo is None:
-                lo = pk
-            hi = pk
-            chunk.append(row)
-            total += 1
-            if len(chunk) >= self.block_rows:
-                flush()
-        flush()
+            total += n
         self._tables.append({
             "schema": schema_dict,
             "next_id": total + 1 if next_id is None else next_id,
@@ -547,7 +543,7 @@ class BlockFileWriter:
 
     def finish(self) -> dict[str, Any]:
         """Fsync + rename the rows file, atomically replace the manifest,
-        then unlink superseded rows files.  Returns the manifest dict."""
+        then unlink stale rows files.  Returns the manifest dict."""
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._fh.close()
@@ -567,7 +563,9 @@ class BlockFileWriter:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, target)
-        for stale in self.directory.glob(f"{ROWS_PREFIX}*.dat"):
+        # Superseded rows files and the temp files of killed writers.
+        for stale in chain(self.directory.glob(f"{ROWS_PREFIX}*.dat"),
+                           self.directory.glob(f"{ROWS_PREFIX}*.dat.tmp")):
             if stale.name != self.rows_name:
                 try:
                     stale.unlink()
@@ -582,6 +580,18 @@ class BlockFileWriter:
         finally:
             if self._tmp.exists():
                 self._tmp.unlink()
+
+
+def use_paged_rows(db: "Database", rows_bytes: int) -> bool:
+    """Whether ``db``'s tables page over a rows file of ``rows_bytes``
+    (:class:`PagedRows`) rather than keep resident row dicts: once any
+    table is paged, or when the file outgrows the block-cache budget.
+    A file within the budget would sit whole in a warm cache, so
+    residency costs no memory the cache does not already allow."""
+    if any(isinstance(t._base, PagedRows) for t in db._tables.values()):
+        return True
+    cache = db._block_cache
+    return rows_bytes > (cache.budget if cache else env_cache_bytes())
 
 
 def write_blocked_checkpoint(db: "Database", directory: str | Path,
@@ -616,7 +626,8 @@ def write_blocked_checkpoint(db: "Database", directory: str | Path,
 
 def _repoint_tables(db: "Database", manifest: dict[str, Any],
                     directory: Path) -> None:
-    """Re-base every table snapshot on the tier just written.
+    """Re-base every table snapshot on the tier just written, unless
+    the tables stay resident (:func:`use_paged_rows`).
 
     Overlays and deltas fold into the new blocks, so the in-memory
     footprint of a long-running writer resets at each checkpoint; built
@@ -624,11 +635,14 @@ def _repoint_tables(db: "Database", manifest: dict[str, Any],
     concurrent readers keep the old store alive (and readable, even
     unlinked) until they are garbage collected.
     """
+    rows_path = directory / manifest["rows_file"]
+    if not use_paged_rows(db, rows_path.stat().st_size):
+        return
     cache = db._block_cache
     if cache is None:
         cache = db._block_cache = BlockCache()
     old_store = db._pager
-    store = BlockStore(directory / manifest["rows_file"], cache)
+    store = BlockStore(rows_path, cache)
     blocks = {entry["schema"]["name"]: entry["blocks"]
               for entry in manifest["tables"]}
     db._tables = {
@@ -646,14 +660,14 @@ def _repoint_tables(db: "Database", manifest: dict[str, Any],
 
 def restore_blocked(data: dict[str, Any], directory: str | Path,
                     **db_kwargs: Any) -> "Database":
-    """Rebuild a :class:`Database` whose tables page in lazily.
+    """Rebuild a :class:`Database` from a format-2 checkpoint.
 
-    The inverse of :func:`write_blocked_checkpoint`: tables come up with
-    their block directories only — no rows, no index contents.  Declared
-    hash/sorted indexes (and the buckets unique checks probe) build on
-    first use (a single streaming scan through the block cache), so a
-    database that is opened and queried narrowly never pays for what it
-    does not touch.
+    The inverse of :func:`write_blocked_checkpoint`.  Resident tables
+    (:func:`use_paged_rows`) decode each block once, straight into their
+    rows, leaving no block cache behind.  Paged ones come up with their
+    block directories only: indexes (and the buckets unique checks
+    probe) build on first use through the block cache, so a database
+    queried narrowly never pays for what it does not touch.
     """
     from .engine import Database
     from .snapshot import TableSnapshot, schema_from_dict
@@ -669,29 +683,38 @@ def restore_blocked(data: dict[str, Any], directory: str | Path,
             f"manifest references missing rows file {data['rows_file']!r}"
         )
     db = Database(data.get("name", "carcs"), **db_kwargs)
-    cache = BlockCache()
-    store = BlockStore(rows_path, cache)
+    paged = use_paged_rows(db, rows_path.stat().st_size)
+    if paged:
+        db._block_cache = BlockCache()
+        db._pager = BlockStore(rows_path, db._block_cache)
     tables = {}
-    for entry in data["tables"]:
-        schema = schema_from_dict(entry["schema"])
-        tables[schema.name] = TableSnapshot.capture(
-            schema,
-            PagedRows(schema.name, schema.primary_key, entry["blocks"],
-                      store),
-            version=entry.get("version", 0),
-            next_id=entry.get("next_id", 1),
-            indexes=entry.get("indexes", ()),
-            sorted_indexes=entry.get("sorted_indexes", ()))
+    with nullcontext() if paged else rows_path.open("rb") as fh:
+        for entry in data["tables"]:
+            schema = schema_from_dict(entry["schema"])
+            name, pk = schema.name, schema.primary_key
+            if paged:
+                rows: Any = PagedRows(name, pk, entry["blocks"], db._pager)
+            else:
+                rows = {}
+                for index, meta in enumerate(entry["blocks"]):
+                    fh.seek(meta["o"])
+                    text = _block_text(fh.read(meta["l"]), meta,
+                                       _where(rows_path, name, index))
+                    rows.update((row[pk], row) for row in json.loads(text))
+            tables[name] = TableSnapshot.capture(
+                schema, rows,
+                version=entry.get("version", 0),
+                next_id=entry.get("next_id", 1),
+                indexes=entry.get("indexes", ()),
+                sorted_indexes=entry.get("sorted_indexes", ()))
     db._tables = tables
     db._version = data.get("version", 0)
     db.name = data.get("name", db.name)
-    db._block_cache = cache
-    db._pager = store
     return db
 
 
 def storage_stats(db: "Database") -> dict[str, int]:
-    """Tier + cache counters (empty mapping on a fully eager database)."""
+    """Tier + cache counters (empty mapping on a resident database)."""
     if db._block_cache is None:
         return {}
     out = {f"block_cache_{k}": v for k, v in db._block_cache.stats().items()}

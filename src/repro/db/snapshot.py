@@ -24,8 +24,9 @@ every pin-aware accessor (``Database.table`` / ``version`` /
 lock bypass the pin so writers and transactions always read their own
 uncommitted state.
 
-This module also owns the durable wire format shared by WAL checkpoint
-files and :mod:`repro.core.persist` version-2 dumps:
+This module also owns the one-dict wire format (format 1) of replica
+bootstrap, :mod:`repro.core.persist` version-2 dumps and checkpoint
+files written before every checkpoint was blocked:
 :func:`database_to_dict` / :func:`restore_database` round-trip the full
 engine state (schemas, rows, id sequences, version counters, secondary
 indexes) through plain JSON-serializable dicts.
@@ -33,16 +34,15 @@ indexes) through plain JSON-serializable dicts.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, insort
 from copy import copy
 from collections.abc import Mapping
 from contextvars import ContextVar
 from heapq import merge
-from itertools import chain, islice
+from itertools import chain
 from math import isqrt
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .errors import SchemaError
 from .pager import PagedRows
@@ -179,9 +179,11 @@ class TableSnapshot(TableReads):
                 next_id: int = 1, indexes: Iterable[str] = (),
                 sorted_indexes: Iterable[str] = ()) -> "TableSnapshot":
         """A table's first snapshot (open, restore, load and
-        ``create_table``): over a paged tier as is, or over row dicts
-        given in any order.  Declared indexes build on first read."""
-        if not isinstance(rows, PagedRows):
+        ``create_table``): over a pk-ordered base as is (a paged tier,
+        or the ``pk -> row`` dict of a resident blocked open), or over
+        row dicts given in any order.  Declared indexes build on first
+        read."""
+        if not isinstance(rows, (PagedRows, dict)):
             pk = schema.primary_key
             rows = dict(sorted(((row[pk], dict(row)) for row in rows),
                                key=_PK))
@@ -387,10 +389,11 @@ class Snapshot:
 
 # -- durable wire format ---------------------------------------------------
 #
-# Shared by WAL checkpoint files (db/wal.py) and format-2 persist dumps
-# (core/persist.py).  Everything is plain JSON; schemas serialize by
-# column-type *name*, so only JSON-representable column types survive a
-# round-trip — which is every type the CAR-CS schema uses.
+# Shared by blocked checkpoint manifests (db/pager.py), replica
+# bootstrap and format-2 persist dumps (core/persist.py).  Everything
+# is plain JSON; schemas serialize by column-type *name*, so only
+# JSON-representable column types survive a round-trip — which is
+# every type the CAR-CS schema uses.
 
 _TYPE_NAMES: dict[type, str] = {
     int: "int", str: "str", float: "float", bool: "bool", object: "object",
@@ -459,27 +462,14 @@ def schema_from_dict(data: dict[str, Any]) -> TableSchema:
     )
 
 
-def _table_entry(table: TableSnapshot,
-                 rows: list[dict[str, Any]]) -> dict[str, Any]:
-    """One table of :func:`database_to_dict`; ``schema`` and ``rows``
-    stay its first two keys (:func:`write_database_json` relies on it)."""
-    return {
-        "schema": schema_to_dict(table.schema),
-        "rows": rows,
-        "next_id": table.next_id,
-        "version": table.version,
-        "indexes": table.index_columns(),
-        "sorted_indexes": table.sorted_index_columns(),
-    }
-
-
 def database_to_dict(db: "Database") -> dict[str, Any]:
-    """The whole engine state as one JSON-serializable dict.
+    """The whole engine state as one JSON-serializable dict (format 1:
+    replica bootstrap and :mod:`repro.core.persist` dumps).
 
-    Takes the write lock (reentrant, so checkpointing from inside a
-    commit is fine) so the captured state is one committed version.
-    Tables serialize in creation order, which is FK-dependency order,
-    and rows in pk order.
+    Takes the write lock (reentrant, so capturing from inside a commit
+    is fine) so the captured state is one committed version.  Tables
+    serialize in creation order, which is FK-dependency order, and rows
+    in pk order.
     """
     with db.lock.write():
         return {
@@ -487,41 +477,17 @@ def database_to_dict(db: "Database") -> dict[str, Any]:
             "name": db.name,
             "version": db._version,
             "tables": [
-                _table_entry(table, [dict(row) for row in table.iter_rows()])
+                {
+                    "schema": schema_to_dict(table.schema),
+                    "rows": [dict(row) for row in table.iter_rows()],
+                    "next_id": table.next_id,
+                    "version": table.version,
+                    "indexes": table.index_columns(),
+                    "sorted_indexes": table.sorted_index_columns(),
+                }
                 for table in db._tables.values()
             ],
         }
-
-
-#: Rows per C-encoded slice in :func:`write_database_json`.
-CHECKPOINT_CHUNK_ROWS = 256
-
-
-def write_database_json(db: "Database", fh: TextIO) -> None:
-    """Write ``json.dumps(database_to_dict(db), separators=(",", ":"))``
-    to ``fh``, encoding each table's rows a slice at a time.
-
-    ``json.dump`` always runs the pure-Python encoder (only one-shot
-    encodes use the C one), and one ``dumps`` of the whole state would
-    hold the full document in memory; a slice of
-    :data:`CHECKPOINT_CHUNK_ROWS` rows is one C-encoded ``dumps``.
-    """
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    with db.lock.write():
-        head = encode({"format": 1, "name": db.name, "version": db._version})
-        fh.write(head[:-1] + ',"tables":[')
-        for n, table in enumerate(db._tables.values()):
-            entry = _table_entry(table, [])
-            schema = encode(entry.pop("schema"))
-            del entry["rows"]
-            fh.write(("," if n else "") + '{"schema":' + schema + ',"rows":[')
-            rows = table.iter_rows()
-            sep = ""
-            while chunk := list(islice(rows, CHECKPOINT_CHUNK_ROWS)):
-                fh.write(sep + encode(chunk)[1:-1])
-                sep = ","
-            fh.write("]," + encode(entry)[1:])
-        fh.write("]}")
 
 
 def load_tables(db: "Database", data: dict[str, Any]) -> None:

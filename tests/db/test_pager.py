@@ -1,9 +1,9 @@
 """Tiered storage: blocked checkpoints, lazy page-in, cache bounds.
 
-The format-2 path must be *durability-neutral*: everything the eager
-format-1 engine guarantees (crash safety, WAL replay, MVCC pins, unique
-and FK enforcement, planner correctness) must hold identically when the
-rows live in a cold block tier and page in lazily.
+Paging must be *durability-neutral*: everything a resident database
+guarantees (crash safety, WAL replay, MVCC pins, unique and FK
+enforcement, planner correctness) must hold identically when the rows
+live in a cold block tier and page in lazily.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.db.errors import RecoveryError, RowNotFound
 from repro.db.pager import (
     ENV_BLOCK_ROWS,
     ENV_CACHE_BYTES,
-    ENV_INLINE_ROWS,
     ROWS_PREFIX,
     BlockCache,
     PagedRows,
@@ -31,11 +30,15 @@ from tests.faults import failing_replace
 
 N_ROWS = 100
 
+#: A block-cache budget below every rows file these tests write (the
+#: smallest holds 100 rows of 20-odd bytes), so their tables page.
+PAGING_BUDGET = "1024"
+
 
 @pytest.fixture()
 def blocked_env(monkeypatch):
-    """Force every checkpoint into format 2 with tiny (8-row) blocks."""
-    monkeypatch.setenv(ENV_INLINE_ROWS, "1")
+    """Page every table, over tiny (8-row) blocks."""
+    monkeypatch.setenv(ENV_CACHE_BYTES, PAGING_BUDGET)
     monkeypatch.setenv(ENV_BLOCK_ROWS, "8")
 
 
@@ -77,14 +80,32 @@ def _rows_file(directory):
     return files[0]
 
 
-class TestFormatSelection:
-    def test_small_databases_stay_inline_format_1(self, tmp_path):
-        directory = _build(tmp_path, n=20)
-        data = json.loads((directory / "snapshot.json").read_text())
-        assert data["format"] == 1
-        assert not list(directory.glob(f"{ROWS_PREFIX}*.dat"))
+def _paged(db):
+    return {name: isinstance(db.snapshot().table(name)._base, PagedRows)
+            for name in db.snapshot().tables}
 
-    def test_large_databases_checkpoint_blocked(self, tmp_path, blocked_env):
+
+class TestResidency:
+    def test_rows_file_within_budget_opens_resident(self, tmp_path):
+        directory = _build(tmp_path)
+        data = json.loads((directory / "snapshot.json").read_text())
+        assert data["format"] == 2
+        assert _rows_file(directory).name == data["rows_file"]
+        db = Database.open(directory)
+        assert _paged(db) == {"items": False}
+        assert db._block_cache is None and db._pager is None
+        assert db.storage_stats() == {}
+        assert [r["name"] for r in db.table("items")] == [
+            f"item-{i:04d}" for i in range(N_ROWS)]
+        # A checkpoint keeps the resident rows: no rebase onto the tier.
+        base = db.snapshot().table("items")._base
+        db.update("items", 3, score=33)
+        db.checkpoint()
+        assert db.snapshot().table("items")._base is base
+        assert db.storage_stats() == {}
+        db.close()
+
+    def test_rows_file_over_budget_opens_paged(self, tmp_path, blocked_env):
         directory = _build(tmp_path)
         data = json.loads((directory / "snapshot.json").read_text())
         assert data["format"] == 2
@@ -94,6 +115,48 @@ class TestFormatSelection:
         assert len(entry["blocks"]) == (N_ROWS + 7) // 8
         assert entry["indexes"] == ["group"]
         assert entry["sorted_indexes"] == ["score"]
+        db = Database.open(directory)
+        assert _paged(db) == {"items": True}
+        db.close()
+
+    def test_budget_boundary(self, tmp_path, monkeypatch):
+        directory = _build(tmp_path)
+        size = _rows_file(directory).stat().st_size
+        for budget, paged in ((size, False), (size - 1, True)):
+            monkeypatch.setenv(ENV_CACHE_BYTES, str(budget))
+            db = Database.open(directory)
+            assert _paged(db) == {"items": paged}, budget
+            db.close()
+
+    def test_checkpoint_over_budget_switches_to_paged(
+        self, tmp_path, monkeypatch
+    ):
+        directory = _build(tmp_path)
+        db = Database.open(directory)
+        assert _paged(db) == {"items": False}
+        monkeypatch.setenv(ENV_CACHE_BYTES, PAGING_BUDGET)
+        db.insert("items", name="late", group="y", score=3)
+        db.checkpoint()
+        assert _paged(db) == {"items": True}
+        assert db.storage_stats()["tier_blocks"] == 1
+        assert len(db.table("items")) == N_ROWS + 1
+        db.close()
+
+    def test_paged_tables_stay_paged(self, tmp_path, blocked_env):
+        # A paged database whose next rows file fits the budget keeps
+        # paging.
+        directory = _build(tmp_path)
+        db = Database.open(directory)
+        for pk in range(2, N_ROWS + 1):
+            db.delete("items", pk)
+        db.checkpoint()
+        rows_file = _rows_file(directory)
+        assert rows_file.stat().st_size < int(PAGING_BUDGET)
+        assert _paged(db) == {"items": True}
+        assert db._pager.path == rows_file  # re-pointed at the new tier
+        assert db.storage_stats()["tier_tombstone_rows"] == 0
+        assert [r["id"] for r in db.table("items")] == [1]
+        db.close()
 
 
 class TestLazyOpen:
@@ -225,6 +288,20 @@ class TestDurability:
         db.close()
 
 
+    def test_checkpoint_sweeps_stale_temp_rows_files(self, tmp_path):
+        directory = _build(tmp_path)
+        stray = directory / f"{ROWS_PREFIX}1.dat.tmp"
+        stray.write_bytes(b"[{\"id\":1")  # a writer killed mid-block
+        db = Database.open(directory)
+        db.insert("items", name="late", group="y", score=3)
+        db.checkpoint()
+        db.close()
+        assert not stray.exists()
+        rows = [p.name for p in directory.iterdir()
+                if p.name.startswith(ROWS_PREFIX)]
+        assert rows == [_rows_file(directory).name]
+
+
 class TestMvcc:
     def test_pinned_snapshot_survives_tier_swap(self, tmp_path, blocked_env):
         directory = _build(tmp_path)
@@ -320,9 +397,9 @@ LAZY_BLOCK_ROWS = 64
 
 @pytest.fixture()
 def lazy_env(monkeypatch):
-    """Format 2 with 64-row blocks: a block decodes up to 4 rows one at
-    a time (``1/PROMOTE_FRACTION``) before it decodes whole."""
-    monkeypatch.setenv(ENV_INLINE_ROWS, "1")
+    """Paged tables over 64-row blocks: a block decodes up to 4 rows one
+    at a time (``1/PROMOTE_FRACTION``) before it decodes whole."""
+    monkeypatch.setenv(ENV_CACHE_BYTES, PAGING_BUDGET)
     monkeypatch.setenv(ENV_BLOCK_ROWS, str(LAZY_BLOCK_ROWS))
 
 
@@ -504,26 +581,24 @@ class TestLazyBlocks:
         assert [row["word"] for row in table] == words
         db.close()
 
-    def test_single_line_rows_file_reads_identically(
-        self, tmp_path, lazy_env
+    def test_single_line_rows_file_fails_loudly(
+        self, tmp_path, lazy_env, monkeypatch
     ):
+        # Blocks hold one row per line; a payload laid out otherwise (a
+        # foreign rows file, or one written before that layout) is
+        # refused, never decoded by a second path.
         directory = _build(tmp_path)
-        db = Database.open(directory)
-        expected = list(db.table("items"))
-        db.close()
         _rewrite_single_line(directory)
-        db = Database.open(directory)
+        db = Database.open(directory)  # paged: the manifest alone
         items = db.table("items")
-        assert items.get(42) == expected[41]
-        # A one-line block cannot be split by row: it decodes whole.
-        assert db.storage_stats()["block_cache_rows_decoded"] == (
-            LAZY_BLOCK_ROWS)
-        for row in expected:
-            assert items.get(row["id"]) == row
-        assert list(items) == expected
-        assert items.find(group="x") == [r for r in expected
-                                         if r["group"] == "x"]
+        with pytest.raises(RecoveryError, match="one row per line"):
+            items.get(42)
+        with pytest.raises(RecoveryError, match="one row per line"):
+            list(items)
         db.close()
+        monkeypatch.delenv(ENV_CACHE_BYTES)
+        with pytest.raises(RecoveryError, match="one row per line"):
+            Database.open(directory)  # resident: decodes at open
 
     def test_concurrent_probes_and_scans_of_one_cold_block(
         self, tmp_path, lazy_env, monkeypatch

@@ -10,6 +10,7 @@ reopens each copy, and asserts byte-for-byte state equality with the
 oracle for however many frames survived intact.
 """
 
+import json
 import random
 import shutil
 
@@ -66,7 +67,7 @@ def corpus(tmp_path_factory):
     ))
     for i in range(8):
         db.insert("materials", title=f"seed-{i}", collection="seed")
-    # Everything up to here lands in the snapshot file; the workload
+    # Everything up to here lands in the checkpoint; the workload
     # below becomes the WAL tail whose truncations we crash-test.
     db.checkpoint()
 
@@ -110,6 +111,14 @@ def corpus(tmp_path_factory):
     return store, oracle
 
 
+def copy_checkpoint(store, crashed) -> None:
+    """Copy the checkpoint: its manifest and the rows file it names."""
+    manifest = store / "snapshot.json"
+    rows_file = json.loads(manifest.read_text())["rows_file"]
+    for name in ("snapshot.json", rows_file):
+        shutil.copy(store / name, crashed / name)
+
+
 def crash_offsets(wal_bytes: bytes) -> list[int]:
     """>= N_OFFSETS truncation points, randomized plus boundary cases."""
     rng = random.Random(0xDEADBEEF)
@@ -135,7 +144,7 @@ class TestTornWalRecovery:
         for offset in offsets:
             crashed = tmp_path / f"crash-{offset}"
             crashed.mkdir()
-            shutil.copy(store / "snapshot.json", crashed / "snapshot.json")
+            copy_checkpoint(store, crashed)
             (crashed / "wal.log").write_bytes(wal_bytes[:offset])
 
             # How many frames survived is decided by the codec alone —
@@ -161,7 +170,7 @@ class TestTornWalRecovery:
         offset = (len(MAGIC) + len(wal_bytes)) // 2
         crashed = tmp_path / "crash"
         crashed.mkdir()
-        shutil.copy(store / "snapshot.json", crashed / "snapshot.json")
+        copy_checkpoint(store, crashed)
         (crashed / "wal.log").write_bytes(wal_bytes[:offset])
 
         first = Database.open(crashed, wal_sync="off")

@@ -382,12 +382,17 @@ class TestInheritedIndexes:
         elif kind == "create_index":
             db.table("items").create_index(step[1])
         elif kind == "checkpoint":
-            env = {"CARCS_SNAPSHOT_INLINE_ROWS": "0" if step[1] else "100000"}
+            # A block-cache budget below (paged) or above (resident)
+            # the rows file; once paged, a database stays paged.
+            env = {"CARCS_CACHE_BYTES": "1" if step[1] else str(1 << 30)}
             with mock.patch.dict(os.environ, env):
                 db.checkpoint()
         elif kind == "reopen":
-            # The old handle stays open: pins taken on it read on.
-            db = opener(path)
+            # The old handle stays open: pins taken on it read on.  A
+            # paged database reopens paged.
+            env = {"CARCS_CACHE_BYTES": "1"} if db._pager else {}
+            with mock.patch.dict(os.environ, env):
+                db = opener(path)
         elif kind == "read":
             with db.pinned():
                 items = db.table("items")

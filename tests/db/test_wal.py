@@ -14,7 +14,8 @@ from repro.db import (
     read_wal,
     truncate_wal,
 )
-from repro.db.snapshot import CHECKPOINT_CHUNK_ROWS, database_to_dict
+from repro.db.pager import ENV_BLOCK_ROWS, ROWS_PREFIX
+from repro.db.snapshot import database_to_dict
 from repro.db.wal import (
     DEFAULT_BATCH_EVERY,
     MAGIC,
@@ -257,12 +258,16 @@ class TestCheckpoint:
         assert again.version == db2.version
         again.close()
 
-    def test_snapshot_bytes_equal_one_compact_dumps(self, tmp_path):
-        """The chunked writer emits exactly the compact ``json.dumps``
-        of the whole state: tables of 0, 1, one chunk and one chunk plus
-        one rows, strings holding newlines, quotes and non-ASCII text."""
+    def test_snapshot_bytes_equal_one_compact_dumps(self, tmp_path,
+                                                    monkeypatch):
+        """The manifest is one compact ``json.dumps``, and the checkpoint
+        reopens to the same state: tables of 0, 1, one block and one
+        block plus one rows, strings holding newlines, quotes and
+        non-ASCII text."""
+        block = 16
+        monkeypatch.setenv(ENV_BLOCK_ROWS, str(block))
         db = open_db(tmp_path)
-        sizes = (0, 1, CHECKPOINT_CHUNK_ROWS, CHECKPOINT_CHUNK_ROWS + 1)
+        sizes = (0, 1, block, block + 1)
         for n in sizes:
             db.create_table(TableSchema(
                 f"t{n}", columns=(Column("id", int), Column("s", str),
@@ -272,13 +277,48 @@ class TestCheckpoint:
             for i in range(n):
                 db.insert(f"t{n}", s=f'row {i}\n"q" \\ é ☃ {{"rows":[]}}',
                           x=i / 3 if i % 2 else None)
+        expected = database_to_dict(db)
         target = db.checkpoint()
-        expected = json.dumps(database_to_dict(db), separators=(",", ":"))
-        assert target.read_bytes() == expected.encode("utf-8")
+        manifest = json.loads(target.read_bytes())
+        assert target.read_bytes() == json.dumps(
+            manifest, separators=(",", ":")).encode("utf-8")
+        assert [len(t["blocks"]) for t in manifest["tables"]] == [
+            -(-n // block) for n in sizes]
         db.close()
         again = open_db(tmp_path)
         assert [len(again.table(f"t{n}")) for n in sizes] == list(sizes)
-        assert database_to_dict(again) == json.loads(expected)
+        assert database_to_dict(again) == expected
+        again.close()
+
+    def test_format_1_checkpoint_upgrades_to_blocked(self, tmp_path):
+        # A directory checkpointed as one format-1 dict, plus a WAL tail.
+        db = open_db(tmp_path)
+        db.create_table(schema())
+        db.table("items").create_index("name")
+        for name in ("a", "b", "c"):
+            db.insert("items", name=name)
+        store = tmp_path / "store"
+        (store / "snapshot.json").write_text(
+            json.dumps(database_to_dict(db)), encoding="utf-8")
+        db._wal.reset()
+        version = db.version
+        db.insert("items", name="d")
+        db.update("items", 1, name="a2")
+        expected = database_to_dict(db)
+        db.close()
+
+        db = open_db(tmp_path)
+        assert db.recovery_report["snapshot_version"] == version
+        assert db.recovery_report["frames_replayed"] == 2
+        assert database_to_dict(db) == expected
+        db.checkpoint()
+        db.close()
+        assert json.loads((store / "snapshot.json").read_text())[
+            "format"] == 2
+        assert len(list(store.glob(f"{ROWS_PREFIX}*.dat"))) == 1
+        again = open_db(tmp_path)
+        assert again.recovery_report["frames_replayed"] == 0
+        assert database_to_dict(again) == expected
         again.close()
 
 
@@ -307,6 +347,9 @@ class TestAttach:
         db.insert("items", name="a")
         path = db.attach(tmp_path / "store", wal_sync="off")
         data = json.loads(path.read_text())
-        assert data["format"] == 1
+        assert data["format"] == 2
         assert data["version"] == db.version
+        assert (path.parent / data["rows_file"]).is_file()
+        entry = {t["schema"]["name"]: t for t in data["tables"]}["items"]
+        assert entry["rows"] == 1
         db.close()
